@@ -169,6 +169,16 @@ def _cmd_tangent(args) -> int:
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halphen",
@@ -179,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert function table by exact rank")
     p.add_argument("--ideal", required=True, help="ideal file")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_hilbert)
 
@@ -223,6 +233,7 @@ def main(argv=None) -> int:
         geometry.SingularPointError,
         groebner.EmptyProjectiveSet,
         groebner.GroebnerBudgetExceeded,
+        groebner.GroebnerCheckFailed,
     ) as exc:
         print(f"halphen: error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,6 @@ Hilbert polynomial) can differ from that of its saturation.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .combinat import binom
@@ -26,9 +24,6 @@ from .poly import (
     enumerate_monomials,
     monomial_mul,
 )
-
-THREADS_ENV_VAR = "HALPHEN_THREADS"
-
 
 @dataclass(frozen=True)
 class GradedPieceBasis:
@@ -81,10 +76,5 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     degrees = range(m_max + 1)
-    threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda m: hilbert_function(ideal, m), degrees))
-    else:
-        values = [hilbert_function(ideal, m) for m in degrees]
+    values = [hilbert_function(ideal, m) for m in degrees]
     return HilbertFunctionTable(ideal, dict(zip(degrees, values)))

@@ -1,17 +1,31 @@
 """Groebner bases, initial ideals, and exact Hilbert series.
 
 Buchberger with the normal selection strategy and both classical pair
-criteria, producing a reduced basis.  The Hilbert series of R/I is read
-off the initial monomial ideal through the standard pivot recursion
-with inclusion-exclusion, and the Hilbert polynomial is extracted from
-the series together with an exact stabilization threshold.
+criteria, producing a reduced basis.  Pairs wait in a heap keyed by the
+order key of their lcm, ties broken by (i, j).  Each basis element keeps
+its leading monomial, leading coefficient and tail from the moment it
+enters.  One reduction kernel serves the pair loop, the interreduction,
+the final check and `normal_form`: it works in a mutable term dict with a
+heap of pending monomials and primitive integer coefficients, so no
+Fraction is built until the reduced basis is made monic.  The final check
+reduces the S-polynomial of every pair of the reduced basis, with no
+criterion skips, and raises `GroebnerCheckFailed`, so it also runs under
+`python -O`.
+
+The Hilbert series of R/I is read off the initial monomial ideal through
+the standard pivot recursion with inclusion-exclusion, and the Hilbert
+polynomial is extracted from the series together with an exact
+stabilization threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
+from operator import add, le, sub
 
 from .combinat import binom, binomial_poly
 from .parsing import IdealSpec, validate_ideal
@@ -20,10 +34,13 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
+    RingMismatch,
+    descending_key,
     monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
 )
 
 PAIR_BUDGET = 200_000
@@ -31,6 +48,11 @@ PAIR_BUDGET = 200_000
 
 class GroebnerBudgetExceeded(RuntimeError):
     pass
+
+
+class GroebnerCheckFailed(RuntimeError):
+    """The final check found an S-polynomial of the result that does not
+    reduce to zero: the returned basis would not be a Groebner basis."""
 
 
 class EmptyProjectiveSet(ValueError):
@@ -119,6 +141,98 @@ class HilbertData:
 
 
 # -- polynomial reduction -------------------------------------------------
+#
+# Inside the algorithm a polynomial is a list of (monomial, int) terms,
+# biggest monomial first.  Basis elements are primitive: coprime integer
+# coefficients and a positive leading coefficient.  Fractions appear only
+# where a polynomial enters the kernel or a result leaves it.
+
+
+class _Element:
+    """A basis element with its leading data split off once, on entry."""
+
+    __slots__ = ("lm", "lc", "tail")
+
+    def __init__(self, terms: list[tuple[Monomial, int]]):
+        (self.lm, self.lc), self.tail = terms[0], terms[1:]
+
+
+def _primitive(terms: list[tuple[Monomial, int]]) -> list[tuple[Monomial, int]]:
+    g = gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        g = -g
+    return terms if g == 1 else [(m, c // g) for m, c in terms]
+
+
+def _integer_terms(p: Polynomial, order: MonomialOrder):
+    """(terms, s): p = s * sum(c * m) with the terms primitive, biggest first."""
+    monos = order.sorted(p.terms)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = _primitive([(m, int(p.terms[m] * den)) for m in monos])
+    return terms, p.terms[monos[0]] / terms[0][1]
+
+
+def _reduce(work: dict, divisors: list[_Element], order: MonomialOrder):
+    """Fully reduce `work` (monomial -> int, consumed) by the divisors.
+
+    Terms are taken biggest first from a heap; each is cancelled by the
+    first divisor whose leading monomial divides it, after scaling the
+    whole of `work` by the integer that keeps the arithmetic fraction-free.
+    Returns (remainder, s): the remainder terms biggest first and the
+    product s of those scalings, so that s * work - remainder lies in the
+    ideal of the divisors.
+    """
+    heap_key = descending_key(order)
+    heap = [(heap_key(m), m) for m in work]
+    heapify(heap)
+    remainder = []
+    scale = 1
+    while heap:
+        m = heappop(heap)[1]
+        c = work[m]
+        # a cancelled term stays as 0 until popped, so no monomial is pushed twice
+        if not c:
+            del work[m]
+            continue
+        for g in divisors:
+            if all(map(le, g.lm, m)):
+                break
+        else:
+            remainder.append(m)
+            continue
+        del work[m]
+        a = g.lc
+        d = gcd(a, c)
+        if d != 1:
+            a //= d
+            c //= d
+        if a != 1:
+            scale *= a
+            for n in work:
+                work[n] *= a
+        u = tuple(map(sub, m, g.lm))
+        for t, tc in g.tail:
+            n = tuple(map(add, u, t))
+            v = work.get(n)
+            if v is None:
+                work[n] = -c * tc
+                heappush(heap, (heap_key(n), n))
+            else:
+                work[n] = v - c * tc
+    return [(m, work[m]) for m in remainder], scale
+
+
+def _s_terms(f: _Element, g: _Element) -> dict:
+    """A nonzero integer multiple of the S-polynomial of f and g."""
+    lcm_fg = monomial_lcm(f.lm, g.lm)
+    uf, ug = monomial_div(lcm_fg, f.lm), monomial_div(lcm_fg, g.lm)
+    d = gcd(f.lc, g.lc)
+    a, b = g.lc // d, f.lc // d
+    work = {monomial_mul(uf, t): a * c for t, c in f.tail}
+    for t, c in g.tail:
+        n = monomial_mul(ug, t)
+        work[n] = work.get(n, 0) - b * c
+    return work
 
 
 def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
@@ -126,25 +240,18 @@ def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
-    """Full remainder of f on division by the basis."""
-    remainder = Polynomial.zero(f.ring)
-    work = f
-    lms = [(leading_monomial(g, order), g) for g in basis if not g.is_zero]
-    while not work.is_zero:
-        lm = leading_monomial(work, order)
-        lc = work.terms[lm]
-        for glm, g in lms:
-            if monomial_divides(glm, lm):
-                factor = Polynomial.monomial(
-                    monomial_div(lm, glm), f.ring, lc / g.terms[glm]
-                )
-                work = work - factor * g
-                break
-        else:
-            head = Polynomial.monomial(lm, f.ring, lc)
-            remainder = remainder + head
-            work = work - head
-    return remainder
+    """Full remainder of f on division by the basis: every term, biggest
+    first, is divided by the first element whose leading monomial divides it."""
+    for g in basis:
+        if g.ring != f.ring:
+            raise RingMismatch(f"ring mismatch: {f.ring} vs {g.ring}")
+    if f.is_zero:
+        return Polynomial.zero(f.ring)
+    terms, s = _integer_terms(f, order)
+    divisors = [_Element(_integer_terms(g, order)[0]) for g in basis if not g.is_zero]
+    remainder, scale = _reduce(dict(terms), divisors, order)
+    s /= scale
+    return Polynomial({m: s * c for m, c in remainder}, f.ring)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -160,74 +267,73 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
     validate_ideal(ideal)
     if not ideal.generators:
         raise ValueError("empty generator list")
-    basis = [g for g in ideal.generators if not g.is_zero]
-    lm = [leading_monomial(g, order) for g in basis]
-    pairs = set(combinations(range(len(basis)), 2))
+    basis = [_Element(_integer_terms(g, order)[0]) for g in ideal.generators]
+    # normal selection: a heap of (order key of the lcm, i, j, lcm)
+    pairs: list = []
+
+    def add_pairs(new: int) -> None:
+        for k in range(new):
+            lcm_kn = monomial_lcm(basis[k].lm, basis[new].lm)
+            heappush(pairs, (order.key(lcm_kn), k, new, lcm_kn))
+
+    for new in range(1, len(basis)):
+        add_pairs(new)
     done: set[tuple[int, int]] = set()
     steps = 0
     while pairs:
         steps += 1
         if steps > PAIR_BUDGET:
             raise GroebnerBudgetExceeded("pair budget exceeded")
-        # normal selection: smallest lcm in the monomial order
-        i, j = min(pairs, key=lambda ij: order.key(monomial_lcm(lm[ij[0]], lm[ij[1]])))
-        pairs.discard((i, j))
+        _, i, j, lcm_ij = heappop(pairs)
         done.add((i, j))
-        lcm = monomial_lcm(lm[i], lm[j])
         # first Buchberger criterion: coprime leading monomials
-        if lcm == tuple(a + b for a, b in zip(lm[i], lm[j])):
+        if lcm_ij == monomial_mul(basis[i].lm, basis[j].lm):
             continue
         # chain criterion
-        skipped = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lm[k], lcm):
-                continue
-            ik = (min(i, k), max(i, k))
-            jk = (min(j, k), max(j, k))
-            if ik in done and jk in done:
-                skipped = True
-                break
-        if skipped:
+        if any(
+            k != i
+            and k != j
+            and monomial_divides(basis[k].lm, lcm_ij)
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+            for k in range(len(basis))
+        ):
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not r.is_zero:
-            basis.append(r)
-            lm.append(leading_monomial(r, order))
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
-    gb = _reduce_basis(basis, order)
+        remainder, _ = _reduce(_s_terms(basis[i], basis[j]), basis, order)
+        if remainder:
+            basis.append(_Element(_primitive(remainder)))
+            add_pairs(len(basis) - 1)
+    gb = _reduce_basis(basis, order, ideal.ring_vars)
     _assert_groebner(gb)
     return gb
 
 
-def _reduce_basis(basis, order: MonomialOrder) -> GroebnerBasis:
+def _reduce_basis(
+    basis: list[_Element], order: MonomialOrder, ring: tuple[str, ...]
+) -> GroebnerBasis:
     # minimal: keep one element per leading monomial kept by divisibility
-    minimal: list[Polynomial] = []
-    kept_lms: list[Monomial] = []
-    for g in sorted(basis, key=lambda g: order.key(leading_monomial(g, order))):
-        lmg = leading_monomial(g, order)
-        if any(monomial_divides(lmh, lmg) for lmh in kept_lms):
-            continue
-        minimal.append(g)
-        kept_lms.append(lmg)
-    # interreduce: each element's tail reduced against the others, monic
+    minimal: list[_Element] = []
+    for g in sorted(basis, key=lambda g: order.key(g.lm)):
+        if not any(monomial_divides(h.lm, g.lm) for h in minimal):
+            minimal.append(g)
+    # interreduce: each element reduced against the others, then made monic;
+    # by minimality no other leading monomial divides its own
     reduced = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, order) if others else g
-        if r.is_zero:
-            continue
-        lc = r.terms[leading_monomial(r, order)]
-        reduced.append(r.scale(Fraction(1) / lc))
-    reduced.sort(key=lambda g: order.key(leading_monomial(g, order)))
+        work = dict([(g.lm, g.lc), *g.tail])
+        r, _ = _reduce(work, minimal[:i] + minimal[i + 1 :], order)
+        lc = r[0][1]
+        reduced.append(Polynomial({m: Fraction(c, lc) for m, c in r}, ring))
     return GroebnerBasis(order, tuple(reduced))
 
 
 def _assert_groebner(gb: GroebnerBasis) -> None:
-    basis = gb.elements
+    """Every S-polynomial of the basis must reduce to zero: all pairs, no
+    criterion skips.  Raises, so the check also runs under `python -O`."""
+    basis = [_Element(_integer_terms(g, gb.order)[0]) for g in gb.elements]
     for f, g in combinations(basis, 2):
-        s = s_polynomial(f, g, gb.order)
-        assert normal_form(s, basis, gb.order).is_zero, "S-polynomial did not reduce to zero"
+        if _reduce(_s_terms(f, g), basis, gb.order)[0]:
+            raise GroebnerCheckFailed("S-polynomial did not reduce to zero")
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:

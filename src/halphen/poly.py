@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -37,6 +37,16 @@ class MonomialOrder(Enum):
 
 
 DEFAULT_ORDER = MonomialOrder.degrevlex
+
+
+def descending_key(order: MonomialOrder) -> Callable[[Monomial], tuple[int, ...]]:
+    """A flat key under which ascending sort order is descending `order`:
+    smaller key = bigger monomial.  Suited to a min-heap of monomials."""
+    if order is MonomialOrder.lex:
+        return lambda m: tuple([-e for e in m])
+    if order is MonomialOrder.deglex:
+        return lambda m: (-sum(m), *[-e for e in m])
+    return lambda m: (-sum(m), *m[::-1])
 
 
 def monomial_degree(m: Monomial) -> int:

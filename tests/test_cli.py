@@ -4,7 +4,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from halphen import groebner
 from halphen.cli import main
+from halphen.parsing import parse_polynomial
+from halphen.poly import DEFAULT_ORDER
 
 from conftest import FIXTURES, SCHEMAS
 
@@ -82,6 +85,27 @@ class TestHilbertCommand:
         code, out, _ = run(capsys, "hilbert", "--ideal", fixture("twisted_cubic"))
         rows = out.strip().splitlines()[1:]
         assert len(rows) >= 7  # max(6, m0 + 2) + 1 values
+
+    def test_negative_max_degree_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: halphen hilbert")
+        assert "--max-degree: must be non-negative, got -3" in err
+
+
+class TestGroebnerCheckFailure:
+    def test_failed_final_check_is_domain_error(self, capsys, monkeypatch):
+        ring = ("x", "y", "z")
+        bad = groebner.GroebnerBasis(
+            DEFAULT_ORDER,
+            (parse_polynomial("x*y - z^2", ring), parse_polynomial("x^2 - y*z", ring)),
+        )
+        monkeypatch.setattr(groebner, "_reduce_basis", lambda *args: bad)
+        code, out, err = run(capsys, "invariants", "--ideal", fixture("curve_E"))
+        assert code == 1 and out == ""
+        assert err == "halphen: error: S-polynomial did not reduce to zero\n"
 
 
 class TestClassifyCommand:

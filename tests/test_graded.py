@@ -91,11 +91,6 @@ class TestHilbertFunctionTable:
     def test_value_zero_degree(self, twisted_cubic):
         assert hilbert_function_table(twisted_cubic, 0).values[0] == 1
 
-    def test_threaded_matches_serial(self, twisted_cubic, monkeypatch):
-        serial = hilbert_function_table(twisted_cubic, 5).values
-        monkeypatch.setenv("HALPHEN_THREADS", "4")
-        assert hilbert_function_table(twisted_cubic, 5).values == serial
-
 
 class TestPlaneClosedForm:
     @pytest.mark.parametrize("d", range(1, 7))

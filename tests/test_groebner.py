@@ -1,12 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from halphen.combinat import binom
 from halphen.graded import hilbert_function
 from halphen.groebner import (
     EmptyProjectiveSet,
+    GroebnerBasis,
+    GroebnerCheckFailed,
     HilbertPolynomial,
     MonomialIdeal,
     buchberger,
@@ -16,11 +24,21 @@ from halphen.groebner import (
     normal_form,
     series_coefficients,
     series_numerator,
+    _assert_groebner,
 )
 from halphen.parsing import IdealSpec, parse_polynomial
-from halphen.poly import monomial_divides
+from halphen.poly import (
+    DEFAULT_ORDER,
+    MonomialOrder,
+    Polynomial,
+    RingMismatch,
+    monomial_div,
+    monomial_divides,
+)
 
-from conftest import RING3, RING4, load_ideal
+from conftest import FIXTURES, RING3, RING4, load_ideal, polynomials
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIXTURE_NAMES = [
     "twisted_cubic",
@@ -76,6 +94,90 @@ class TestBuchberger:
         gb = buchberger(twisted_cubic)
         for g in gb.elements:
             assert g.terms[leading_monomial(g, gb.order)] == 1
+
+
+def _reference_normal_form(f, basis, order):
+    """Textbook division in Fractions: the biggest term of the working
+    polynomial is divided by the first element whose leading term divides it."""
+    remainder = Polynomial.zero(f.ring)
+    work = f
+    while not work.is_zero:
+        lm = leading_monomial(work, order)
+        lc = work.terms[lm]
+        for g in basis:
+            glm = leading_monomial(g, order)
+            if monomial_divides(glm, lm):
+                u = Polynomial.monomial(monomial_div(lm, glm), f.ring, lc / g.terms[glm])
+                work = work - u * g
+                break
+        else:
+            head = Polynomial.monomial(lm, f.ring, lc)
+            remainder = remainder + head
+            work = work - head
+    return remainder
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @given(
+        f=polynomials(max_terms=6),
+        basis=st.lists(polynomials(max_terms=3).filter(bool), min_size=1, max_size=3),
+    )
+    def test_exact_remainder_matches_textbook_division(self, order, f, basis):
+        assert normal_form(f, basis, order) == _reference_normal_form(f, basis, order)
+
+    def test_ring_mismatch(self):
+        f = parse_polynomial("x^2", RING3)
+        with pytest.raises(RingMismatch):
+            normal_form(f, [parse_polynomial("x", RING4)], DEFAULT_ORDER)
+
+    def test_keeps_rational_coefficients(self):
+        f = parse_polynomial("x^2 + 1/3*y^2", RING3)
+        g = parse_polynomial("2*x - 5*z", RING3)
+        # x^2 = (x/2 + 5z/4)(2x - 5z) + 25/4 z^2
+        expect = parse_polynomial("1/3*y^2 + 25/4*z^2", RING3)
+        assert normal_form(f, [g], DEFAULT_ORDER) == expect
+
+
+NON_BASIS = ("x*y - z^2", "x^2 - y*z")
+
+CHECK_UNDER_O = f"""
+import sys
+from halphen import cli, groebner
+from halphen.parsing import parse_polynomial
+from halphen.poly import DEFAULT_ORDER
+
+ring = ("x", "y", "z")
+bad = groebner.GroebnerBasis(
+    DEFAULT_ORDER, tuple(parse_polynomial(t, ring) for t in {NON_BASIS!r})
+)
+try:
+    groebner._assert_groebner(bad)
+except groebner.GroebnerCheckFailed:
+    print("raised")
+groebner._reduce_basis = lambda *args: bad
+print("exit", cli.main(["invariants", "--ideal", sys.argv[1]]))
+print("optimize", sys.flags.optimize)
+"""
+
+
+class TestFinalCheck:
+    def test_non_basis_is_rejected(self):
+        bad = GroebnerBasis(DEFAULT_ORDER, tuple(parse_polynomial(t, RING3) for t in NON_BASIS))
+        with pytest.raises(GroebnerCheckFailed):
+            _assert_groebner(bad)
+
+    def test_check_runs_under_python_O(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        fixture = str(FIXTURES / "twisted_cubic.ideal")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CHECK_UNDER_O, fixture],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.stdout.split("\n")[:3] == ["raised", "exit 1", "optimize 1"], proc.stderr
+        assert "halphen: error: S-polynomial did not reduce to zero" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestInitialIdeal:

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from halphen.poly import (
     MonomialOrder,
     Polynomial,
     RingMismatch,
+    descending_key,
     enumerate_monomials,
 )
 
@@ -163,3 +165,11 @@ class TestEnumerateMonomials:
         for order in MonomialOrder:
             monos = enumerate_monomials(3, 3, order)
             assert len(monos) == 10
+
+
+class TestDescendingKey:
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @given(monos=st.lists(st.tuples(*[st.integers(0, 4)] * 4), min_size=2, max_size=12))
+    def test_ascending_key_is_descending_order(self, order, monos):
+        monos = list(set(monos))
+        assert sorted(monos, key=descending_key(order)) == order.sorted(monos)
