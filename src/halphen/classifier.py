@@ -35,9 +35,7 @@ class Verdict:
 
 def plane_bound(d: int) -> int:
     """Max genus of any degree-d curve in P^3: the plane value."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return (d - 1) * (d - 2) // 2
+    return plane_genus(d)
 
 
 def castelnuovo_bound(d: int) -> int:

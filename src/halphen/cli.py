@@ -109,17 +109,14 @@ def _cmd_classify(args) -> int:
         word = "exists" if v.exists_any else "does not exist"
         sys.stdout.write(
             f"a smooth curve of degree {v.d} and genus {v.g} in P^3 {word}\n"
-            f"  plane curve:        {'yes' if v.exists_plane else 'no'} (g = {plane_word(v)})\n"
+            f"  plane curve:        {'yes' if v.exists_plane else 'no'}"
+            f" (g = {v.plane_bound} required)\n"
             f"  on a quadric:       {'yes' if v.exists_on_quadric else 'no'}"
             f" (Castelnuovo bound {v.castelnuovo_bound})\n"
             f"  off every quadric:  {'yes' if v.exists_off_quadric else 'no'}"
             f" (Gruson-Peskine bound {format_rational(v.gruson_peskine_bound)})\n"
         )
     return 0
-
-
-def plane_word(v) -> str:
-    return f"{v.plane_bound} required"
 
 
 def _cmd_region(args) -> int:
@@ -234,8 +231,15 @@ def main(argv=None) -> int:
         groebner.EmptyProjectiveSet,
         groebner.GroebnerBudgetExceeded,
         groebner.GroebnerCheckFailed,
+        graded.RankBudgetExceeded,
     ) as exc:
         print(f"halphen: error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("halphen: error: input too large: recursion limit exceeded", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("halphen: error: input too large: out of memory", file=sys.stderr)
         return 1
 
 

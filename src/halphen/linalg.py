@@ -1,19 +1,23 @@
 """Exact rank computations for sparse rational matrices.
 
-The authoritative path is fraction-free elimination over the integers
-(Bareiss-style cross-multiplication with gcd normalization, which keeps
-entries small on the sparse coefficient matrices we build).  A mod-p
-elimination backed by numpy is available as an accelerator; it is only
+`exact_rank` is the authoritative path: fraction-free elimination over
+the integers (Bareiss-style cross-multiplication with gcd normalization),
+done in place on one mutable row dict at a time.  Each row is cleared of
+denominators once, on entry; the pivots are stored primitive, and a row
+is scaled, and then stripped of its content, only when the pivot's
+leading entry does not divide its own.  Pivots are taken at the smallest
+column index, so callers choose the elimination order by how they number
+the columns.
+
+`modp_rank` is a pure-Python sparse elimination over GF(p).  It is only
 ever a cross-check, never the source of truth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
-
-import numpy as np
 
 SparseRow = Mapping[int, int | Fraction]
 
@@ -21,49 +25,54 @@ ACCELERATOR_PRIME = 2_147_483_629  # largest prime below 2^31
 
 
 def _integer_row(row: SparseRow) -> dict[int, int]:
-    scale = 1
-    for v in row.values():
-        if isinstance(v, Fraction) and v.denominator != 1:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-    out = {}
-    for k, v in row.items():
-        iv = int(v * scale) if isinstance(v, Fraction) else v * scale
-        if iv:
-            out[k] = iv
-    return out
-
-
-def _strip_gcd(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    return {k: v // g for k, v in row.items()}
+    """The row times the lcm of its denominators, as a new dict of nonzero ints."""
+    if 0 not in row.values() and set(map(type, row.values())) <= {int}:
+        return dict(row)
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (scale // v.denominator) for k, v in row.items() if v}
 
 
 def exact_rank(rows: Iterable[SparseRow]) -> int:
     """Rank over the rationals of the matrix whose rows are sparse maps
-    column -> coefficient."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
+    column -> coefficient (ints or Fractions)."""
+    # column -> (leading entry, the other entries as (column, value) pairs)
+    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
     for raw in rows:
         row = _integer_row(raw)
         while row:
             c = min(row)
             pivot = pivots.get(c)
             if pivot is None:
-                pivots[c] = _strip_gcd(row)
-                rank += 1
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {k: v // g for k, v in row.items()}
+                b = row.pop(c)
+                pivots[c] = (b, list(row.items()))
                 break
-            a, b = row[c], pivot[c]
-            nxt: dict[int, int] = {}
-            for k in row.keys() | pivot.keys():
-                v = b * row.get(k, 0) - a * pivot.get(k, 0)
-                if v:
-                    nxt[k] = v
-            row = _strip_gcd(nxt)
-    return rank
+            a = row.pop(c)
+            b, tail = pivot
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            # row <- b*row - a*pivot, with b = -1 folded into the sign of a
+            scaled = b != 1 and b != -1
+            if scaled:
+                for k in row:
+                    row[k] *= b
+            elif b == -1:
+                a = -a
+            get = row.get
+            for k, v in tail:
+                nv = get(k, 0) - a * v
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+            if scaled and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
+    return len(pivots)
 
 
 def modp_rank(
@@ -72,40 +81,28 @@ def modp_rank(
     """Rank over GF(p).  Always <= the rational rank; equality holds for
     all but finitely many primes, so a large prime is a fast
     high-probability check on `exact_rank` (tests compare the two)."""
-    dense = []
-    for row in rows:
-        arr = np.zeros(n_cols, dtype=np.int64)
-        for k, v in row.items():
-            if isinstance(v, Fraction):
-                num = v.numerator % p
-                den = pow(v.denominator % p, -1, p)
-                arr[k] = num * den % p
-            else:
-                arr[k] = v % p
-        dense.append(arr)
-    if not dense:
-        return 0
-    a = np.array(dense, dtype=np.int64)
-    n_rows = a.shape[0]
-    rank = 0
-    row_at = 0
-    for col in range(n_cols):
-        if row_at >= n_rows:
-            break
-        nonzero = np.nonzero(a[row_at:, col])[0]
-        if nonzero.size == 0:
-            continue
-        pivot_row = row_at + nonzero[0]
-        if pivot_row != row_at:
-            a[[row_at, pivot_row]] = a[[pivot_row, row_at]]
-        inv = pow(int(a[row_at, col]), -1, p)
-        a[row_at] = a[row_at] * inv % p
-        below = a[row_at + 1 :, col]
-        mask = below != 0
-        if mask.any():
-            a[row_at + 1 :][mask] = (
-                a[row_at + 1 :][mask] - below[mask, None] * a[row_at][None, :]
-            ) % p
-        rank += 1
-        row_at += 1
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    for raw in rows:
+        row = {}
+        for k, v in raw.items():
+            if not 0 <= k < n_cols:
+                raise ValueError(f"column {k} outside 0..{n_cols - 1}")
+            v = Fraction(v)
+            r = v.numerator * pow(v.denominator, -1, p) % p
+            if r:
+                row[k] = r
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            a = row[c]
+            for k, v in pivot.items():
+                nv = (row.get(k, 0) - a * v) % p
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+    return len(pivots)

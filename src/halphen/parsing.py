@@ -237,14 +237,6 @@ def format_polynomial(p: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> st
     return " ".join(pieces)
 
 
-def format_ideal(ideal: IdealSpec) -> str:
-    lines = ["ring " + " ".join(ideal.ring_vars)]
-    if ideal.label:
-        lines.append(f"label {ideal.label}")
-    lines.extend(format_polynomial(g) for g in ideal.generators)
-    return "\n".join(lines) + "\n"
-
-
 def validate_ideal(ideal: IdealSpec) -> None:
     for g in ideal.generators:
         if g.is_zero:
@@ -253,7 +245,3 @@ def validate_ideal(ideal: IdealSpec) -> None:
             raise ValueError("inhomogeneous generator in ideal")
         if g.ring != ideal.ring_vars:
             raise ValueError("generator ring does not match ideal ring")
-
-
-def generator_degrees(ideal: IdealSpec) -> list[int]:
-    return [g.total_degree() for g in ideal.generators]

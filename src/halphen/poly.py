@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -72,12 +73,14 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _iter_exponents(n_vars: int, degree: int) -> Iterator[Monomial]:
-    if n_vars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _iter_exponents(n_vars - 1, degree - first):
-            yield (first,) + rest
+    """Exponent vectors of the given degree, biggest first in lex.  Each
+    multiset of variable indices is one monomial; no recursion, so any
+    number of variables works."""
+    for indices in combinations_with_replacement(range(n_vars), degree):
+        exponents = [0] * n_vars
+        for i in indices:
+            exponents[i] += 1
+        yield tuple(exponents)
 
 
 def enumerate_monomials(

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from halphen import groebner
+from halphen import graded, groebner
 from halphen.cli import main
 from halphen.parsing import parse_polynomial
 from halphen.poly import DEFAULT_ORDER
@@ -213,3 +216,46 @@ class TestDeterminism:
         second = run(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+class TestInputTooLarge:
+    def test_many_variables_without_recursion_error(self, tmp_path, capsys):
+        ring = " ".join(f"x{i}" for i in range(1100))
+        path = tmp_path / "wide.ideal"
+        path.write_text(f"ring {ring}\nx0\n")
+        code, out, err = run(capsys, "hilbert", "--ideal", str(path), "--max-degree", "1")
+        assert (code, out, err) == (0, "m,hilbert_function\n0,1\n1,1099\n", "")
+
+    def test_piece_budget_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "10000"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("halphen: error: graded piece m = 10000 has ")
+        assert err.endswith("the budget is 100000\n")
+
+    @pytest.mark.parametrize(
+        "exc, text",
+        [(RecursionError, "recursion limit exceeded"), (MemoryError, "out of memory")],
+    )
+    def test_resource_exhaustion_is_domain_error(self, capsys, monkeypatch, exc, text):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(graded, "hilbert_function_table", exhausted)
+        code, out, err = run(
+            capsys, "hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "3"
+        )
+        assert code == 1 and out == ""
+        assert err == f"halphen: error: input too large: {text}\n"
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, halphen.cli; print('numpy' in sys.modules)"
+    path = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,3 +92,59 @@ def test_row_scaling_invariance():
     rows = random_sparse_rows(rng, 6, 6)
     scaled = [{k: Fraction(7, 3) * v for k, v in row.items()} for row in rows]
     assert exact_rank(rows) == exact_rank(scaled)
+
+
+BIG = 2**80
+
+
+@st.composite
+def big_integer_matrices(draw):
+    """Integer rows with entries up to 2^80 that all share leading column 0,
+    plus integer combinations of them: the pivots' leading entries are
+    rarely +-1, so elimination has to scale rows and strip their content."""
+    n_cols = draw(st.integers(2, 7))
+    entry = st.integers(-BIG, BIG)
+    rows = draw(
+        st.lists(
+            st.builds(
+                lambda lead, rest: {**rest, 0: lead},
+                entry.filter(bool),
+                st.dictionaries(st.integers(1, n_cols - 1), entry, max_size=n_cols - 1),
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        keys = rows[i].keys() | rows[j].keys()
+        rows.append({k: s * rows[i].get(k, 0) + t * rows[j].get(k, 0) for k in keys})
+    return rows, n_cols
+
+
+@settings(max_examples=150)
+@given(big_integer_matrices())
+def test_exact_matches_naive_on_big_integer_rows(matrix):
+    rows, n_cols = matrix
+    assert exact_rank(rows) == naive_rank(rows, n_cols)
+
+
+def test_denominators_are_cleared_per_entry():
+    # dependent over Q (the second row is 6 times the first), but not after
+    # dropping the denominators
+    assert exact_rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]) == 1
+    assert modp_rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}], 2) == 1
+
+
+def test_input_rows_are_not_modified():
+    rows = [{0: 6, 1: 4}, {0: 4, 1: 6, 2: 3}, {0: Fraction(2, 3), 2: 1}]
+    before = [dict(row) for row in rows]
+    exact_rank(rows)
+    assert rows == before
+
+
+def test_modp_rejects_column_outside_matrix():
+    with pytest.raises(ValueError, match="column 3"):
+        modp_rank([{3: 1}], 3)
