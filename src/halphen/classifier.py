@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, isqrt
 
 from .invariants import plane_genus
 
@@ -18,6 +19,13 @@ CATEGORY_NONEXISTENT = "nonexistent"
 CATEGORY_GP = "gp-region"
 CATEGORY_QUADRIC = "quadric"
 CATEGORY_PLANE_ONLY = "plane-only"
+
+# Largest (d, g) table, in rows, that region_table will build.
+REGION_BUDGET = 500_000
+
+
+class RegionBudgetExceeded(RuntimeError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -79,9 +87,13 @@ def classify(d: int, g: int) -> Verdict:
         raise ValueError("degree must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    exists_plane = g == plane_genus(d)
-    exists_on_quadric = g in quadric_genera(d)
-    exists_off_quadric = g <= gruson_peskine_bound(d)
+    plane, gp = plane_genus(d), gruson_peskine_bound(d)
+    # g = (a-1)(b-1) with a + b = d iff a-1 and b-1 are the integer roots of
+    # t^2 - (d-2)t + g, i.e. iff the discriminant is a perfect square
+    disc = (d - 2) ** 2 - 4 * g
+    exists_plane = g == plane
+    exists_on_quadric = d >= 2 and disc >= 0 and isqrt(disc) ** 2 == disc
+    exists_off_quadric = g <= gp
     return Verdict(
         d=d,
         g=g,
@@ -89,9 +101,9 @@ def classify(d: int, g: int) -> Verdict:
         exists_on_quadric=exists_on_quadric,
         exists_off_quadric=exists_off_quadric,
         exists_any=exists_plane or exists_on_quadric or exists_off_quadric,
-        plane_bound=plane_bound(d),
+        plane_bound=plane,
         castelnuovo_bound=castelnuovo_bound(d),
-        gruson_peskine_bound=gruson_peskine_bound(d),
+        gruson_peskine_bound=gp,
     )
 
 
@@ -106,9 +118,17 @@ def category(v: Verdict) -> str:
 
 
 def region_table(d_max: int) -> list[tuple[int, int, Verdict, str]]:
-    """Every (d, g) with d <= d_max, g <= plane_bound(d), classified."""
+    """Every (d, g) with d <= d_max, g <= plane_bound(d), classified.
+    Raises RegionBudgetExceeded before any row is built if there would be
+    more than REGION_BUDGET rows."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
+    # sum over d of plane_genus(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
+    n_rows = comb(d_max, 3) + d_max
+    if n_rows > REGION_BUDGET:
+        raise RegionBudgetExceeded(
+            f"region d_max = {d_max} has {n_rows} rows; the budget is {REGION_BUDGET}"
+        )
     rows = []
     for d in range(1, d_max + 1):
         for g in range(plane_bound(d) + 1):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import classifier, geometry, graded, groebner, invariants
-from .parsing import ParseError, format_polynomial, format_rational, parse_ideal_file, parse_polynomial
+from .parsing import format_polynomial, format_rational, parse_ideal_file, parse_polynomial
 
 SCHEMA_VERSION = 1
 
@@ -29,10 +29,7 @@ def _load_ideal(path: str):
         text = Path(path).read_text()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
-    spec = parse_ideal_file(text)
-    if spec.label is None:
-        spec = spec.__class__(spec.ring_vars, spec.generators, Path(path).stem)
-    return spec
+    return parse_ideal_file(text, Path(path).stem)
 
 
 def _rational(x: Fraction):
@@ -224,14 +221,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        DomainError,
-        ParseError,
         ValueError,
-        geometry.SingularPointError,
-        groebner.EmptyProjectiveSet,
         groebner.GroebnerBudgetExceeded,
         groebner.GroebnerCheckFailed,
         graded.RankBudgetExceeded,
+        classifier.RegionBudgetExceeded,
     ) as exc:
         print(f"halphen: error: {exc}", file=sys.stderr)
         return 1

@@ -23,13 +23,12 @@ Hilbert polynomial) can differ from that of its saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 from operator import add
 
 from .combinat import binom
 from .linalg import exact_rank
 from .parsing import IdealSpec, validate_ideal
-from .poly import Monomial, Polynomial, enumerate_monomials
+from .poly import Monomial, enumerate_monomials, primitive
 
 # Largest Macaulay matrix, in rows or in columns, that a Hilbert function
 # computation will build.
@@ -60,14 +59,6 @@ def _check_budget(ideal: IdealSpec, m: int) -> None:
         )
 
 
-def _primitive_terms(f: Polynomial) -> list[tuple[Monomial, int]]:
-    """The terms of f times the one rational that makes them coprime integers."""
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    ints = {mono: c.numerator * (scale // c.denominator) for mono, c in f.terms.items()}
-    g = gcd(*ints.values())
-    return [(mono, c // g) for mono, c in ints.items()]
-
-
 def _piece_rows(ideal: IdealSpec, m: int, bases: dict[int, list[Monomial]]):
     """Sparse integer rows of the degree-m multiples of the generators in
     the monomial basis of R_m.  `bases` caches the degrevlex-descending
@@ -85,7 +76,7 @@ def _piece_rows(ideal: IdealSpec, m: int, bases: dict[int, list[Monomial]]):
         return rows
     index = {mono: j for j, mono in enumerate(basis(m))}
     for f in generators:
-        terms = _primitive_terms(f)
+        terms = primitive(f.terms)[1].items()
         for u in basis(m - f.total_degree()):
             rows.append({index[tuple(map(add, u, mono))]: c for mono, c in terms})
     return rows

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, sub
 
 from .combinat import binom, binomial_poly
-from .parsing import IdealSpec, validate_ideal
+from .parsing import IdealSpec, format_polynomial, validate_ideal
 from .poly import (
     DEFAULT_ORDER,
     Monomial,
@@ -41,6 +41,7 @@ from .poly import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    primitive,
 )
 
 PAIR_BUDGET = 200_000
@@ -109,26 +110,7 @@ class HilbertPolynomial:
         return total
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
-                continue
-            mono = {0: "", 1: "m"}.get(power, f"m^{power}")
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return format_polynomial(Polynomial({(k,): c for k, c in enumerate(self.coeffs)}, ("m",)))
 
 
 @dataclass(frozen=True)
@@ -142,10 +124,10 @@ class HilbertData:
 
 # -- polynomial reduction -------------------------------------------------
 #
-# Inside the algorithm a polynomial is a list of (monomial, int) terms,
-# biggest monomial first.  Basis elements are primitive: coprime integer
-# coefficients and a positive leading coefficient.  Fractions appear only
-# where a polynomial enters the kernel or a result leaves it.
+# Inside the algorithm a polynomial is a dict monomial -> int.  Basis
+# elements and remainders keep their keys biggest first, so `poly.primitive`
+# makes an element coprime with a positive leading coefficient.  Fractions
+# appear only where a polynomial enters the kernel or a result leaves it.
 
 
 class _Element:
@@ -153,23 +135,13 @@ class _Element:
 
     __slots__ = ("lm", "lc", "tail")
 
-    def __init__(self, terms: list[tuple[Monomial, int]]):
-        (self.lm, self.lc), self.tail = terms[0], terms[1:]
-
-
-def _primitive(terms: list[tuple[Monomial, int]]) -> list[tuple[Monomial, int]]:
-    g = gcd(*(c for _, c in terms))
-    if terms[0][1] < 0:
-        g = -g
-    return terms if g == 1 else [(m, c // g) for m, c in terms]
+    def __init__(self, terms: dict[Monomial, int]):
+        (self.lm, self.lc), *self.tail = terms.items()
 
 
 def _integer_terms(p: Polynomial, order: MonomialOrder):
-    """(terms, s): p = s * sum(c * m) with the terms primitive, biggest first."""
-    monos = order.sorted(p.terms)
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    terms = _primitive([(m, int(p.terms[m] * den)) for m in monos])
-    return terms, p.terms[monos[0]] / terms[0][1]
+    """(s, terms): p = s * terms with the terms primitive, biggest first."""
+    return primitive({m: p.terms[m] for m in order.sorted(p.terms)})
 
 
 def _reduce(work: dict, divisors: list[_Element], order: MonomialOrder):
@@ -178,7 +150,7 @@ def _reduce(work: dict, divisors: list[_Element], order: MonomialOrder):
     Terms are taken biggest first from a heap; each is cancelled by the
     first divisor whose leading monomial divides it, after scaling the
     whole of `work` by the integer that keeps the arithmetic fraction-free.
-    Returns (remainder, s): the remainder terms biggest first and the
+    Returns (remainder, s): the remainder term dict, biggest first, and the
     product s of those scalings, so that s * work - remainder lies in the
     ideal of the divisors.
     """
@@ -219,7 +191,7 @@ def _reduce(work: dict, divisors: list[_Element], order: MonomialOrder):
                 heappush(heap, (heap_key(n), n))
             else:
                 work[n] = v - c * tc
-    return [(m, work[m]) for m in remainder], scale
+    return {m: work[m] for m in remainder}, scale
 
 
 def _s_terms(f: _Element, g: _Element) -> dict:
@@ -247,11 +219,11 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
             raise RingMismatch(f"ring mismatch: {f.ring} vs {g.ring}")
     if f.is_zero:
         return Polynomial.zero(f.ring)
-    terms, s = _integer_terms(f, order)
-    divisors = [_Element(_integer_terms(g, order)[0]) for g in basis if not g.is_zero]
-    remainder, scale = _reduce(dict(terms), divisors, order)
+    s, terms = _integer_terms(f, order)
+    divisors = [_Element(_integer_terms(g, order)[1]) for g in basis if not g.is_zero]
+    remainder, scale = _reduce(terms, divisors, order)
     s /= scale
-    return Polynomial({m: s * c for m, c in remainder}, f.ring)
+    return Polynomial({m: s * c for m, c in remainder.items()}, f.ring)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -267,7 +239,7 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
     validate_ideal(ideal)
     if not ideal.generators:
         raise ValueError("empty generator list")
-    basis = [_Element(_integer_terms(g, order)[0]) for g in ideal.generators]
+    basis = [_Element(_integer_terms(g, order)[1]) for g in ideal.generators]
     # normal selection: a heap of (order key of the lcm, i, j, lcm)
     pairs: list = []
 
@@ -301,7 +273,7 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
             continue
         remainder, _ = _reduce(_s_terms(basis[i], basis[j]), basis, order)
         if remainder:
-            basis.append(_Element(_primitive(remainder)))
+            basis.append(_Element(primitive(remainder)[1]))
             add_pairs(len(basis) - 1)
     gb = _reduce_basis(basis, order, ideal.ring_vars)
     _assert_groebner(gb)
@@ -322,15 +294,15 @@ def _reduce_basis(
     for i, g in enumerate(minimal):
         work = dict([(g.lm, g.lc), *g.tail])
         r, _ = _reduce(work, minimal[:i] + minimal[i + 1 :], order)
-        lc = r[0][1]
-        reduced.append(Polynomial({m: Fraction(c, lc) for m, c in r}, ring))
+        lc = r[g.lm]
+        reduced.append(Polynomial({m: Fraction(c, lc) for m, c in r.items()}, ring))
     return GroebnerBasis(order, tuple(reduced))
 
 
 def _assert_groebner(gb: GroebnerBasis) -> None:
     """Every S-polynomial of the basis must reduce to zero: all pairs, no
     criterion skips.  Raises, so the check also runs under `python -O`."""
-    basis = [_Element(_integer_terms(g, gb.order)[0]) for g in gb.elements]
+    basis = [_Element(_integer_terms(g, gb.order)[1]) for g in gb.elements]
     for f, g in combinations(basis, 2):
         if _reduce(_s_terms(f, g), basis, gb.order)[0]:
             raise GroebnerCheckFailed("S-polynomial did not reduce to zero")

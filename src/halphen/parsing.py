@@ -2,6 +2,8 @@
 
 Polynomial grammar: signed terms, optional rational coefficients written
 p/q, variables with `^` integer powers, `*` optional between factors.
+There are no parentheses, so every term is a coefficient times a
+monomial; the terms are summed into one dict per polynomial.
 Ideal files: a `ring x y z w` line followed by one homogeneous generator
 per line; `#` starts a comment.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial
+from .poly import DEFAULT_ORDER, Monomial, Polynomial, Rational
 
 
 class ParseError(ValueError):
@@ -87,39 +89,38 @@ class _PolyParser:
     def parse(self) -> Polynomial:
         if not self.tokens:
             self._error("empty polynomial")
-        result = Polynomial.zero(self.ring)
-        sign = 1
+        terms: dict[Monomial, Rational] = {}
         tok = self._peek()
-        if tok and tok[:2] in (("op", "+"), ("op", "-")):
-            sign = -1 if tok[1] == "-" else 1
-            self.i += 1
         while True:
-            result = result + self._term().scale(sign)
-            tok = self._peek()
-            if tok is None:
-                return result
+            # the sign is optional before the first term only
+            sign = 1
             if tok[0] == "op" and tok[1] in "+-":
                 sign = -1 if tok[1] == "-" else 1
                 self.i += 1
-            else:
-                self._error(f"expected '+' or '-', got {tok[1]!r}")
-
-    def _term(self) -> Polynomial:
-        product = self._factor()
-        while True:
+            coeff, mono = self._term()
+            terms[mono] = terms.get(mono, 0) + sign * coeff
             tok = self._peek()
             if tok is None:
-                return product
-            if tok[0] == "op" and tok[1] == "*":
-                self.i += 1
-                product = product * self._factor()
-            elif tok[0] in ("num", "name"):
-                # implicit multiplication, e.g. "2x" or "x y"
-                product = product * self._factor()
-            else:
-                return product
+                return Polynomial(terms, self.ring)
+            if not (tok[0] == "op" and tok[1] in "+-"):
+                self._error(f"expected '+' or '-', got {tok[1]!r}")
 
-    def _factor(self) -> Polynomial:
+    def _term(self) -> tuple[Rational, Monomial]:
+        coeff, exps = 1, [0] * len(self.ring)
+        while True:
+            c, index, power = self._factor()
+            coeff *= c
+            if index is not None:
+                exps[index] += power
+            tok = self._peek()
+            # "*", or implicitly a number or name ("2x", "x y"), continues the term
+            if tok is None or tok[0] == "op" and tok[1] != "*":
+                return coeff, tuple(exps)
+            if tok[1] == "*":
+                self.i += 1
+
+    def _factor(self) -> tuple[Rational, int | None, int]:
+        """(coefficient, variable index or None, power)."""
         tok = self._peek()
         if tok is None:
             self._error("expected a number or variable")
@@ -136,13 +137,12 @@ class _PolyParser:
                 self.i += 1
                 if int(den[1]) == 0:
                     self._error("zero denominator", den[2])
-                return Polynomial.constant(Fraction(numerator, int(den[1])), self.ring)
-            return Polynomial.constant(numerator, self.ring)
+                return Fraction(numerator, int(den[1])), None, 0
+            return numerator, None, 0
         if kind == "name":
             self.i += 1
             if value not in self.ring:
                 self._error(f"unknown variable {value!r}", col)
-            index = self.ring.index(value)
             power = 1
             nxt = self._peek()
             if nxt and nxt[:2] == ("op", "^"):
@@ -154,9 +154,7 @@ class _PolyParser:
                     self._error("expected an integer exponent")
                 self.i += 1
                 power = int(exp[1])
-            exps = [0] * len(self.ring)
-            exps[index] = power
-            return Polynomial.monomial(tuple(exps), self.ring)
+            return 1, self.ring.index(value), power
         self._error(f"unexpected {value!r}", col)
 
 
@@ -217,11 +215,12 @@ def format_rational(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def format_polynomial(p: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> str:
+def format_polynomial(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for mono, coeff in p.sorted_terms(order):
+    for mono in DEFAULT_ORDER.sorted(p.terms):
+        coeff = p.terms[mono]
         mono_str = _format_monomial(mono, p.ring)
         mag = abs(coeff)
         if not mono_str:

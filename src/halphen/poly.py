@@ -10,6 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -33,8 +34,9 @@ class MonomialOrder(Enum):
         # exponent on the last variable where they differ.
         return (sum(exponents), tuple(-e for e in reversed(exponents)))
 
-    def sorted(self, monomials: Iterable[Monomial], reverse: bool = True) -> list[Monomial]:
-        return sorted(monomials, key=self.key, reverse=reverse)
+    def sorted(self, monomials: Iterable[Monomial]) -> list[Monomial]:
+        """The monomials, biggest first."""
+        return sorted(monomials, key=self.key, reverse=True)
 
 
 DEFAULT_ORDER = MonomialOrder.degrevlex
@@ -48,6 +50,18 @@ def descending_key(order: MonomialOrder) -> Callable[[Monomial], tuple[int, ...]
     if order is MonomialOrder.deglex:
         return lambda m: (-sum(m), *[-e for e in m])
     return lambda m: (-sum(m), *m[::-1])
+
+
+def primitive(coeffs: Mapping[Monomial, Rational]) -> tuple[Fraction, dict[Monomial, int]]:
+    """(s, ints) with coeffs = s * ints: the ints are coprime nonzero
+    integers, zero entries are dropped, and the first entry, in the
+    mapping's order, is positive.  Some entry must be nonzero."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    ints = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
+    g = gcd(*ints.values())
+    if next(iter(ints.values())) < 0:
+        g = -g
+    return Fraction(g, den), ints if g == 1 else {k: c // g for k, c in ints.items()}
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -263,11 +277,6 @@ class Polynomial:
         out = Polynomial.zero(self.ring)
         out.terms = terms
         return out
-
-    def sorted_terms(
-        self, order: MonomialOrder = DEFAULT_ORDER
-    ) -> list[tuple[Monomial, Fraction]]:
-        return [(m, self.terms[m]) for m in order.sorted(self.terms)]
 
     def __repr__(self) -> str:
         from .parsing import format_polynomial

@@ -1,10 +1,16 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from halphen import classifier
 from halphen.classifier import (
     CATEGORY_NONEXISTENT,
     CATEGORY_PLANE_ONLY,
+    REGION_BUDGET,
+    RegionBudgetExceeded,
     castelnuovo_bound,
     castelnuovo_inequality_check,
     category,
@@ -72,6 +78,24 @@ class TestQuadricGenera:
         inv = invariants_of(hilbert_polynomial(load_ideal("two_quadrics")).polynomial)
         assert (inv.degree, inv.genus) == (4, 1)
         assert inv.genus in quadric_genera(4)
+
+    def test_classify_membership_matches_genera_for_small_degrees(self):
+        for d in range(1, 60):
+            genera = quadric_genera(d)
+            for g in range(plane_bound(d) + 3):
+                assert classify(d, g).exists_on_quadric == (g in genera), (d, g)
+
+    @given(st.integers(1, 3000), st.integers(1, 1500), st.integers(-1, 1))
+    def test_classify_membership_matches_genera(self, d, a, delta):
+        a = 1 + (a - 1) % max(1, d // 2)
+        g = max(0, (a - 1) * (d - a - 1) + delta)
+        assert classify(d, g).exists_on_quadric == (g in quadric_genera(d))
+
+    def test_huge_degree_answers_without_the_genera_set(self):
+        d = 10**9
+        assert classify(d, (4 - 1) * (d - 4 - 1)).exists_on_quadric
+        assert not classify(d, 5).exists_on_quadric
+        assert classify(d, 5).exists_off_quadric
 
 
 class TestCastelnuovoInequality:
@@ -153,6 +177,31 @@ class TestRegionTable:
     def test_covers_triangle(self):
         rows = region_table(6)
         assert len(rows) == sum(plane_bound(d) + 1 for d in range(1, 7))
+
+    def test_row_count_closed_form(self):
+        for d_max in range(1, 25):
+            assert len(region_table(d_max)) == comb(d_max, 3) + d_max
+
+    def test_budget_admits_largest_benchmark_table(self):
+        assert comb(80, 3) + 80 == 82_240 <= REGION_BUDGET
+
+    def test_budget_refuses_before_building_rows(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a row was classified")
+
+        monkeypatch.setattr(classifier, "classify", never)
+        with pytest.raises(RegionBudgetExceeded) as exc:
+            region_table(1_000_000)
+        rows = comb(1_000_000, 3) + 1_000_000
+        assert str(exc.value) == (
+            f"region d_max = 1000000 has {rows} rows; the budget is {REGION_BUDGET}"
+        )
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(classifier, "REGION_BUDGET", comb(10, 3) + 10)
+        assert len(region_table(10)) == comb(10, 3) + 10
+        with pytest.raises(RegionBudgetExceeded):
+            region_table(11)
 
     def test_category_matches_verdict(self):
         for _d, _g, v, cat in region_table(8):

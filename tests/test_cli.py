@@ -125,6 +125,13 @@ class TestClassifyCommand:
         assert code == 0
         assert "exists" in out and "does not" not in out
 
+    def test_huge_degree_answers(self, capsys):
+        code, out, _ = run(capsys, "classify", "1000000000", "5", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "classify")
+        assert payload["exists_off_quadric"] and not payload["exists_on_quadric"]
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "three", "0"])
@@ -142,6 +149,13 @@ class TestRegionCommand:
         code, out, _ = run(capsys, "region", "--dmax", "4", "--format", "svg")
         assert code == 0
         assert out.startswith("<svg ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_budget_is_domain_error(self, capsys, fmt):
+        code, out, err = run(capsys, "region", "--dmax", "1000000", "--format", fmt)
+        assert code == 1 and out == ""
+        assert err.startswith("halphen: error: region d_max = 1000000 has ")
+        assert err.endswith("the budget is 500000\n")
 
 
 class TestSmoothAtCommand:

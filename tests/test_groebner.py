@@ -58,6 +58,22 @@ FIXTURE_NAMES = [
 ]
 
 
+class TestHilbertPolynomialStr:
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ((), "0"),
+            ((5,), "5"),
+            ((0, 1), "m"),
+            ((2, -1), "-m + 2"),
+            ((-2, 4), "4*m - 2"),
+            ((1, Fraction(3, 2), Fraction(1, 2)), "1/2*m^2 + 3/2*m + 1"),
+        ],
+    )
+    def test_rendering(self, coeffs, text):
+        assert str(HilbertPolynomial(tuple(map(Fraction, coeffs)))) == text
+
+
 class TestBuchberger:
     def test_principal_ideal_is_its_own_basis(self):
         f = parse_polynomial("z*y^2 - x^3 + x*z^2 + z^3", RING3)

@@ -68,6 +68,24 @@ class TestParsePolynomial:
         with pytest.raises(ParseError, match="empty"):
             parse_polynomial("   ", RING3)
 
+    def test_like_terms_merge(self):
+        assert parse_polynomial("x + x", RING3) == parse_polynomial("2*x", RING3)
+
+    def test_commuted_terms_cancel(self):
+        assert parse_polynomial("x*y - y*x", RING3).is_zero
+
+    @pytest.mark.parametrize("text", ["2 3 x", "2*3*x", "12/4 2 x", "1/2*2*x*6"])
+    def test_numeric_products(self, text):
+        assert parse_polynomial(text, RING3) == parse_polynomial("6*x", RING3)
+
+    def test_repeated_factors_multiply(self):
+        assert parse_polynomial("x*y*x^2 z^0", RING3) == parse_polynomial("x^3*y", RING3)
+
+    def test_chained_power_rejected_at_second_caret(self):
+        with pytest.raises(ParseError, match="expected '\\+' or '-', got '\\^'") as err:
+            parse_polynomial("x^2^3", RING3)
+        assert (err.value.line, err.value.col) == (1, 4)
+
 
 class TestParseIdealFile:
     def test_twisted_cubic_file(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -10,9 +11,18 @@ from halphen.poly import (
     RingMismatch,
     descending_key,
     enumerate_monomials,
+    primitive,
 )
 
-from conftest import RING3, RING4, homogeneous_polynomials, nonzero_rationals, polynomials
+from conftest import (
+    RING3,
+    RING4,
+    exponents,
+    homogeneous_polynomials,
+    nonzero_rationals,
+    polynomials,
+    small_rationals,
+)
 
 
 def p3(terms):
@@ -173,3 +183,23 @@ class TestDescendingKey:
     def test_ascending_key_is_descending_order(self, order, monos):
         monos = list(set(monos))
         assert sorted(monos, key=descending_key(order)) == order.sorted(monos)
+
+
+class TestPrimitive:
+    @given(
+        st.dictionaries(exponents(3), small_rationals | st.integers(-50, 50), max_size=6).filter(
+            lambda coeffs: any(coeffs.values())
+        )
+    )
+    def test_content_times_coprime_integers(self, coeffs):
+        s, ints = primitive(coeffs)
+        nonzero = {m: c for m, c in coeffs.items() if c}
+        assert list(ints) == list(nonzero)
+        assert all(type(c) is int and c for c in ints.values())
+        assert {m: s * c for m, c in ints.items()} == nonzero
+        assert gcd(*ints.values()) == 1
+        assert next(iter(ints.values())) > 0
+
+    def test_leading_sign_and_denominators(self):
+        s, ints = primitive({(2, 0): Fraction(-3, 4), (1, 1): 0, (0, 2): Fraction(3, 2)})
+        assert (s, ints) == (Fraction(-3, 4), {(2, 0): 1, (0, 2): -2})
