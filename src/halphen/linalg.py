@@ -9,8 +9,10 @@ leading entry does not divide its own.  Pivots are taken at the smallest
 column index, so callers choose the elimination order by how they number
 the columns.
 
-`modp_rank` is a pure-Python sparse elimination over GF(p).  It is only
-ever a cross-check, never the source of truth.
+The echelon form is a dict column -> pivot row.  A caller may pass in the
+dict left by earlier rows and have `exact_rank` extend it: the pivot
+columns are then the leading columns of the span of all the rows so far,
+and the return value counts only the pivots the new rows added.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 SparseRow = Mapping[int, int | Fraction]
-
-ACCELERATOR_PRIME = 2_147_483_629  # largest prime below 2^31
+# column -> (leading entry, the other entries as (column, value) pairs)
+Pivots = dict[int, tuple[int, list[tuple[int, int]]]]
 
 
 def _integer_row(row: SparseRow) -> dict[int, int]:
@@ -32,11 +34,14 @@ def _integer_row(row: SparseRow) -> dict[int, int]:
     return {k: v.numerator * (scale // v.denominator) for k, v in row.items() if v}
 
 
-def exact_rank(rows: Iterable[SparseRow]) -> int:
+def exact_rank(rows: Iterable[SparseRow], pivots: Pivots | None = None) -> int:
     """Rank over the rationals of the matrix whose rows are sparse maps
-    column -> coefficient (ints or Fractions)."""
-    # column -> (leading entry, the other entries as (column, value) pairs)
-    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    column -> coefficient (ints or Fractions).  Given the echelon form
+    `pivots` of earlier rows, extends it in place and returns by how much
+    these rows raise the rank."""
+    if pivots is None:
+        pivots = {}
+    before = len(pivots)
     for raw in rows:
         row = _integer_row(raw)
         while row:
@@ -72,37 +77,4 @@ def exact_rank(rows: Iterable[SparseRow]) -> int:
                 if g != 1:
                     for k in row:
                         row[k] //= g
-    return len(pivots)
-
-
-def modp_rank(
-    rows: Iterable[SparseRow], n_cols: int, p: int = ACCELERATOR_PRIME
-) -> int:
-    """Rank over GF(p).  Always <= the rational rank; equality holds for
-    all but finitely many primes, so a large prime is a fast
-    high-probability check on `exact_rank` (tests compare the two)."""
-    pivots: dict[int, dict[int, int]] = {}
-    for raw in rows:
-        row = {}
-        for k, v in raw.items():
-            if not 0 <= k < n_cols:
-                raise ValueError(f"column {k} outside 0..{n_cols - 1}")
-            v = Fraction(v)
-            r = v.numerator * pow(v.denominator, -1, p) % p
-            if r:
-                row[k] = r
-        while row:
-            c = min(row)
-            pivot = pivots.get(c)
-            if pivot is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {k: v * inv % p for k, v in row.items()}
-                break
-            a = row[c]
-            for k, v in pivot.items():
-                nv = (row.get(k, 0) - a * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    del row[k]
-    return len(pivots)
+    return len(pivots) - before

@@ -36,7 +36,7 @@ class MonomialOrder(Enum):
 
     def sorted(self, monomials: Iterable[Monomial]) -> list[Monomial]:
         """The monomials, biggest first."""
-        return sorted(monomials, key=self.key, reverse=True)
+        return sorted(monomials, key=descending_key(self))
 
 
 DEFAULT_ORDER = MonomialOrder.degrevlex

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
-from halphen.parsing import parse_ideal_file
+from halphen.parsing import IdealSpec, parse_ideal_file
 from halphen.poly import Polynomial, enumerate_monomials
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -71,3 +72,33 @@ def homogeneous_polynomials(ring=RING3, min_degree=1, max_degree=4):
         st.integers(min_degree, max_degree),
         st.dictionaries(st.integers(0, 30), small_rationals, min_size=1, max_size=5),
     ).map(build)
+
+
+# -- seeded ideal families ----------------------------------------------------
+
+
+def dense_form(rng, ring, degree):
+    return Polynomial(
+        {mono: rng.randint(-5, 5) for mono in enumerate_monomials(len(ring), degree)},
+        ring,
+    )
+
+
+def random_rnc(rng, n):
+    """The 2x2 minors of [[L_0 .. L_{n-1}], [L_1 .. L_n]] for unitriangular
+    linear forms L_i = x_i + sum_{j>i} c_ij x_j: the rational normal curve
+    in P^n after a random change of coordinates, with rational rescalings."""
+    ring = tuple(f"x{i}" for i in range(n + 1))
+    x = [Polynomial.variable(i, ring) for i in range(n + 1)]
+    forms = []
+    for i in range(n + 1):
+        form = x[i]
+        for j in range(i + 1, n + 1):
+            form = form + x[j].scale(rng.randint(-3, 3))
+        forms.append(form)
+    gens = []
+    for a, b in combinations(range(n), 2):
+        minor = forms[a] * forms[b + 1] - forms[b] * forms[a + 1]
+        scale = Fraction(rng.choice([1, -2, 3, 5]), rng.choice([1, 2, 7]))
+        gens.append(minor.scale(scale))
+    return IdealSpec(ring, tuple(gens))

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halphen import graded
 from halphen.combinat import binom
@@ -12,10 +15,11 @@ from halphen.graded import (
     hilbert_function_table,
     ideal_piece_dimension,
 )
+from halphen.linalg import exact_rank
 from halphen.parsing import IdealSpec, parse_polynomial
 from halphen.poly import Polynomial, enumerate_monomials
 
-from conftest import RING3, RING4, load_ideal
+from conftest import RING3, RING4, dense_form, load_ideal, nonzero_rationals, random_rnc
 
 
 def principal(f_text, ring):
@@ -115,33 +119,6 @@ def koszul_hilbert(degrees, m, n_vars=4):
     )
 
 
-def dense_form(rng, ring, degree):
-    return Polynomial(
-        {mono: rng.randint(-5, 5) for mono in enumerate_monomials(len(ring), degree)},
-        ring,
-    )
-
-
-def random_rnc(rng, n):
-    """The 2x2 minors of [[L_0 .. L_{n-1}], [L_1 .. L_n]] for unitriangular
-    linear forms L_i = x_i + sum_{j>i} c_ij x_j: the rational normal curve
-    in P^n after a random change of coordinates, with rational rescalings."""
-    ring = tuple(f"x{i}" for i in range(n + 1))
-    x = [Polynomial.variable(i, ring) for i in range(n + 1)]
-    forms = []
-    for i in range(n + 1):
-        form = x[i]
-        for j in range(i + 1, n + 1):
-            form = form + x[j].scale(rng.randint(-3, 3))
-        forms.append(form)
-    gens = []
-    for a, b in combinations(range(n), 2):
-        minor = forms[a] * forms[b + 1] - forms[b] * forms[a + 1]
-        scale = Fraction(rng.choice([1, -2, 3, 5]), rng.choice([1, 2, 7]))
-        gens.append(minor.scale(scale))
-    return IdealSpec(ring, tuple(gens))
-
-
 class TestClosedForms:
     """Tables by rank against formulas the code does not compute."""
 
@@ -160,6 +137,134 @@ class TestClosedForms:
         ideal = random_rnc(random.Random(100 * seed + n), n)
         table = hilbert_function_table(ideal, 5)
         assert table.values == {m: n * m + 1 for m in range(6)}
+
+
+def macaulay_hilbert(ideal, m):
+    """H(m) from the rank of the full Macaulay matrix: every multiple u*f of
+    degree m, as built, then `exact_rank`.  The reference for the row
+    criterion of `hilbert_function_table`."""
+    n = ideal.n_vars
+    basis = enumerate_monomials(n, m)
+    index = {mono: j for j, mono in enumerate(basis)}
+    rows = [
+        {index[tuple(map(add, u, mono))]: c for mono, c in f.terms.items()}
+        for f in ideal.generators
+        if f.total_degree() <= m
+        for u in enumerate_monomials(n, m - f.total_degree())
+    ]
+    return len(basis) - exact_rank(rows)
+
+
+def forms(ring, degree, coeffs=st.integers(-3, 3).filter(bool)):
+    """Homogeneous forms of the given degree with one to four terms."""
+    return st.dictionaries(
+        st.sampled_from(enumerate_monomials(len(ring), degree)), coeffs, min_size=1, max_size=4
+    ).map(lambda terms: Polynomial(terms, ring))
+
+
+def monomials(ring, degree):
+    return st.sampled_from(enumerate_monomials(len(ring), degree)).map(
+        lambda mono: Polynomial({mono: 1}, ring)
+    )
+
+
+rings = st.sampled_from([RING3, RING4])
+
+
+@st.composite
+def with_repeated_generator(draw):
+    ring = draw(rings)
+    gens = [draw(forms(ring, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(1, 3)))]
+    gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    return IdealSpec(ring, tuple(gens))
+
+
+@st.composite
+def with_monomial_multiple(draw):
+    ring = draw(rings)
+    f = draw(forms(ring, draw(st.integers(1, 2))))
+    u = draw(monomials(ring, draw(st.integers(1, 2))))
+    gens = [f, u * f] + [draw(forms(ring, 2)) for _ in range(draw(st.integers(0, 1)))]
+    return IdealSpec(ring, tuple(draw(st.permutations(gens))))
+
+
+@st.composite
+def in_decreasing_degree(draw):
+    ring = draw(rings)
+    degrees = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)), reverse=True)
+    return IdealSpec(ring, tuple(draw(forms(ring, d)) for d in degrees))
+
+
+@st.composite
+def not_saturated(draw):
+    """(x_1*f, .., x_n*f) = f*(x_1..x_n), whose saturation is (f), plus
+    monomials: ideals whose Hilbert function differs from their saturation's."""
+    ring = draw(rings)
+    f = draw(forms(ring, draw(st.integers(1, 2))))
+    gens = [Polynomial.variable(i, ring) * f for i in range(len(ring))]
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(draw(monomials(ring, draw(st.integers(2, 3)))))
+    return IdealSpec(ring, tuple(gens))
+
+
+@st.composite
+def with_rational_coefficients(draw):
+    ring = draw(rings)
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return IdealSpec(ring, tuple(draw(forms(ring, d, nonzero_rationals)) for d in degrees))
+
+
+class TestRowCriterion:
+    """Tables built with skipped rows against the full Macaulay rank."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            with_repeated_generator,
+            with_monomial_multiple,
+            in_decreasing_degree,
+            not_saturated,
+            with_rational_coefficients,
+        ],
+    )
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_table_matches_full_macaulay_rank(self, family, data):
+        ideal = data.draw(family())
+        m_max = 6 if ideal.n_vars == 3 else 5
+        table = hilbert_function_table(ideal, m_max)
+        assert table.values == {m: macaulay_hilbert(ideal, m) for m in range(m_max + 1)}
+
+    def test_non_saturated_monomial_ideal(self):
+        # (x^2, xy) has saturation (x): H(m) = m + 2 for m >= 1, one more than m + 1
+        ideal = IdealSpec(RING3, (parse_polynomial("x^2", RING3), parse_polynomial("x*y", RING3)))
+        table = hilbert_function_table(ideal, 6)
+        assert table.values == {0: 1, **{m: m + 2 for m in range(1, 7)}}
+
+    @pytest.mark.parametrize("a,b", [(2, 2), (2, 3), (3, 4)])
+    def test_complete_intersection_builds_no_koszul_row(self, a, b, monkeypatch):
+        rng = random.Random(10 * a + b)
+        ideal = IdealSpec(RING4, (dense_form(rng, RING4, a), dense_form(rng, RING4, b)))
+        built = []
+
+        def counting_rank(rows, *args):
+            rank = exact_rank(rows, *args)
+            built.append((len(rows), rank))
+            return rank
+
+        monkeypatch.setattr(graded, "exact_rank", counting_rank)
+        for m_max in range(a + b + 4):
+            built.clear()
+            values = hilbert_function_table(ideal, m_max).values
+            expect_rows = sum(
+                binom(m - a + 3, 3) + binom(m - b + 3, 3) - binom(m - a - b + 3, 3)
+                for m in range(m_max + 1)
+            )
+            assert sum(rows for rows, _ in built) == expect_rows
+            # the ranks of the blocks add up to dim I_m
+            assert sum(rank for _, rank in built) == sum(
+                binom(m + 3, 3) - values[m] for m in range(m_max + 1)
+            )
 
 
 class TestRationalCoefficients:

@@ -32,11 +32,12 @@ from halphen.poly import (
     MonomialOrder,
     Polynomial,
     RingMismatch,
+    enumerate_monomials,
     monomial_div,
     monomial_divides,
 )
 
-from conftest import FIXTURES, RING3, RING4, load_ideal, polynomials
+from conftest import FIXTURES, RING3, RING4, dense_form, load_ideal, polynomials, random_rnc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -254,6 +255,39 @@ class TestSeriesNumerator:
                 if not any(monomial_divides(g, u) for g in gens)
             ]
             assert series[m] == len(alive)
+
+
+class TestStandardMonomialCount:
+    """`series_coefficients` against the number of monomials of each degree
+    outside the initial ideal, counted one by one: a check that shares
+    nothing with the pivot recursion of the series or with the rank oracle."""
+
+    @staticmethod
+    def assert_counts_match(spec, upto):
+        mi = initial_ideal(buchberger(spec))
+        counts = [
+            sum(
+                not any(monomial_divides(g, u) for g in mi.minimal_generators)
+                for u in enumerate_monomials(spec.n_vars, m)
+            )
+            for m in range(upto + 1)
+        ]
+        assert series_coefficients(series_numerator(mi, spec.n_vars), upto) == counts
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        self.assert_counts_match(load_ideal(name), 10)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("degrees", [(2, 3), (3, 3), (2, 2, 2), (2, 3, 4)])
+    def test_complete_intersections(self, degrees, seed):
+        rng = random.Random(100 * seed + sum(degrees))
+        ideal = IdealSpec(RING4, tuple(dense_form(rng, RING4, d) for d in degrees))
+        self.assert_counts_match(ideal, 10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rational_normal_curves(self, n):
+        self.assert_counts_match(random_rnc(random.Random(n), n), 7)
 
 
 class TestHilbertPolynomial:

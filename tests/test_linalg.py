@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halphen.linalg import exact_rank, modp_rank
+from halphen.linalg import exact_rank
+
+ACCELERATOR_PRIME = 2_147_483_629  # largest prime below 2^31
 
 
 def naive_rank(rows, n_cols):
@@ -28,6 +30,37 @@ def naive_rank(rows, n_cols):
         rank += 1
         col += 1
     return rank
+
+
+def modp_rank(rows, n_cols, p=ACCELERATOR_PRIME):
+    """Rank over GF(p), by sparse elimination: a cross-check on `exact_rank`.
+    Always <= the rational rank; equality holds for all but finitely many
+    primes."""
+    pivots = {}
+    for raw in rows:
+        row = {}
+        for k, v in raw.items():
+            if not 0 <= k < n_cols:
+                raise ValueError(f"column {k} outside 0..{n_cols - 1}")
+            v = Fraction(v)
+            r = v.numerator * pow(v.denominator, -1, p) % p
+            if r:
+                row[k] = r
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            a = row[c]
+            for k, v in pivot.items():
+                nv = (row.get(k, 0) - a * v) % p
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def random_sparse_rows(rng, n_rows, n_cols, density=0.4):
@@ -85,6 +118,21 @@ def test_modp_agrees_with_exact_randomized():
 )
 def test_exact_matches_naive_property(rows):
     assert exact_rank(rows) == naive_rank(rows, 7)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 6), st.integers(-20, 20), max_size=7),
+        max_size=8,
+    ),
+    st.integers(0, 8),
+)
+def test_extending_an_echelon_form_adds_the_rank_increase(rows, cut):
+    pivots = {}
+    first = exact_rank(rows[:cut], pivots)
+    assert first == naive_rank(rows[:cut], 7)
+    assert first + exact_rank(rows[cut:], pivots) == naive_rank(rows, 7) == len(pivots)
 
 
 def test_row_scaling_invariance():

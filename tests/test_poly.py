@@ -182,7 +182,8 @@ class TestDescendingKey:
     @given(monos=st.lists(st.tuples(*[st.integers(0, 4)] * 4), min_size=2, max_size=12))
     def test_ascending_key_is_descending_order(self, order, monos):
         monos = list(set(monos))
-        assert sorted(monos, key=descending_key(order)) == order.sorted(monos)
+        expect = sorted(monos, key=order.key, reverse=True)
+        assert sorted(monos, key=descending_key(order)) == order.sorted(monos) == expect
 
 
 class TestPrimitive:
