@@ -141,8 +141,8 @@ class TestClosedForms:
 
 def macaulay_hilbert(ideal, m):
     """H(m) from the rank of the full Macaulay matrix: every multiple u*f of
-    degree m, as built, then `exact_rank`.  The reference for the row
-    criterion of `hilbert_function_table`."""
+    degree m, with f's own coefficients, then `exact_rank`.  The reference
+    for the row criterion of `hilbert_function_table`."""
     n = ideal.n_vars
     basis = enumerate_monomials(n, m)
     index = {mono: j for j, mono in enumerate(basis)}
@@ -237,7 +237,7 @@ class TestRowCriterion:
 
     def test_non_saturated_monomial_ideal(self):
         # (x^2, xy) has saturation (x): H(m) = m + 2 for m >= 1, one more than m + 1
-        ideal = IdealSpec(RING3, (parse_polynomial("x^2", RING3), parse_polynomial("x*y", RING3)))
+        ideal = IdealSpec(RING3, tuple(parse_polynomial(f, RING3) for f in ("x^2", "x*y")))
         table = hilbert_function_table(ideal, 6)
         assert table.values == {0: 1, **{m: m + 2 for m in range(1, 7)}}
 
