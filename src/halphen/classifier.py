@@ -2,9 +2,11 @@
 
 Three regimes are combined: plane curves (g = (d-1)(d-2)/2 exactly),
 curves on a smooth quadric (bidegree genera, whose maximum is the
-Castelnuovo bound), and the Gruson-Peskine region for curves lying on
-no quadric (0 <= g <= d^2/6 - d/2 + 1).  A pair exists iff it falls in
-at least one regime; the verdict keeps the per-criterion evidence.
+Castelnuovo bound), and the Gruson-Peskine range 0 <= g <= d^2/6 - d/2 + 1,
+each genus of which is realized by a smooth curve (the theorem does not
+say that curve lies on no quadric, whatever the exists_off_quadric field
+is called).  A pair exists iff it falls in at least one regime; the
+verdict keeps the per-criterion evidence.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class RegionBudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     d: int
     g: int
@@ -87,13 +89,17 @@ def classify(d: int, g: int) -> Verdict:
         raise ValueError("degree must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    plane, gp = plane_genus(d), gruson_peskine_bound(d)
+    return _verdict(d, g, plane_genus(d), castelnuovo_bound(d), gruson_peskine_bound(d))
+
+
+def _verdict(d: int, g: int, plane: int, castelnuovo: int, gp: Fraction) -> Verdict:
     # g = (a-1)(b-1) with a + b = d iff a-1 and b-1 are the integer roots of
     # t^2 - (d-2)t + g, i.e. iff the discriminant is a perfect square
     disc = (d - 2) ** 2 - 4 * g
     exists_plane = g == plane
     exists_on_quadric = d >= 2 and disc >= 0 and isqrt(disc) ** 2 == disc
-    exists_off_quadric = g <= gp
+    # g is an integer, so g <= gp iff g <= floor(gp)
+    exists_off_quadric = g <= gp.numerator // gp.denominator
     return Verdict(
         d=d,
         g=g,
@@ -102,7 +108,7 @@ def classify(d: int, g: int) -> Verdict:
         exists_off_quadric=exists_off_quadric,
         exists_any=exists_plane or exists_on_quadric or exists_off_quadric,
         plane_bound=plane,
-        castelnuovo_bound=castelnuovo_bound(d),
+        castelnuovo_bound=castelnuovo,
         gruson_peskine_bound=gp,
     )
 
@@ -120,7 +126,14 @@ def category(v: Verdict) -> str:
 def region_table(d_max: int) -> list[tuple[int, int, Verdict, str]]:
     """Every (d, g) with d <= d_max, g <= plane_bound(d), classified.
     Raises RegionBudgetExceeded before any row is built if there would be
-    more than REGION_BUDGET rows."""
+    more than REGION_BUDGET rows.
+
+    The plane, Castelnuovo and Gruson-Peskine bounds depend on d only, so
+    they are computed once per degree and each row is classified by
+    _verdict, the same code classify runs.  The Gruson-Peskine test
+    compares g with floor(d^2/6 - d/2 + 1) as integers; since g is an
+    integer, g <= b holds exactly when g <= floor(b) for any rational b,
+    so no row needs a Fraction comparison."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     # sum over d of plane_genus(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
@@ -131,8 +144,9 @@ def region_table(d_max: int) -> list[tuple[int, int, Verdict, str]]:
         )
     rows = []
     for d in range(1, d_max + 1):
-        for g in range(plane_bound(d) + 1):
-            v = classify(d, g)
+        plane, castelnuovo, gp = plane_genus(d), castelnuovo_bound(d), gruson_peskine_bound(d)
+        for g in range(plane + 1):
+            v = _verdict(d, g, plane, castelnuovo, gp)
             rows.append((d, g, v, category(v)))
     return rows
 
@@ -199,14 +213,17 @@ def region_svg(d_max: int) -> str:
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'stroke-dasharray="4 3" points="{" ".join(points)}"/>'
             )
+    # one string per distinct coordinate, indexed by d and by g
+    xs = [f"{x(d):.2f}" for d in range(d_max + 1)]
+    ys = [f"{y(g):.2f}" for g in range(g_max + 1)]
     for d, g, _v, cat in rows:
         out.append(
-            f'<circle cx="{x(d):.2f}" cy="{y(g):.2f}" r="6" fill="{_COLORS[cat]}">'
+            f'<circle cx="{xs[d]}" cy="{ys[g]}" r="6" fill="{_COLORS[cat]}">'
             f"<title>d={d} g={g} {cat}</title></circle>"
         )
     for d in range(1, d_max + 1):
         out.append(
-            f'<text x="{x(d):.2f}" y="{height - _MARGIN + 18:.1f}" text-anchor="middle" '
+            f'<text x="{xs[d]}" y="{height - _MARGIN + 18:.1f}" text-anchor="middle" '
             f'font-family="monospace" font-size="11">{d}</text>'
         )
     for g in range(0, g_max + 1, max(1, (g_max + 1) // 12)):

@@ -110,7 +110,7 @@ def _cmd_classify(args) -> int:
             f" (g = {v.plane_bound} required)\n"
             f"  on a quadric:       {'yes' if v.exists_on_quadric else 'no'}"
             f" (Castelnuovo bound {v.castelnuovo_bound})\n"
-            f"  off every quadric:  {'yes' if v.exists_off_quadric else 'no'}"
+            f"  in the Gruson-Peskine range: {'yes' if v.exists_off_quadric else 'no'}"
             f" (Gruson-Peskine bound {format_rational(v.gruson_peskine_bound)})\n"
         )
     return 0

@@ -17,6 +17,10 @@ from typing import Sequence
 
 from .poly import DEFAULT_ORDER, Monomial, Polynomial, Rational
 
+# Largest total degree of a term the parser accepts.  The Hilbert polynomial
+# of a generator costs time linear in its degree: about 0.08 s at 10^4.
+DEGREE_BUDGET = 10_000
+
 
 class ParseError(ValueError):
     """Syntax or validation error with a 1-based line/column position."""
@@ -112,6 +116,13 @@ class _PolyParser:
             coeff *= c
             if index is not None:
                 exps[index] += power
+                degree = sum(exps)
+                if degree > DEGREE_BUDGET:
+                    # reported at the exponent (or variable) that crossed it
+                    self._error(
+                        f"a term of degree {degree}; the degree budget is {DEGREE_BUDGET}",
+                        self.tokens[self.i - 1][2],
+                    )
             tok = self._peek()
             # "*", or implicitly a number or name ("2x", "x y"), continues the term
             if tok is None or tok[0] == "op" and tok[1] != "*":

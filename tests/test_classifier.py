@@ -1,5 +1,6 @@
+import hashlib
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import pytest
 from hypothesis import given
@@ -135,6 +136,12 @@ class TestClassify:
         assert not v.exists_on_quadric
         assert not v.exists_plane
 
+    @given(st.integers(1, 10**4), st.integers(-3, 3))
+    def test_gruson_peskine_flag_is_the_rational_comparison(self, d, delta):
+        bound = gruson_peskine_bound(d)
+        g = max(0, floor(bound) + delta)
+        assert classify(d, g).exists_off_quadric == (g <= bound)
+
     def test_genus_zero_always_exists(self):
         for d in range(1, 60):
             assert classify(d, 0).exists_any
@@ -189,7 +196,7 @@ class TestRegionTable:
         def never(*args):
             raise AssertionError("a row was classified")
 
-        monkeypatch.setattr(classifier, "classify", never)
+        monkeypatch.setattr(classifier, "_verdict", never)
         with pytest.raises(RegionBudgetExceeded) as exc:
             region_table(1_000_000)
         rows = comb(1_000_000, 3) + 1_000_000
@@ -207,6 +214,11 @@ class TestRegionTable:
         for _d, _g, v, cat in region_table(8):
             assert cat == category(v)
             assert (cat == CATEGORY_NONEXISTENT) == (not v.exists_any)
+
+    def test_rows_match_classify(self):
+        for d, g, v, cat in region_table(40):
+            assert v == classify(d, g)
+            assert cat == category(v)
 
 
 class TestEmitters:
@@ -241,3 +253,37 @@ class TestEmitters:
 
     def test_svg_deterministic(self):
         assert region_svg(6) == region_svg(6)
+
+    # sha256 of (region_csv, region_svg), recorded at commit ec85413, when
+    # every row was classified by classify(d, g) and every SVG coordinate
+    # was formatted per circle; the table and its renderings must not move.
+    GOLDEN_SHA256 = {
+        1: (
+            "97c3ead01c702e383938ca25564d5dc26b4b5f8b1d7e7e720dba99a883b9f702",
+            "3a896bd9b8ee8a715dbefab9e864a8b2f5ab30db215ca41897dd68b626581dea",
+        ),
+        2: (
+            "76aa85a24731623eb03051a0cd65ca8da2c894b56360b65eb0851bda419d03b3",
+            "f343d3d1eb30b9c57ac7688d4ccbf86c92ece7890fc6881e031964d597c891fa",
+        ),
+        3: (
+            "a56d9f7e56d5c901eb2a6510e0cb1c03fbe88f404d3cd7ac194f2c27f0ed4003",
+            "1226033755d71879fbaef6632e24333d06ce97aa50964c4050d49dffd3f552ee",
+        ),
+        12: (
+            "161ed76f944bbf56b8e66be3c977a0f95f013a4117ddc9576444e5622bfc22d4",
+            "ee14133a53208860413bca81a42e14124f2b8a5fcd171e20a0d542659fe80415",
+        ),
+        30: (
+            "8f789598bfdc5ec9ef703aab82b5250b3e74cebc6f19a631e6ce25ef5ac24fe1",
+            "496dc1634cc53d68101fae18607e7741f7ca25d74a43424ea4d688a237df13ad",
+        ),
+    }
+
+    @pytest.mark.parametrize("d_max", sorted(GOLDEN_SHA256))
+    def test_golden_sha256(self, d_max):
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (region_csv(d_max), region_svg(d_max))
+        )
+        assert digests == self.GOLDEN_SHA256[d_max]

@@ -9,7 +9,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from halphen import graded, groebner
 from halphen.cli import main
-from halphen.parsing import parse_polynomial
+from halphen.parsing import DEGREE_BUDGET, parse_polynomial
 from halphen.poly import DEFAULT_ORDER
 
 from conftest import FIXTURES, SCHEMAS
@@ -52,6 +52,16 @@ class TestInvariantsCommand:
         code, out, err = run(capsys, "invariants", "--ideal", "no_such.ideal")
         assert code == 1
         assert "error" in err
+
+    def test_degree_over_budget_is_refused(self, tmp_path, capsys):
+        huge = tmp_path / "huge.ideal"
+        huge.write_text("ring x y z\nx^99999999 - y^99999999\n")
+        code, out, err = run(capsys, "invariants", "--ideal", str(huge))
+        assert code == 1 and out == ""
+        assert err == (
+            "halphen: error: line 2, col 3: a term of degree 99999999; "
+            f"the degree budget is {DEGREE_BUDGET}\n"
+        )
 
     def test_malformed_ideal(self, tmp_path, capsys):
         bad = tmp_path / "bad.ideal"
@@ -124,6 +134,16 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "3", "0")
         assert code == 0
         assert "exists" in out and "does not" not in out
+
+    def test_text_names_the_gruson_peskine_range(self, capsys):
+        code, out, _ = run(capsys, "classify", "6", "4")
+        assert code == 0
+        assert out == (
+            "a smooth curve of degree 6 and genus 4 in P^3 exists\n"
+            "  plane curve:        no (g = 10 required)\n"
+            "  on a quadric:       yes (Castelnuovo bound 4)\n"
+            "  in the Gruson-Peskine range: yes (Gruson-Peskine bound 4)\n"
+        )
 
     def test_huge_degree_answers(self, capsys):
         code, out, _ = run(capsys, "classify", "1000000000", "5", "--json")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from halphen.parsing import (
+    DEGREE_BUDGET,
     ParseError,
     format_polynomial,
     parse_ideal_file,
@@ -85,6 +86,21 @@ class TestParsePolynomial:
         with pytest.raises(ParseError, match="expected '\\+' or '-', got '\\^'") as err:
             parse_polynomial("x^2^3", RING3)
         assert (err.value.line, err.value.col) == (1, 4)
+
+    def test_degree_budget(self):
+        assert parse_polynomial(f"x^{DEGREE_BUDGET}", RING3).total_degree() == DEGREE_BUDGET
+        with pytest.raises(ParseError) as err:
+            parse_ideal_file("ring x y z\n# a line\nx^99999999 - y^99999999\n")
+        assert (err.value.line, err.value.col) == (3, 3)
+        assert err.value.message == (
+            f"a term of degree 99999999; the degree budget is {DEGREE_BUDGET}"
+        )
+
+    def test_degree_budget_counts_the_whole_term(self):
+        text = f"x^{DEGREE_BUDGET - 1}*y z"
+        with pytest.raises(ParseError, match="degree budget") as err:
+            parse_polynomial(text, RING3)
+        assert err.value.col == len(text)
 
 
 class TestParseIdealFile:
