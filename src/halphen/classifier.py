@@ -213,7 +213,6 @@ def region_svg(d_max: int) -> str:
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'stroke-dasharray="4 3" points="{" ".join(points)}"/>'
             )
-    # one string per distinct coordinate, indexed by d and by g
     xs = [f"{x(d):.2f}" for d in range(d_max + 1)]
     ys = [f"{y(g):.2f}" for g in range(g_max + 1)]
     for d, g, _v, cat in rows:
