@@ -5,15 +5,16 @@ curves on a smooth quadric (bidegree genera, whose maximum is the
 Castelnuovo bound), and the Gruson-Peskine range 0 <= g <= d^2/6 - d/2 + 1,
 each genus of which is realized by a smooth curve (the theorem does not
 say that curve lies on no quadric, whatever the exists_off_quadric field
-is called).  A pair exists iff it falls in at least one regime; the
-verdict keeps the per-criterion evidence.
+is called).  A pair exists iff it falls in at least one regime.  A Verdict
+is the answer for one pair: its flag for each regime, their union, and
+one category; the bounds depend on d only and stay functions of d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, floor, isqrt
+from typing import NamedTuple
 
 from .invariants import plane_genus
 
@@ -30,17 +31,14 @@ class RegionBudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     d: int
     g: int
     exists_plane: bool
     exists_on_quadric: bool
     exists_off_quadric: bool
     exists_any: bool
-    plane_bound: int
-    castelnuovo_bound: int
-    gruson_peskine_bound: Fraction
+    category: str
 
 
 def plane_bound(d: int) -> int:
@@ -89,51 +87,38 @@ def classify(d: int, g: int) -> Verdict:
         raise ValueError("degree must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    return _verdict(d, g, plane_genus(d), castelnuovo_bound(d), gruson_peskine_bound(d))
+    return _verdict(d, g, plane_genus(d), floor(gruson_peskine_bound(d)))
 
 
-def _verdict(d: int, g: int, plane: int, castelnuovo: int, gp: Fraction) -> Verdict:
+def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
+    """The category is the first regime that holds, in the order
+    gp-region, quadric, plane-only; nonexistent if none does.  g is an
+    integer, so g <= gp holds exactly when g <= floor(gp) = gp_floor."""
     # g = (a-1)(b-1) with a + b = d iff a-1 and b-1 are the integer roots of
     # t^2 - (d-2)t + g, i.e. iff the discriminant is a perfect square
     disc = (d - 2) ** 2 - 4 * g
     exists_plane = g == plane
     exists_on_quadric = d >= 2 and disc >= 0 and isqrt(disc) ** 2 == disc
-    # g is an integer, so g <= gp iff g <= floor(gp)
-    exists_off_quadric = g <= gp.numerator // gp.denominator
+    exists_off_quadric = g <= gp_floor
+    cat = (
+        CATEGORY_GP if exists_off_quadric
+        else CATEGORY_QUADRIC if exists_on_quadric
+        else CATEGORY_PLANE_ONLY if exists_plane
+        else CATEGORY_NONEXISTENT
+    )
     return Verdict(
-        d=d,
-        g=g,
-        exists_plane=exists_plane,
-        exists_on_quadric=exists_on_quadric,
-        exists_off_quadric=exists_off_quadric,
-        exists_any=exists_plane or exists_on_quadric or exists_off_quadric,
-        plane_bound=plane,
-        castelnuovo_bound=castelnuovo,
-        gruson_peskine_bound=gp,
+        d, g, exists_plane, exists_on_quadric, exists_off_quadric, cat != CATEGORY_NONEXISTENT, cat
     )
 
 
-def category(v: Verdict) -> str:
-    if not v.exists_any:
-        return CATEGORY_NONEXISTENT
-    if v.exists_off_quadric:
-        return CATEGORY_GP
-    if v.exists_on_quadric:
-        return CATEGORY_QUADRIC
-    return CATEGORY_PLANE_ONLY
-
-
-def region_table(d_max: int) -> list[tuple[int, int, Verdict, str]]:
+def region_table(d_max: int) -> list[Verdict]:
     """Every (d, g) with d <= d_max, g <= plane_bound(d), classified.
     Raises RegionBudgetExceeded before any row is built if there would be
     more than REGION_BUDGET rows.
 
-    The plane, Castelnuovo and Gruson-Peskine bounds depend on d only, so
-    they are computed once per degree and each row is classified by
-    _verdict, the same code classify runs.  The Gruson-Peskine test
-    compares g with floor(d^2/6 - d/2 + 1) as integers; since g is an
-    integer, g <= b holds exactly when g <= floor(b) for any rational b,
-    so no row needs a Fraction comparison."""
+    The plane bound and the floor of the Gruson-Peskine bound depend on d
+    only, so they are computed once per degree and each row is classified
+    by _verdict, the same code classify runs."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     # sum over d of plane_genus(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
@@ -144,19 +129,18 @@ def region_table(d_max: int) -> list[tuple[int, int, Verdict, str]]:
         )
     rows = []
     for d in range(1, d_max + 1):
-        plane, castelnuovo, gp = plane_genus(d), castelnuovo_bound(d), gruson_peskine_bound(d)
-        for g in range(plane + 1):
-            v = _verdict(d, g, plane, castelnuovo, gp)
-            rows.append((d, g, v, category(v)))
+        plane, gp_floor = plane_genus(d), floor(gruson_peskine_bound(d))
+        rows.extend(_verdict(d, g, plane, gp_floor) for g in range(plane + 1))
     return rows
 
 
 def region_csv(d_max: int) -> str:
     lines = ["d,g,exists_plane,exists_on_quadric,exists_off_quadric,exists_any,category"]
-    for d, g, v, cat in region_table(d_max):
+    word = ("false", "true")
+    for d, g, plane, on_quadric, off_quadric, any_, cat in region_table(d_max):
         lines.append(
-            f"{d},{g},{str(v.exists_plane).lower()},{str(v.exists_on_quadric).lower()},"
-            f"{str(v.exists_off_quadric).lower()},{str(v.exists_any).lower()},{cat}"
+            f"{d},{g},{word[plane]},{word[on_quadric]},"
+            f"{word[off_quadric]},{word[any_]},{cat}"
         )
     return "\n".join(lines) + "\n"
 
@@ -215,7 +199,8 @@ def region_svg(d_max: int) -> str:
             )
     xs = [f"{x(d):.2f}" for d in range(d_max + 1)]
     ys = [f"{y(g):.2f}" for g in range(g_max + 1)]
-    for d, g, _v, cat in rows:
+    for v in rows:
+        d, g, cat = v.d, v.g, v.category
         out.append(
             f'<circle cx="{xs[d]}" cy="{ys[g]}" r="6" fill="{_COLORS[cat]}">'
             f"<title>d={d} g={g} {cat}</title></circle>"

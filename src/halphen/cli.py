@@ -85,20 +85,17 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_classify(args) -> int:
     v = classifier.classify(args.d, args.g)
+    plane = classifier.plane_bound(v.d)
+    castelnuovo = classifier.castelnuovo_bound(v.d)
+    gp = classifier.gruson_peskine_bound(v.d)
     if args.json:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "d": v.d,
-            "g": v.g,
-            "exists_plane": v.exists_plane,
-            "exists_on_quadric": v.exists_on_quadric,
-            "exists_off_quadric": v.exists_off_quadric,
-            "exists_any": v.exists_any,
-            "category": classifier.category(v),
+            **v._asdict(),
             "bounds": {
-                "plane_bound": v.plane_bound,
-                "castelnuovo_bound": v.castelnuovo_bound,
-                "gruson_peskine_bound": _rational(v.gruson_peskine_bound),
+                "plane_bound": plane,
+                "castelnuovo_bound": castelnuovo,
+                "gruson_peskine_bound": _rational(gp),
             },
         }
         sys.stdout.write(_dump(payload))
@@ -107,11 +104,11 @@ def _cmd_classify(args) -> int:
         sys.stdout.write(
             f"a smooth curve of degree {v.d} and genus {v.g} in P^3 {word}\n"
             f"  plane curve:        {'yes' if v.exists_plane else 'no'}"
-            f" (g = {v.plane_bound} required)\n"
+            f" (g = {plane} required)\n"
             f"  on a quadric:       {'yes' if v.exists_on_quadric else 'no'}"
-            f" (Castelnuovo bound {v.castelnuovo_bound})\n"
+            f" (Castelnuovo bound {castelnuovo})\n"
             f"  in the Gruson-Peskine range: {'yes' if v.exists_off_quadric else 'no'}"
-            f" (Gruson-Peskine bound {format_rational(v.gruson_peskine_bound)})\n"
+            f" (Gruson-Peskine bound {format_rational(gp)})\n"
         )
     return 0
 

@@ -11,6 +11,7 @@ per line; `#` starts a comment.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -90,6 +91,13 @@ class _PolyParser:
             col = tok[2] if tok else self.end_col
         raise ParseError(message, self.line, col)
 
+    def _int(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # longer than the interpreter's int-string limit
+            limit = sys.get_int_max_str_digits()
+            self._error(f"a literal of {len(tok[1])} digits; the limit is {limit} digits", tok[2])
+
     def parse(self) -> Polynomial:
         if not self.tokens:
             self._error("empty polynomial")
@@ -138,7 +146,7 @@ class _PolyParser:
         kind, value, col = tok
         if kind == "num":
             self.i += 1
-            numerator = int(value)
+            numerator = self._int(tok)
             nxt = self._peek()
             if nxt and nxt[:2] == ("op", "/"):
                 self.i += 1
@@ -146,9 +154,10 @@ class _PolyParser:
                 if den is None or den[0] != "num":
                     self._error("expected an integer denominator")
                 self.i += 1
-                if int(den[1]) == 0:
+                denominator = self._int(den)
+                if denominator == 0:
                     self._error("zero denominator", den[2])
-                return Fraction(numerator, int(den[1])), None, 0
+                return Fraction(numerator, denominator), None, 0
             return numerator, None, 0
         if kind == "name":
             self.i += 1
@@ -164,7 +173,7 @@ class _PolyParser:
                 if exp is None or exp[0] != "num":
                     self._error("expected an integer exponent")
                 self.i += 1
-                power = int(exp[1])
+                power = self._int(exp)
             return 1, self.ring.index(value), power
         self._error(f"unexpected {value!r}", col)
 

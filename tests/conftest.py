@@ -18,6 +18,15 @@ SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 RING3 = ("x", "y", "z")
 RING4 = ("x", "y", "z", "w")
 
+# literals longer than the interpreter's int-string limit (4300 digits by
+# default): (text, column of the literal, its digit count)
+LONG_LITERALS = [
+    ("x^" + "9" * 5000 + " - y", 3, 5000),
+    ("x^" + "0" * 5000 + "1 - y", 3, 5001),
+    ("1" * 5001 + "*x - y", 1, 5001),
+    ("x - 1/" + "7" * 5000 + "*y", 7, 5000),
+]
+
 
 def load_ideal(name):
     return parse_ideal_file((FIXTURES / f"{name}.ideal").read_text())

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from halphen import classifier
 from halphen.classifier import (
+    CATEGORY_GP,
     CATEGORY_NONEXISTENT,
     CATEGORY_PLANE_ONLY,
+    CATEGORY_QUADRIC,
     REGION_BUDGET,
     RegionBudgetExceeded,
+    Verdict,
     castelnuovo_bound,
     castelnuovo_inequality_check,
-    category,
     classify,
     gruson_peskine_bound,
     plane_bound,
@@ -169,15 +171,15 @@ class TestClassify:
 
 class TestRegionTable:
     def test_plane_only_row(self):
-        rows = {(d, g): cat for d, g, _v, cat in region_table(5)}
+        rows = {(v.d, v.g): v.category for v in region_table(5)}
         assert rows[(5, 6)] == CATEGORY_PLANE_ONLY
 
     def test_nonexistent_row(self):
-        rows = {(d, g): cat for d, g, _v, cat in region_table(5)}
+        rows = {(v.d, v.g): v.category for v in region_table(5)}
         assert rows[(5, 4)] == CATEGORY_NONEXISTENT
 
     def test_degree_three_rows_exist(self):
-        rows = {(d, g): cat for d, g, _v, cat in region_table(3)}
+        rows = {(v.d, v.g): v.category for v in region_table(3)}
         assert rows[(3, 0)] != CATEGORY_NONEXISTENT
         assert rows[(3, 1)] != CATEGORY_NONEXISTENT
 
@@ -211,14 +213,34 @@ class TestRegionTable:
             region_table(11)
 
     def test_category_matches_verdict(self):
-        for _d, _g, v, cat in region_table(8):
-            assert cat == category(v)
-            assert (cat == CATEGORY_NONEXISTENT) == (not v.exists_any)
+        # an independent reference: the quadric genera as a set, the plane
+        # bound, and the Gruson-Peskine bound compared as a Fraction,
+        # taken in the precedence gp-region > quadric > plane-only
+        bounds = {
+            d: (quadric_genera(d), plane_bound(d), gruson_peskine_bound(d))
+            for d in range(1, 41)
+        }
+        for v in region_table(40):
+            genera, plane, gp = bounds[v.d]
+            if v.g <= gp:
+                expected = CATEGORY_GP
+            elif v.g in genera:
+                expected = CATEGORY_QUADRIC
+            elif v.g == plane:
+                expected = CATEGORY_PLANE_ONLY
+            else:
+                expected = CATEGORY_NONEXISTENT
+            assert v.category == expected, (v.d, v.g)
+            assert v.exists_any == (v.category != CATEGORY_NONEXISTENT)
 
     def test_rows_match_classify(self):
-        for d, g, v, cat in region_table(40):
-            assert v == classify(d, g)
-            assert cat == category(v)
+        rows = region_table(40)
+        assert all(isinstance(v, Verdict) for v in rows)
+        assert [(v.d, v.g) for v in rows] == [
+            (d, g) for d in range(1, 41) for g in range(plane_bound(d) + 1)
+        ]
+        for v in rows:
+            assert v == classify(v.d, v.g)
 
 
 class TestEmitters:

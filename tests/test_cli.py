@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from halphen.cli import main
 from halphen.parsing import DEGREE_BUDGET, parse_polynomial
 from halphen.poly import DEFAULT_ORDER
 
-from conftest import FIXTURES, SCHEMAS
+from conftest import FIXTURES, LONG_LITERALS, SCHEMAS
 
 
 def run(capsys, *argv):
@@ -61,6 +62,17 @@ class TestInvariantsCommand:
         assert err == (
             "halphen: error: line 2, col 3: a term of degree 99999999; "
             f"the degree budget is {DEGREE_BUDGET}\n"
+        )
+
+    @pytest.mark.parametrize("text,col,digits", LONG_LITERALS)
+    def test_long_literal_is_refused(self, tmp_path, capsys, text, col, digits):
+        path = tmp_path / "long.ideal"
+        path.write_text(f"ring x y z\n{text}\n")
+        code, out, err = run(capsys, "invariants", "--ideal", str(path))
+        assert code == 1 and out == ""
+        assert err == (
+            f"halphen: error: line 2, col {col}: a literal of {digits} digits; "
+            f"the limit is {sys.get_int_max_str_digits()} digits\n"
         )
 
     def test_malformed_ideal(self, tmp_path, capsys):
@@ -151,6 +163,41 @@ class TestClassifyCommand:
         payload = json.loads(out)
         validate(payload, "classify")
         assert payload["exists_off_quadric"] and not payload["exists_on_quadric"]
+
+    # sha256 of the text and the --json output, recorded at commit 5b98b7e
+    # for one pair per category plus a huge degree; the bounds and flags
+    # printed must not move when the classifier is reorganised.
+    GOLDEN_SHA256 = {
+        (6, 4): (  # gp-region
+            "b06c2ca9e13c55096cae5ebb852cdc42e04232d3f518491a0f820cbeb630dcfd",
+            "87dc9eec95ff5ff897594a22c22f24cb13e64bf26caff7237bbe3a6b44ebe3b6",
+        ),
+        (7, 6): (  # quadric
+            "44bb5de214b5466b3c49adf83624021c96c7e5e5cedebbb3c2d94dd7cdea6316",
+            "85dc2ca428784494b2768286eac7e0240c3f6bd2f0714670ad1ac427b7d5745b",
+        ),
+        (5, 6): (  # plane-only
+            "99e6cf7c3ccbb290cedd9323c0f3ac46140f6ad5174adb70ce204c468733df7c",
+            "67e6b0852bcca250d9794f58a5838032a98b6919b0214d897091bedc0e64868b",
+        ),
+        (4, 2): (  # nonexistent
+            "edef27f5c05a39db5d515958b26f725fd9ae5dfd9cfad432aa54d8a1543625f8",
+            "24db5ea608d0c25b653b7fefee9c8a290dec95e195dc5521c5ce5c1ac6d921ff",
+        ),
+        (1000000000, 5): (
+            "ff8e414162e8b0d1e43e444dafafa1a165738e99a62698e66405716754775481",
+            "5a07e98096e233409f4d3e24b1f3f06acbfe87bbecddaabd9829a5f960ec01e4",
+        ),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(GOLDEN_SHA256))
+    def test_golden_sha256(self, capsys, pair):
+        digests = []
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "classify", *map(str, pair), *extra)
+            assert (code, err) == (0, "")
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(digests) == self.GOLDEN_SHA256[pair]
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

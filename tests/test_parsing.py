@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from halphen.parsing import (
 )
 from halphen.poly import Polynomial
 
-from conftest import RING3, RING4, polynomials
+from conftest import LONG_LITERALS, RING3, RING4, polynomials
 
 
 class TestParsePolynomial:
@@ -101,6 +102,17 @@ class TestParsePolynomial:
         with pytest.raises(ParseError, match="degree budget") as err:
             parse_polynomial(text, RING3)
         assert err.value.col == len(text)
+
+
+class TestLongLiterals:
+    @pytest.mark.parametrize("text,col,digits", LONG_LITERALS)
+    def test_refused_at_the_literal(self, text, col, digits):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, RING3, line=2)
+        assert (err.value.line, err.value.col) == (2, col)
+        assert err.value.message == (
+            f"a literal of {digits} digits; the limit is {sys.get_int_max_str_digits()} digits"
+        )
 
 
 class TestParseIdealFile:
