@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import classifier, geometry, graded, groebner, invariants
-from .parsing import format_polynomial, format_rational, parse_ideal_file, parse_polynomial
+from .parsing import _ring_vars, format_polynomial, format_rational, parse_ideal_file, parse_polynomial
 
 SCHEMA_VERSION = 1
 
@@ -145,7 +145,7 @@ def _cmd_smooth_at(args) -> int:
 
 
 def _cmd_tangent(args) -> int:
-    ring = tuple(args.ring.split())
+    ring = _ring_vars(args.ring.split())
     f = parse_polynomial(args.poly, ring)
     point = geometry.ProjectivePoint.parse(args.point)
     line = geometry.tangent_line(f, point)

@@ -119,8 +119,5 @@ def tangent_line(f: Polynomial, p: ProjectivePoint) -> TangentLine:
 
 
 def tangent_line_polynomial(t: TangentLine, ring: Sequence[str]) -> Polynomial:
-    p = Polynomial.zero(ring)
-    for j, c in enumerate(t.coefficients):
-        if c:
-            p = p + Polynomial.variable(j, ring).scale(c)
-    return p
+    n = len(t.coefficients)
+    return Polynomial({tuple(int(i == j) for i in range(n)): c for j, c in enumerate(t.coefficients)}, ring)

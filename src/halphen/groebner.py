@@ -324,15 +324,6 @@ def _minimalize(monomials) -> list[Monomial]:
 # -- Hilbert series of a monomial ideal -----------------------------------
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_add(a: list[int], b: list[int], shift: int = 0) -> list[int]:
     out = list(a) + [0] * max(0, shift + len(b) - len(a))
     for j, y in enumerate(b):
@@ -351,10 +342,7 @@ def _series_numerator(gens: list[Monomial], n_vars: int) -> list[int]:
         # pairwise coprime pure powers: product of (1 - t^deg)
         numerator = [1]
         for g in gens:
-            d = monomial_degree(g)
-            factor = [0] * (d + 1)
-            factor[0], factor[d] = 1, -1
-            numerator = _poly_mul(numerator, factor)
+            numerator = _poly_add(numerator, [-c for c in numerator], shift=monomial_degree(g))
         return numerator
     counts = [0] * n_vars
     for s in supports:

@@ -185,6 +185,18 @@ def parse_polynomial(text: str, ring_vars: Sequence[str], line: int = 1) -> Poly
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 
+def _ring_vars(names: Sequence[str], line: int = 1) -> tuple[str, ...]:
+    """The variable names of a ring line or of `tangent --ring`, checked."""
+    if not names:
+        raise ParseError("ring line declares no variables", line, 1)
+    for name in names:
+        if not _NAME_RE.match(name):
+            raise ParseError(f"bad variable name {name!r}", line, 1)
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate variable name in ring line", line, 1)
+    return tuple(names)
+
+
 def parse_ideal_file(text: str, label: str | None = None) -> IdealSpec:
     ring_vars: tuple[str, ...] | None = None
     generators: list[Polynomial] = []
@@ -196,14 +208,7 @@ def parse_ideal_file(text: str, label: str | None = None) -> IdealSpec:
             head, *rest = body.split()
             if head != "ring":
                 raise ParseError("expected a 'ring x y z ...' line first", lineno, 1)
-            if not rest:
-                raise ParseError("ring line declares no variables", lineno, 1)
-            for name in rest:
-                if not _NAME_RE.match(name):
-                    raise ParseError(f"bad variable name {name!r}", lineno, 1)
-            if len(set(rest)) != len(rest):
-                raise ParseError("duplicate variable name in ring line", lineno, 1)
-            ring_vars = tuple(rest)
+            ring_vars = _ring_vars(rest, lineno)
             continue
         if body.startswith("label "):
             label = body[len("label "):].strip()

@@ -2,14 +2,15 @@
 
 Monomials are plain exponent tuples, one slot per ring variable.  All
 coefficient arithmetic is done with `fractions.Fraction`; there is no
-floating point anywhere in this module.
+floating point anywhere in this module.  A `Polynomial` is kept in one
+normal form, like terms summed and no zero stored, made by `_like_terms`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -108,31 +109,43 @@ def enumerate_monomials(
     return order.sorted(_iter_exponents(n_vars, degree))
 
 
+def _like_terms(pairs: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+    """Sum the coefficients of equal monomials and drop zeros.  A monomial keeps
+    the place where it first appears, or reappears after cancelling."""
+    terms: dict[Monomial, Fraction] = {}
+    for mono, c in pairs:
+        if mono in terms:
+            c += terms[mono]
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
+    return terms
+
+
 class RingMismatch(ValueError):
     pass
 
 
 class Polynomial:
-    """Canonical sparse polynomial: no zero coefficients are ever stored."""
+    """Sparse polynomial in the normal form of `_like_terms`: `terms` maps each
+    monomial to a nonzero `Fraction`.  The constructor checks outside input;
+    the arithmetic hands its terms to `_from_pairs`, which does not."""
 
     __slots__ = ("terms", "ring")
 
     def __init__(self, terms: Mapping[Monomial, Rational], ring: Sequence[str]):
         self.ring: tuple[str, ...] = tuple(ring)
         n = len(self.ring)
-        clean: dict[Monomial, Fraction] = {}
+        pairs = []
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != n:
                 raise ValueError(f"exponent vector {mono} does not fit ring {self.ring}")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
-            c = clean.get(mono, Fraction(0)) + Fraction(coeff)
-            if c:
-                clean[mono] = c
-            else:
-                clean.pop(mono, None)
-        self.terms: dict[Monomial, Fraction] = clean
+            pairs.append((mono, Fraction(coeff)))
+        self.terms: dict[Monomial, Fraction] = _like_terms(pairs)
 
     # -- constructors -------------------------------------------------
 
@@ -156,6 +169,14 @@ class Polynomial:
     @classmethod
     def monomial(cls, exponents: Monomial, ring: Sequence[str], coeff: Rational = 1) -> "Polynomial":
         return cls({tuple(exponents): coeff}, ring)
+
+    @classmethod
+    def _from_pairs(cls, pairs: Iterable[tuple[Monomial, Fraction]], ring: tuple[str, ...]) -> "Polynomial":
+        """The sum of the terms, whose monomials already fit `ring`."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.terms = _like_terms(pairs)
+        return out
 
     # -- structure ----------------------------------------------------
 
@@ -194,21 +215,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, Fraction(0)) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        out = Polynomial.zero(self.ring)
-        out.terms = terms
-        return out
+        return Polynomial._from_pairs(chain(self.terms.items(), other.terms.items()), self.ring)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.zero(self.ring)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -221,30 +231,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        out = Polynomial.zero(self.ring)
-        out.terms = terms
-        return out
+        pairs = (
+            (monomial_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
+        )
+        return Polynomial._from_pairs(pairs, self.ring)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # only reached with a scalar on the left
 
     def scale(self, c: Rational) -> "Polynomial":
         c = Fraction(c)
-        out = Polynomial.zero(self.ring)
-        if c:
-            out.terms = {m: coeff * c for m, coeff in self.terms.items()}
-        return out
+        return Polynomial._from_pairs(((m, coeff * c) for m, coeff in self.terms.items()), self.ring)
 
     # -- analysis -----------------------------------------------------
 
@@ -266,17 +262,9 @@ class Polynomial:
     def partial_derivative(self, var_index: int) -> "Polynomial":
         if not 0 <= var_index < len(self.ring):
             raise IndexError(f"variable index {var_index} out of range")
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[var_index]
-            if e == 0:
-                continue
-            new = list(mono)
-            new[var_index] = e - 1
-            terms[tuple(new)] = coeff * e
-        out = Polynomial.zero(self.ring)
-        out.terms = terms
-        return out
+        i = var_index
+        pairs = ((m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i]) for m, c in self.terms.items() if m[i])
+        return Polynomial._from_pairs(pairs, self.ring)
 
     def __repr__(self) -> str:
         from .parsing import format_polynomial

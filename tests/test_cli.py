@@ -10,7 +10,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from halphen import graded, groebner
 from halphen.cli import main
-from halphen.parsing import DEGREE_BUDGET, parse_polynomial
+from halphen.parsing import DEGREE_BUDGET, ParseError, parse_ideal_file, parse_polynomial
 from halphen.poly import DEFAULT_ORDER
 
 from conftest import FIXTURES, LONG_LITERALS, SCHEMAS
@@ -277,6 +277,46 @@ class TestTangentCommand:
         code, _, err = run(capsys, "tangent", "--poly", "x*y", "--point", "0:0:1")
         assert code == 1
         assert "tangent line undefined" in err
+
+    # --ring is checked like an ideal file's ring line, with the same message
+    @pytest.mark.parametrize("ring", ["x x y", "x 1y z", ""])
+    def test_bad_ring_is_domain_error(self, capsys, ring):
+        with pytest.raises(ParseError) as exc:
+            parse_ideal_file(f"ring {ring}\nx\n")
+        code, out, err = run(
+            capsys, "tangent", "--poly", "x^2 - x*y", "--ring", ring, "--point", "1:0:1"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"halphen: error: {exc.value}\n"
+
+
+class TestGeometryGoldens:
+    # exit code and sha256 of stdout and stderr, recorded at commit 0ec8350;
+    # the bytes must not move when the polynomial arithmetic is reorganised.
+    EMPTY = hashlib.sha256(b"").hexdigest()
+    GOLDEN_SHA256 = {
+        ("tangent", "--poly", "y^2*z - x^3 - x*z^2", "--point", "0:0:1"): (  # README cubic
+            0, "adf5e5b27f115f88cb242914a597c4bf1bacb9ac1cc49983cf9ac69784c85add", EMPTY
+        ),
+        ("tangent", "--poly", "x^2 + y^2 - z^2", "--point", "3/5:4/5:1"): (  # rational line
+            0, "215df6b72a03db49028f851418a5ab00accaa99b4cbeeff51a673daa6b6f8a76", EMPTY
+        ),
+        ("tangent", "--poly", "x*y", "--point", "0:0:1"): (  # singular point
+            1, EMPTY, "454f84b8df33022fa255e9fdef2a45cdd8159caaab6b33673a178e7400433a39"
+        ),
+        ("smooth-at", "--ideal", fixture("twisted_cubic"), "--point", "1:0:0:0"): (
+            0, "66e963ad5adfd6d653658eae8a4973e92ec734677833b388810dfa77a7569e25", EMPTY
+        ),
+        ("smooth-at", "--ideal", fixture("c0"), "--point", "1:0:0:0"): (
+            0, "96952214294bbac01f899e40e3646373f4a8741f3a0dfa0ab26d9ff110cf3a59", EMPTY
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
+    def test_golden_sha256(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+        assert (code, *digests) == self.GOLDEN_SHA256[argv]
 
 
 class TestDeterminism:

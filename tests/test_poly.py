@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halphen.poly import (
@@ -30,6 +30,17 @@ def p3(terms):
 
 
 X, Y, Z = (Polynomial.variable(i, RING3) for i in range(3))
+
+
+def accumulate(pairs):
+    """Plain dict accumulation of (monomial, coefficient) pairs in order;
+    an entry whose sum is zero is deleted."""
+    terms = {}
+    for m, c in pairs:
+        terms[m] = terms.get(m, 0) + c
+        if terms[m] == 0:
+            del terms[m]
+    return terms
 
 
 class TestArithmetic:
@@ -69,6 +80,30 @@ class TestArithmetic:
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
+
+    # `==` ignores the order of the terms; `poly.primitive` does not, so the
+    # order each operation stores is pinned here term by term.
+    @settings(max_examples=400)
+    @given(polynomials(), polynomials(), small_rationals, st.integers(0, 2))
+    @example(  # in (1 + x + y) * (xy - y + x) the xy term cancels, then comes back last
+        p3({(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1}), p3({(1, 1, 0): 1, (0, 1, 0): -1, (1, 0, 0): 1}), 1, 0
+    )
+    def test_results_term_by_term(self, p, q, c, i):
+        P, Q = list(p.terms.items()), list(q.terms.items())
+        cases = [
+            (p + q, P + Q),
+            (p - q, P + [(m, -b) for m, b in Q]),
+            (-p, [(m, -a) for m, a in P]),
+            (p * q, [(tuple(x + y for x, y in zip(m, n)), a * b) for m, a in P for n, b in Q]),
+            (p.scale(c), [(m, a * c) for m, a in P]),
+            (p.scale(0), []),
+            (p.partial_derivative(i), [
+                (tuple(e - (j == i) for j, e in enumerate(m)), a * m[i]) for m, a in P if m[i]
+            ]),
+        ]
+        for result, pairs in cases:
+            assert list(result.terms.items()) == list(accumulate(pairs).items())
+            assert all(type(a) is Fraction and a != 0 for a in result.terms.values())
 
 
 class TestDegreeAndHomogeneity:
