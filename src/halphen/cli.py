@@ -15,7 +15,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import classifier, geometry, graded, groebner, invariants
-from .parsing import _ring_vars, format_polynomial, format_rational, parse_ideal_file, parse_polynomial
+from .parsing import (
+    ParseError,
+    _ring_vars,
+    format_polynomial,
+    format_rational,
+    parse_ideal_file,
+    parse_polynomial,
+)
 
 SCHEMA_VERSION = 1
 
@@ -145,7 +152,10 @@ def _cmd_smooth_at(args) -> int:
 
 
 def _cmd_tangent(args) -> int:
-    ring = _ring_vars(args.ring.split())
+    try:
+        ring = _ring_vars(args.ring.split())
+    except ParseError as exc:  # a flag has no line or column
+        raise DomainError(f"--ring: {exc.message}") from None
     f = parse_polynomial(args.poly, ring)
     point = geometry.ProjectivePoint.parse(args.point)
     line = geometry.tangent_line(f, point)
@@ -201,12 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smooth-at", help="Jacobian smoothness test at a rational point")
     p.add_argument("--ideal", required=True)
-    p.add_argument("--point", required=True, help='e.g. "1:0:0:0"')
+    p.add_argument(
+        "--point", required=True, help='e.g. "1:0:0:0"; write --point=-1:0:0:1 when it starts with "-"'
+    )
     p.set_defaults(func=_cmd_smooth_at)
 
     p = sub.add_parser("tangent", help="tangent line to a plane curve at a point")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--point", required=True, help='e.g. "0:1:0"')
+    p.add_argument(
+        "--poly", required=True, help='e.g. "y^2*z - x^3"; write --poly="-x^3 + ..." when it starts with "-"'
+    )
+    p.add_argument(
+        "--point", required=True, help='e.g. "0:1:0"; write --point=-1:0:1 when it starts with "-"'
+    )
     p.add_argument("--ring", default="x y z", help="space-separated variable names")
     p.set_defaults(func=_cmd_tangent)
     return parser

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .linalg import exact_rank
 from .parsing import IdealSpec
-from .poly import Polynomial, Rational
+from .poly import Polynomial, Rational, primitive
 
 
 class SingularPointError(ValueError):
@@ -76,22 +76,16 @@ def on_variety(ideal: IdealSpec, p: ProjectivePoint) -> bool:
     return all(g.evaluate(p.coords) == 0 for g in ideal.generators)
 
 
-def jacobian_matrix(ideal: IdealSpec, p: ProjectivePoint) -> list[list[Fraction]]:
-    _check_dims(ideal, p)
-    n = ideal.n_vars
-    return [
-        [g.partial_derivative(j).evaluate(p.coords) for j in range(n)]
-        for g in ideal.generators
-    ]
-
-
 def jacobian_rank_at(ideal: IdealSpec, p: ProjectivePoint) -> int:
+    """Rank of the Jacobian of the generators at p, each nonzero row
+    cleared to primitive integers for `exact_rank`."""
     if not on_variety(ideal, p):
         raise ValueError(f"point {p} is not on the variety")
-    rows = [
-        {j: v for j, v in enumerate(row) if v} for row in jacobian_matrix(ideal, p)
-    ]
-    return exact_rank(rows)
+    rows = (
+        {j: v for j in range(ideal.n_vars) if (v := g.partial_derivative(j).evaluate(p.coords))}
+        for g in ideal.generators
+    )
+    return exact_rank(primitive(row)[1] for row in rows if row)
 
 
 def is_smooth_at(ideal: IdealSpec, p: ProjectivePoint, curve_codim: int) -> bool:

@@ -61,7 +61,6 @@ class RankBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class HilbertFunctionTable:
-    ideal: IdealSpec
     values: dict[int, int]
 
 
@@ -126,4 +125,4 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
             if i + 1 < len(gens) and m + gens[i + 1][0] <= m_max:
                 leading[i + 1, m] = set(pivots)
         values[m] = len(basis) - len(pivots)
-    return HilbertFunctionTable(ideal, values)
+    return HilbertFunctionTable(values)

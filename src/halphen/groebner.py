@@ -91,10 +91,6 @@ class HilbertPolynomial:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
@@ -393,8 +389,6 @@ def _hilbert_polynomial_from_numerator(num: HilbertSeriesNumerator) -> HilbertDa
             out.append(carry)
         q = out
         exponent += 1
-    while len(q) > 1 and q[-1] == 0:
-        q.pop()
     s = n - exponent
     deg_q = len(q) - 1
     threshold = max(0, deg_q - s + 1)

@@ -1,13 +1,13 @@
-"""Exact rank computations for sparse rational matrices.
+"""Exact rank computations for sparse integer matrices.
 
 `exact_rank` is the authoritative path: fraction-free elimination over
 the integers (Bareiss-style cross-multiplication with gcd normalization),
-done in place on one mutable row dict at a time.  Each row is cleared of
-denominators once, on entry; the pivots are stored primitive, and a row
-is scaled, and then stripped of its content, only when the pivot's
-leading entry does not divide its own.  Pivots are taken at the smallest
-column index, so callers choose the elimination order by how they number
-the columns.
+done in place on one mutable row dict at a time.  Rows come in as
+nonzero ints; a caller with rational entries clears them first with
+`poly.primitive`.  The pivots are stored primitive, and a row is scaled,
+and then stripped of its content, only when the pivot's leading entry
+does not divide its own.  Pivots are taken at the smallest column index,
+so callers choose the elimination order by how they number the columns.
 
 The echelon form is a dict column -> pivot row.  A caller may pass in the
 dict left by earlier rows and have `exact_rank` extend it: the pivot
@@ -17,33 +17,27 @@ and the return value counts only the pivots the new rows added.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
-SparseRow = Mapping[int, int | Fraction]
+# column -> nonzero integer entry
+SparseRow = Mapping[int, int]
 # column -> (leading entry, the other entries as (column, value) pairs)
 Pivots = dict[int, tuple[int, list[tuple[int, int]]]]
 
 
-def _integer_row(row: SparseRow) -> dict[int, int]:
-    """The row times the lcm of its denominators, as a new dict of nonzero ints."""
-    if 0 not in row.values() and set(map(type, row.values())) <= {int}:
-        return dict(row)
-    scale = lcm(*(v.denominator for v in row.values()))
-    return {k: v.numerator * (scale // v.denominator) for k, v in row.items() if v}
-
-
 def exact_rank(rows: Iterable[SparseRow], pivots: Pivots | None = None) -> int:
     """Rank over the rationals of the matrix whose rows are sparse maps
-    column -> coefficient (ints or Fractions).  Given the echelon form
-    `pivots` of earlier rows, extends it in place and returns by how much
-    these rows raise the rank."""
+    column -> nonzero int.  Given the echelon form `pivots` of earlier
+    rows, extends it in place and returns by how much these rows raise
+    the rank.  The input rows are left unmodified."""
     if pivots is None:
         pivots = {}
     before = len(pivots)
     for raw in rows:
-        row = _integer_row(raw)
+        # a copy, not the caller's dict: bench/tracing.py reads the rows
+        # after the call (pinned by test_input_rows_are_not_modified)
+        row = dict(raw)
         while row:
             c = min(row)
             pivot = pivots.get(c)

@@ -12,9 +12,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
+Key = TypeVar("Key")
 
 Rational = int | Fraction
 
@@ -53,7 +54,7 @@ def descending_key(order: MonomialOrder) -> Callable[[Monomial], tuple[int, ...]
     return lambda m: (-sum(m), *m[::-1])
 
 
-def primitive(coeffs: Mapping[Monomial, Rational]) -> tuple[Fraction, dict[Monomial, int]]:
+def primitive(coeffs: Mapping[Key, Rational]) -> tuple[Fraction, dict[Key, int]]:
     """(s, ints) with coeffs = s * ints: the ints are coprime nonzero
     integers, zero entries are dropped, and the first entry, in the
     mapping's order, is positive.  Some entry must be nonzero."""

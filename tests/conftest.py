@@ -10,7 +10,7 @@ settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
 from halphen.parsing import IdealSpec, parse_ideal_file
-from halphen.poly import Polynomial, enumerate_monomials
+from halphen.poly import Polynomial, enumerate_monomials, primitive
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -30,6 +30,13 @@ LONG_LITERALS = [
 
 def load_ideal(name):
     return parse_ideal_file((FIXTURES / f"{name}.ideal").read_text())
+
+
+def integer_rows(rows):
+    """Sparse rational rows as `exact_rank` takes them: each nonzero row
+    cleared to primitive integers by `poly.primitive`, zero rows dropped.
+    Clearing scales a row by a nonzero rational, so the rank is kept."""
+    return [primitive(row)[1] for row in rows if any(row.values())]
 
 
 @pytest.fixture

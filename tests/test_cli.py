@@ -49,6 +49,14 @@ class TestInvariantsCommand:
         assert payload["dimension"] == 2
         assert "genus" not in payload
 
+    def test_irrelevant_ideal_is_empty(self, tmp_path, capsys):
+        # (x, y, z) has a zero Hilbert polynomial: V(I) is empty in P^2
+        path = tmp_path / "irrelevant.ideal"
+        path.write_text("ring x y z\nx\ny\nz\n")
+        code, out, err = run(capsys, "invariants", "--ideal", str(path))
+        assert (code, out) == (1, "")
+        assert err == "halphen: error: zero Hilbert polynomial: empty projective set\n"
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "invariants", "--ideal", "no_such.ideal")
         assert code == 1
@@ -279,6 +287,7 @@ class TestTangentCommand:
         assert "tangent line undefined" in err
 
     # --ring is checked like an ideal file's ring line, with the same message
+    # but no line and column, which a flag does not have
     @pytest.mark.parametrize("ring", ["x x y", "x 1y z", ""])
     def test_bad_ring_is_domain_error(self, capsys, ring):
         with pytest.raises(ParseError) as exc:
@@ -287,7 +296,18 @@ class TestTangentCommand:
             capsys, "tangent", "--poly", "x^2 - x*y", "--ring", ring, "--point", "1:0:1"
         )
         assert (code, out) == (1, "")
-        assert err == f"halphen: error: {exc.value}\n"
+        assert err == f"halphen: error: --ring: {exc.value.message}\n"
+
+    # argparse reads a separate value that starts with "-" as an option
+    def test_negative_point_needs_the_equals_form(self, capsys):
+        poly = ("--poly", "x^2 + y^2 - z^2")
+        code, out, err = run(capsys, "tangent", *poly, "--point=-3/5:4/5:1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["line"] == "x - 4/3*y + 5/3*z = 0"
+        with pytest.raises(SystemExit) as exc:
+            main(["tangent", *poly, "--point", "-3/5:4/5:1"])
+        assert exc.value.code == 2
+        assert "--point: expected one argument" in capsys.readouterr().err
 
 
 class TestGeometryGoldens:

@@ -13,7 +13,7 @@ from halphen.geometry import (
 )
 from halphen.parsing import IdealSpec, parse_polynomial
 
-from conftest import RING3
+from conftest import RING3, RING4
 
 
 def pt(*coords):
@@ -127,6 +127,18 @@ class TestTangentLine:
         f = parse_polynomial("x*y", RING3)
         with pytest.raises(SingularPointError):
             tangent_line(f, pt(0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "f,p,message",
+        [
+            (parse_polynomial("x^2 - y*w", RING4), pt(0, 0, 1, 0), "three variables"),
+            (parse_polynomial("x^2 - y", RING3), pt(0, 0, 1), "homogeneous polynomial"),
+            (parse_polynomial("x^2 - y*z", RING3), pt(0, 0, 1, 0), "point in the plane"),
+        ],
+    )
+    def test_shape_checks(self, f, p, message):
+        with pytest.raises(ValueError, match=message):
+            tangent_line(f, p)
 
     def test_point_off_curve_rejected(self):
         f = parse_polynomial("x^2 + y^2 - z^2", RING3)

@@ -19,7 +19,7 @@ from halphen.linalg import exact_rank
 from halphen.parsing import IdealSpec, parse_polynomial
 from halphen.poly import Polynomial, enumerate_monomials
 
-from conftest import RING3, RING4, dense_form, load_ideal, nonzero_rationals, random_rnc
+from conftest import RING3, RING4, dense_form, integer_rows, load_ideal, nonzero_rationals, random_rnc
 
 
 def principal(f_text, ring):
@@ -96,6 +96,12 @@ class TestHilbertFunctionTable:
         table = hilbert_function_table(line_l, 3)
         assert [table.values[m] for m in range(4)] == [1, 2, 3, 4]
 
+    def test_negative_degree_refused(self, twisted_cubic):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            hilbert_function(twisted_cubic, -1)
+        with pytest.raises(ValueError, match="m_max must be non-negative"):
+            hilbert_function_table(twisted_cubic, -1)
+
     def test_value_zero_degree(self, twisted_cubic):
         assert hilbert_function_table(twisted_cubic, 0).values[0] == 1
 
@@ -141,8 +147,9 @@ class TestClosedForms:
 
 def macaulay_hilbert(ideal, m):
     """H(m) from the rank of the full Macaulay matrix: every multiple u*f of
-    degree m, with f's own coefficients, then `exact_rank`.  The reference
-    for the row criterion of `hilbert_function_table`."""
+    degree m, with f's own coefficients, cleared by `integer_rows`, then
+    `exact_rank`.  The reference for the row criterion of
+    `hilbert_function_table`."""
     n = ideal.n_vars
     basis = enumerate_monomials(n, m)
     index = {mono: j for j, mono in enumerate(basis)}
@@ -152,7 +159,7 @@ def macaulay_hilbert(ideal, m):
         if f.total_degree() <= m
         for u in enumerate_monomials(n, m - f.total_degree())
     ]
-    return len(basis) - exact_rank(rows)
+    return len(basis) - exact_rank(integer_rows(rows))
 
 
 def forms(ring, degree, coeffs=st.integers(-3, 3).filter(bool)):

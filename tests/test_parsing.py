@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from halphen.graded import hilbert_function_table
+from halphen.groebner import buchberger
 from halphen.parsing import (
     DEGREE_BUDGET,
+    IdealSpec,
     ParseError,
     format_polynomial,
     parse_ideal_file,
@@ -61,6 +64,20 @@ class TestParsePolynomial:
             parse_polynomial("x + + y", RING3)
         assert err.value.line == 1
         assert err.value.col == 5
+
+    @pytest.mark.parametrize(
+        "text,col,message",
+        [
+            ("x$y", 2, "unexpected character '$'"),
+            ("1/x", 3, "expected an integer denominator"),
+            ("1/0*x", 3, "zero denominator"),
+            ("x^y", 3, "expected an integer exponent"),
+        ],
+    )
+    def test_refused_at_the_offending_token(self, text, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, RING3)
+        assert (err.value.line, err.value.col, err.value.message) == (1, col, message)
 
     def test_trailing_operator(self):
         with pytest.raises(ParseError):
@@ -138,6 +155,11 @@ class TestParseIdealFile:
         with pytest.raises(ParseError, match="ring"):
             parse_ideal_file("x^2 + y^2\n")
 
+    def test_comments_only_have_no_ring_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_ideal_file("# comments\n\n# only\n")
+        assert err.value.message == "missing ring line"
+
     def test_empty_generator_list(self):
         with pytest.raises(ParseError, match="empty generator list"):
             parse_ideal_file("ring x y z\n# nothing here\n")
@@ -155,6 +177,28 @@ class TestParseIdealFile:
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_ideal_file("ring x y x\nx^2\n")
+
+
+class TestValidateIdeal:
+    """Ideals built in code skip the file parser's checks; both oracles
+    refuse them before any work."""
+
+    @pytest.mark.parametrize(
+        "generator,message",
+        [
+            (Polynomial({}, RING3), "zero generator in ideal"),
+            (parse_polynomial("x^2 + y", RING3), "inhomogeneous generator in ideal"),
+            (parse_polynomial("x*y", RING4), "generator ring does not match ideal ring"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "oracle", [buchberger, lambda ideal: hilbert_function_table(ideal, 2)]
+    )
+    def test_refused(self, oracle, generator, message):
+        ideal = IdealSpec(RING3, (parse_polynomial("x", RING3), generator))
+        with pytest.raises(ValueError) as err:
+            oracle(ideal)
+        assert str(err.value) == message
 
 
 class TestFormatPolynomial:
