@@ -1,64 +1,4 @@
 """Exact-arithmetic toolkit for Hilbert functions of homogeneous ideals
 and the degree/genus classification of smooth curves in P^3."""
 
-from .classifier import (
-    Verdict,
-    castelnuovo_bound,
-    classify,
-    gruson_peskine_bound,
-    plane_bound,
-    quadric_genera,
-)
-from .geometry import ProjectivePoint, TangentLine, is_smooth_at, jacobian_rank_at, on_variety, tangent_line
-from .graded import hilbert_function, hilbert_function_table, ideal_piece_dimension
-from .groebner import (
-    GroebnerBasis,
-    HilbertPolynomial,
-    buchberger,
-    hilbert_polynomial,
-    initial_ideal,
-    series_coefficients,
-    series_numerator,
-)
-from .invariants import ProjectiveInvariants, invariants_of, plane_genus, plane_hilbert_polynomial
-from .parsing import IdealSpec, ParseError, format_polynomial, parse_ideal_file, parse_polynomial
-from .poly import MonomialOrder, Polynomial, enumerate_monomials
-
-__all__ = [
-    "Verdict",
-    "castelnuovo_bound",
-    "classify",
-    "gruson_peskine_bound",
-    "plane_bound",
-    "quadric_genera",
-    "ProjectivePoint",
-    "TangentLine",
-    "is_smooth_at",
-    "jacobian_rank_at",
-    "on_variety",
-    "tangent_line",
-    "hilbert_function",
-    "hilbert_function_table",
-    "ideal_piece_dimension",
-    "GroebnerBasis",
-    "HilbertPolynomial",
-    "buchberger",
-    "hilbert_polynomial",
-    "initial_ideal",
-    "series_coefficients",
-    "series_numerator",
-    "ProjectiveInvariants",
-    "invariants_of",
-    "plane_genus",
-    "plane_hilbert_polynomial",
-    "IdealSpec",
-    "ParseError",
-    "format_polynomial",
-    "parse_ideal_file",
-    "parse_polynomial",
-    "MonomialOrder",
-    "Polynomial",
-    "enumerate_monomials",
-]
-
 __version__ = "0.1.0"

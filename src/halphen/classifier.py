@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, floor, isqrt
 from typing import NamedTuple
 
-from .invariants import plane_genus
+from .combinat import plane_genus
 
 CATEGORY_NONEXISTENT = "nonexistent"
 CATEGORY_GP = "gp-region"

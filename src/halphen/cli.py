@@ -14,15 +14,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import classifier, geometry, graded, groebner, invariants
-from .parsing import (
-    ParseError,
-    _ring_vars,
-    format_polynomial,
-    format_rational,
-    parse_ideal_file,
-    parse_polynomial,
-)
+# Each subcommand imports the layers it runs, so `classify` and `region`
+# never load the Groebner or rank paths.
 
 SCHEMA_VERSION = 1
 
@@ -32,6 +25,8 @@ class DomainError(ValueError):
 
 
 def _load_ideal(path: str):
+    from .parsing import parse_ideal_file
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -40,7 +35,7 @@ def _load_ideal(path: str):
 
 
 def _rational(x: Fraction):
-    return int(x) if x.denominator == 1 else format_rational(x)
+    return int(x) if x.denominator == 1 else str(x)
 
 
 def _dump(payload: dict) -> str:
@@ -48,6 +43,8 @@ def _dump(payload: dict) -> str:
 
 
 def _invariants_payload(spec) -> dict:
+    from . import groebner, invariants
+
     data = groebner.hilbert_polynomial(spec)
     inv = invariants.invariants_of(data.polynomial)
     payload = {
@@ -64,9 +61,13 @@ def _invariants_payload(spec) -> dict:
 
 
 def _cmd_hilbert(args) -> int:
+    from . import graded
+
     spec = _load_ideal(args.ideal)
     m_max = args.max_degree
     if m_max is None:
+        from . import groebner
+
         data = groebner.hilbert_polynomial(spec)
         m_max = max(6, data.stabilizes_from + 2)
     table = graded.hilbert_function_table(spec, m_max)
@@ -91,6 +92,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import classifier
+
     v = classifier.classify(args.d, args.g)
     plane = classifier.plane_bound(v.d)
     castelnuovo = classifier.castelnuovo_bound(v.d)
@@ -115,12 +118,14 @@ def _cmd_classify(args) -> int:
             f"  on a quadric:       {'yes' if v.exists_on_quadric else 'no'}"
             f" (Castelnuovo bound {castelnuovo})\n"
             f"  in the Gruson-Peskine range: {'yes' if v.exists_off_quadric else 'no'}"
-            f" (Gruson-Peskine bound {format_rational(gp)})\n"
+            f" (Gruson-Peskine bound {gp})\n"
         )
     return 0
 
 
 def _cmd_region(args) -> int:
+    from . import classifier
+
     if args.format == "svg":
         sys.stdout.write(classifier.region_svg(args.dmax))
     else:
@@ -129,6 +134,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_smooth_at(args) -> int:
+    from . import geometry, groebner, invariants
+
     spec = _load_ideal(args.ideal)
     point = geometry.ProjectivePoint.parse(args.point)
     if not geometry.on_variety(spec, point):
@@ -152,6 +159,9 @@ def _cmd_smooth_at(args) -> int:
 
 
 def _cmd_tangent(args) -> int:
+    from . import geometry
+    from .parsing import ParseError, _ring_vars, format_polynomial, parse_polynomial
+
     try:
         ring = _ring_vars(args.ring.split())
     except ParseError as exc:  # a flag has no line or column
@@ -228,25 +238,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 1 with their own message.  Called only
+    once an exception arrives, so naming them loads no layer early."""
+    from .classifier import RegionBudgetExceeded
+    from .graded import RankBudgetExceeded
+    from .groebner import GroebnerBudgetExceeded, GroebnerCheckFailed
+
+    return (
+        ValueError,
+        GroebnerBudgetExceeded,
+        GroebnerCheckFailed,
+        RankBudgetExceeded,
+        RegionBudgetExceeded,
+    )
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        groebner.GroebnerBudgetExceeded,
-        groebner.GroebnerCheckFailed,
-        graded.RankBudgetExceeded,
-        classifier.RegionBudgetExceeded,
-    ) as exc:
-        print(f"halphen: error: {exc}", file=sys.stderr)
-        return 1
     except RecursionError:
         print("halphen: error: input too large: recursion limit exceeded", file=sys.stderr)
         return 1
     except MemoryError:
         print("halphen: error: input too large: out of memory", file=sys.stderr)
+        return 1
+    except _domain_errors() as exc:
+        print(f"halphen: error: {exc}", file=sys.stderr)
         return 1
 
 

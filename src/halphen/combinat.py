@@ -1,4 +1,5 @@
-"""Binomial coefficients with the C(a, b) = 0 for a < b convention.
+"""Binomial coefficients with the C(a, b) = 0 for a < b convention, and
+the plane genus C(d - 1, 2).
 
 Every Hilbert-function formula in the package goes through `binom` so
 the out-of-range convention lives in exactly one place.
@@ -15,6 +16,13 @@ def binom(a: int, b: int) -> int:
     if b < 0 or a < b:
         return 0
     return comb(a, b)
+
+
+def plane_genus(d: int) -> int:
+    """(d-1)(d-2)/2: the only genus a degree-d plane curve can have."""
+    if d < 1:
+        raise ValueError("degree must be positive")
+    return binom(d - 1, 2)
 
 
 def binomial_poly(shift: int, k: int) -> list[Fraction]:

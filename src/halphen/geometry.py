@@ -48,9 +48,7 @@ class ProjectivePoint:
         return hash(self.normalized())
 
     def __str__(self) -> str:
-        from .parsing import format_rational
-
-        return "[" + ":".join(format_rational(c) for c in self.coords) + "]"
+        return "[" + ":".join(map(str, self.coords)) + "]"
 
 
 @dataclass(frozen=True)

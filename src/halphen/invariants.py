@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .combinat import plane_genus
 from .groebner import HilbertPolynomial
 
 
@@ -39,13 +40,6 @@ def invariants_of(P: HilbertPolynomial) -> ProjectiveInvariants:
         return ProjectiveInvariants(1, a, genus=1 - b)
     # beyond curves: leading coefficient times dim! is the standard degree
     return ProjectiveInvariants(dim, _as_int(P.leading_coefficient() * factorial(dim), "degree"))
-
-
-def plane_genus(d: int) -> int:
-    """(d-1)(d-2)/2: the only genus a degree-d plane curve can have."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return (d - 1) * (d - 2) // 2
 
 
 def plane_hilbert_polynomial(d: int) -> HilbertPolynomial:

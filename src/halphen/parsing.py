@@ -236,10 +236,6 @@ def _format_monomial(mono, ring_vars) -> str:
     return "*".join(parts)
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_polynomial(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
@@ -249,11 +245,11 @@ def format_polynomial(p: Polynomial) -> str:
         mono_str = _format_monomial(mono, p.ring)
         mag = abs(coeff)
         if not mono_str:
-            body = format_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono_str
         else:
-            body = f"{format_rational(mag)}*{mono_str}"
+            body = f"{mag}*{mono_str}"
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

@@ -375,6 +375,11 @@ class TestInputTooLarge:
         assert err.startswith("halphen: error: graded piece m = 10000 has ")
         assert err.endswith("the budget is 100000\n")
 
+    def test_pair_budget_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
+        code, out, err = run(capsys, "invariants", "--ideal", fixture("twisted_cubic"))
+        assert (code, out, err) == (1, "", "halphen: error: pair budget exceeded\n")
+
     @pytest.mark.parametrize(
         "exc, text",
         [(RecursionError, "recursion limit exceeded"), (MemoryError, "out of memory")],
@@ -390,13 +395,53 @@ class TestInputTooLarge:
         assert code == 1 and out == ""
         assert err == f"halphen: error: input too large: {text}\n"
 
+    # only the listed exceptions exit 1; a bug keeps its traceback
+    def test_unlisted_runtime_error_propagates(self, capsys, monkeypatch):
+        def bug(*args):
+            raise RuntimeError("bug")
 
-def test_cli_import_does_not_load_numpy():
-    code = "import sys, halphen.cli; print('numpy' in sys.modules)"
+        monkeypatch.setattr(graded, "hilbert_function_table", bug)
+        with pytest.raises(RuntimeError, match="^bug$"):
+            main(["hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "3"])
+
+
+# Layers the (d, g) classifier must run without.  pathlib, re and enum are
+# left out: a site-packages .pth file may import them before any user code.
+NOT_CLASSIFIER = (
+    "halphen.groebner",
+    "halphen.graded",
+    "halphen.linalg",
+    "halphen.geometry",
+    "halphen.invariants",
+    "halphen.parsing",
+    "dataclasses",
+)
+
+
+@pytest.mark.parametrize(
+    "statement, absent",
+    [
+        ("import halphen", ("halphen.",)),
+        ("import halphen.cli", ()),
+        ("import halphen.cli; halphen.cli.main(['classify', '6', '4'])", NOT_CLASSIFIER),
+        ("import halphen.cli; halphen.cli.main(['region', '--dmax', '3'])", NOT_CLASSIFIER),
+        (
+            "import halphen.cli; halphen.cli.main("
+            "['tangent', '--poly', 'x^2 + y^2 - z^2', '--point', '1:0:1'])",
+            ("halphen.groebner", "halphen.graded"),
+        ),
+    ],
+    ids=["package", "cli", "classify", "region", "tangent"],
+)
+def test_import_boundaries(statement, absent):
+    """A fresh interpreter runs the statement and then lists the loaded
+    modules that start with numpy or any of the absent prefixes."""
+    prefixes = ("numpy", *absent)
+    code = f"{statement}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     path = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1] == "[]"
