@@ -7,8 +7,7 @@ the out-of-range convention lives in exactly one place.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 
 def binom(a: int, b: int) -> int:
@@ -25,20 +24,20 @@ def plane_genus(d: int) -> int:
     return binom(d - 1, 2)
 
 
-def binomial_poly(shift: int, k: int) -> list[Fraction]:
-    """Coefficients (ascending) of the polynomial m -> C(m + shift, k).
+def binomial_poly(shift: int, k: int) -> list[int]:
+    """Integer coefficients (ascending) of the polynomial m -> k! * C(m + shift, k).
 
-    Expands (m + shift)(m + shift - 1)...(m + shift - k + 1) / k!, the
-    unique degree-k polynomial matching the binomial for large m.
+    Expands (m + shift)(m + shift - 1)...(m + shift - k + 1), which is k!
+    times the unique degree-k polynomial matching the binomial for large m;
+    a caller divides by k! once, after summing.
     """
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for j in range(k):
         root = shift - j
         # multiply by (m + root)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i] += c * root
             nxt[i + 1] += c
         coeffs = nxt
-    f = factorial(k)
-    return [c / f for c in coeffs]
+    return coeffs

@@ -12,7 +12,16 @@ row of its multiples is built straight from those integers: scaling a
 row changes neither the rows' span nor the rank.  Columns are numbered
 in degrevlex-descending order, so `exact_rank` pivots on the largest
 monomial of each row; that order keeps the coefficients small on these
-matrices.  A table enumerates the monomial basis of each degree once.
+matrices.
+
+Inside a table each monomial of degree <= m_max is one int, its exponent
+vector read as digits in base m_max + 1, x_0 the most significant: the
+monomial prod x_i^e_i has the code sum e_i * (m_max + 1)^(n - 1 - i).
+Every exponent of such a monomial is at most m_max, a digit, so the
+encoding is injective, and a product u*t of degree <= m_max is the sum of
+the codes: no digit carries.  Each generator's terms are packed once, and
+each degree's basis is generated as codes in degrevlex-descending order,
+so a column of u*f is found by one int addition and one dict lookup.
 
 Rows known to lie in the span of earlier rows are never built (the F5
 criterion, in the matrix form of Bardet, Faugere and Salvy).  The
@@ -43,12 +52,12 @@ Hilbert polynomial) can differ from that of its saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import itemgetter, mul
 
 from .combinat import binom
 from .linalg import Pivots, exact_rank
 from .parsing import IdealSpec, validate_ideal
-from .poly import Monomial, enumerate_monomials, primitive
+from .poly import primitive
 
 # Largest Macaulay matrix, in rows or in columns, that a Hilbert function
 # computation will build.
@@ -78,6 +87,27 @@ def _check_budget(ideal: IdealSpec, m: int) -> None:
         )
 
 
+def _packed_bases(n: int, m_max: int) -> tuple[list[int], list[list[int]]]:
+    """The codes of the monomials of degree <= m_max in n variables: the
+    code of each variable, x_0 first, and the basis of each degree m =
+    0..m_max as codes in degrevlex-descending order.
+
+    In that order the monomials of degree m in x_0..x_j come first, and
+    among them those in x_0..x_{j-1} precede the multiples of x_j, in the
+    order of their quotients.  So degree m is x_j times each monomial of
+    degree m - 1 in x_0..x_j, for j = 0..n-1 in turn; those are the first
+    C(m - 1 + j, j) codes of degree m - 1."""
+    base = m_max + 1
+    weights = [base ** (n - 1 - i) for i in range(n)]
+    bases = [[0]]
+    for m in range(1, m_max + 1):
+        prev = bases[-1]
+        bases.append(
+            [u + w for j, w in enumerate(weights) for u in prev[: binom(m - 1 + j, j)]]
+        )
+    return weights, bases
+
+
 def ideal_piece_dimension(ideal: IdealSpec, m: int) -> int:
     """dim of the degree-m graded piece of the ideal, as an exact rank."""
     n = ideal.n_vars
@@ -98,26 +128,32 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
         raise ValueError("m_max must be non-negative")
     validate_ideal(ideal)
     _check_budget(ideal, m_max)
-    n = ideal.n_vars
-    # (degree, primitive integer terms), by degree and then input order
+    weights, bases = _packed_bases(ideal.n_vars, m_max)
+    # (degree, primitive integer terms as (code, coefficient)), by degree
+    # and then input order
     gens = sorted(
-        ((f.total_degree(), primitive(f.terms)[1].items()) for f in ideal.generators),
+        (
+            (
+                f.total_degree(),
+                [(sum(map(mul, weights, mono)), c) for mono, c in primitive(f.terms)[1].items()],
+            )
+            for f in ideal.generators
+        ),
         key=itemgetter(0),
     )
-    bases: dict[int, list[Monomial]] = {}
     # (i, k) -> the pivot columns of degree k after the blocks before
     # block i; kept only while block i of a later degree still needs it
     leading: dict[tuple[int, int], set[int]] = {}
     values = {}
     for m in range(m_max + 1):
-        basis = bases[m] = enumerate_monomials(n, m)
-        index = {mono: j for j, mono in enumerate(basis)}
+        basis = bases[m]
+        index = {code: j for j, code in enumerate(basis)}
         pivots: Pivots = {}
         for i, (d, terms) in enumerate(gens):
             if d <= m:
                 skip = leading.pop((i, m - d), ())
                 rows = [
-                    {index[tuple(map(add, u, mono))]: c for mono, c in terms}
+                    {index[u + mono]: c for mono, c in terms}
                     for j, u in enumerate(bases[m - d])
                     if j not in skip
                 ]

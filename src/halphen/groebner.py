@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 from operator import add, le, sub
 
 from .combinat import binom, binomial_poly
@@ -394,14 +394,15 @@ def _hilbert_polynomial_from_numerator(num: HilbertSeriesNumerator) -> HilbertDa
     threshold = max(0, deg_q - s + 1)
     if not any(q) or s <= 0:
         return HilbertData(HilbertPolynomial(()), threshold, num)
-    coeffs = [Fraction(0)] * s
+    # (s - 1)! * P(m) = sum of c * (s - 1)! * C(m - j + s - 1, s - 1), in ints
+    coeffs = [0] * s
     for j, c in enumerate(q):
         if not c:
             continue
-        # C(m - j + s - 1, s - 1) as a polynomial in m
         for i, b in enumerate(binomial_poly(s - 1 - j, s - 1)):
             coeffs[i] += c * b
-    return HilbertData(HilbertPolynomial(tuple(coeffs)), threshold, num)
+    f = factorial(s - 1)
+    return HilbertData(HilbertPolynomial(tuple(Fraction(c, f) for c in coeffs)), threshold, num)
 
 
 def hilbert_polynomial(

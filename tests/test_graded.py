@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -312,3 +313,87 @@ class TestPieceBudget:
         x = parse_polynomial("x", RING3)
         with pytest.raises(RankBudgetExceeded, match="16 rows and 3 columns"):
             hilbert_function_table(IdealSpec(RING3, (x,) * 16), 1)
+
+
+def exact_rank_inputs_sha256(ideal, m_max, monkeypatch):
+    """sha256 of the rows of every `exact_rank` call a table makes, in call
+    order, each row with its entries in the order they were built."""
+    calls = []
+
+    def recording_rank(rows, *args):
+        calls.append(repr(rows))
+        return exact_rank(rows, *args)
+
+    monkeypatch.setattr(graded, "exact_rank", recording_rank)
+    hilbert_function_table(ideal, m_max)
+    return hashlib.sha256("\n".join(calls).encode()).hexdigest()
+
+
+def ci_34():
+    rng = random.Random(7)
+    return IdealSpec(RING4, (dense_form(rng, RING4, 3), dense_form(rng, RING4, 4)))
+
+
+class TestPackedMonomials:
+    """The packed encoding inside `hilbert_function_table` against tuples."""
+
+    # sha256 of the rows handed to exact_rank, recorded at commit 0e6af0f,
+    # when columns were found through tuple monomials and the bases came
+    # from enumerate_monomials
+    GOLDEN = {
+        "twisted_cubic": (
+            lambda: load_ideal("twisted_cubic"),
+            6,
+            "6eefdd12af85f5113a16cf82512185bbdfcc850b2f86ed56ad788dfa5b61df6b",
+        ),
+        "ci(3,4)": (
+            ci_34,
+            10,
+            "291cd41935a33ca524c9ed05720eb2b8aa634b1d56801f0d897e8bf1a934d1db",
+        ),
+        "rnc(6)": (
+            lambda: random_rnc(random.Random(7), 6),
+            6,
+            "1cbf58b32793d064ee1251829ce740d3071d1d492cefb390394337a050364a4f",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_same_rows_as_tuple_columns(self, case, monkeypatch):
+        ideal, m_max, digest = self.GOLDEN[case]
+        assert exact_rank_inputs_sha256(ideal(), m_max, monkeypatch) == digest
+
+    def test_pure_powers_of_degree_m_max(self):
+        # x^3 has the largest exponent a code of degree <= 3 can hold
+        ideal = IdealSpec(RING4, tuple(parse_polynomial(f"{v}^3", RING4) for v in RING4))
+        table = hilbert_function_table(ideal, 3)
+        assert table.values == {m: macaulay_hilbert(ideal, m) for m in range(4)}
+        assert table.values == {0: 1, 1: 4, 2: 10, 3: 16}
+
+    def test_sixty_variables(self):
+        rng = random.Random(60)
+        ring = tuple(f"x{i}" for i in range(60))
+        x = [Polynomial.variable(i, ring) for i in range(60)]
+        linear = x[0] + x[59].scale(3) - x[31]
+        sparse = sum((x[rng.randrange(60)] * x[rng.randrange(60)] for _ in range(20)), x[1] * x[2])
+        ideal = IdealSpec(ring, (x[59] * x[59], linear, sparse, x[0] * x[58]))
+        table = hilbert_function_table(ideal, 2)
+        assert table.values == {m: macaulay_hilbert(ideal, m) for m in range(3)}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_codes_decode_to_enumerate_monomials(self, n):
+        for m_max in range(8):
+            base = m_max + 1
+            weights, bases = graded._packed_bases(n, m_max)
+            assert weights == [base ** (n - 1 - i) for i in range(n)]
+            assert len(bases) == m_max + 1
+            for m, codes in enumerate(bases):
+                decoded = []
+                for code in codes:
+                    digits = []
+                    for _ in range(n):
+                        code, e = divmod(code, base)
+                        digits.append(e)
+                    assert code == 0
+                    decoded.append(tuple(reversed(digits)))
+                assert decoded == enumerate_monomials(n, m)

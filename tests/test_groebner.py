@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,34 @@ class TestCrossModuleConsistency:
         m0 = data.stabilizes_from
         for m in range(m0, m0 + 6):
             assert data.polynomial(m) == hilbert_function(spec, m)
+
+    @staticmethod
+    def assert_polynomial_is_binomial_sum(data, n_vars):
+        """P(m) = sum_j q_j * C(m - j + s - 1, s - 1) past the threshold, where
+        s - 1 = deg P and q = numerator / (1 - t)^(n - s)."""
+        s = len(data.polynomial.coeffs)
+        q = list(data.numerator.coeffs)
+        for _ in range(n_vars - s):
+            assert sum(q) == 0  # (1 - t) divides q
+            q = list(accumulate(q))[:-1]
+        m0 = data.stabilizes_from
+        for m in range(m0, m0 + max(6, s)):
+            expect = sum(c * binom(m - j + s - 1, s - 1) for j, c in enumerate(q))
+            assert data.polynomial(m) == expect
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_polynomial_is_binomial_sum_of_numerator(self, name):
+        spec = load_ideal(name)
+        self.assert_polynomial_is_binomial_sum(hilbert_polynomial(spec), spec.n_vars)
+
+    def test_polynomial_is_binomial_sum_in_200_variables(self):
+        ring = tuple(f"x{i}" for i in range(200))
+        gens = (parse_polynomial("x0 - 2*x1 + x199", ring), parse_polynomial("3*x7 + x150", ring))
+        data = hilbert_polynomial(IdealSpec(ring, gens))
+        assert len(data.polynomial.coeffs) == 198
+        self.assert_polynomial_is_binomial_sum(data, 200)
+        # the plane P^197: P(m) = C(m + 197, 197)
+        assert all(data.polynomial(m) == binom(m + 197, 197) for m in range(-3, 4))
 
     def test_threshold_is_tight_for_plane_quintic(self):
         # H(m) < P(m) strictly below the reported threshold
