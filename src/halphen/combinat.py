@@ -25,7 +25,7 @@ def plane_genus(d: int) -> int:
 
 
 def binomial_poly(shift: int, k: int) -> list[int]:
-    """Integer coefficients (ascending) of the polynomial m -> k! * C(m + shift, k).
+    """Coefficients (ascending, ints) of the polynomial m -> k! * C(m + shift, k).
 
     Expands (m + shift)(m + shift - 1)...(m + shift - k + 1), which is k!
     times the unique degree-k polynomial matching the binomial for large m;
