@@ -1,8 +1,10 @@
 """Which (degree, genus) pairs are realized by smooth curves in P^3.
 
-Three regimes are combined: plane curves (g = (d-1)(d-2)/2 exactly),
-curves on a smooth quadric (bidegree genera, whose maximum is the
-Castelnuovo bound), and the Gruson-Peskine range 0 <= g <= d^2/6 - d/2 + 1,
+Halphen's G(d, s) = d^2/(2s) + d(s-4)/2 + 1 - r(s-r)(s-1)/(2s), with
+0 <= r < s and s | d + r, bounds the genus of a smooth degree-d curve on no
+surface of degree < s.  Three regimes are combined: plane curves (g = G(d, 1)
+exactly), curves on a smooth quadric (bidegree genera, whose maximum is the
+Castelnuovo bound G(d, 2)), and the Gruson-Peskine range 0 <= g <= G(d, 3),
 each genus of which is realized by a smooth curve (the theorem does not
 say that curve lies on no quadric, whatever the exists_off_quadric field
 is called).  A pair exists iff it falls in at least one regime.  A Verdict
@@ -13,10 +15,8 @@ one category; the bounds depend on d only and stay functions of d.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, floor, isqrt
+from math import comb, isqrt
 from typing import NamedTuple
-
-from .combinat import plane_genus
 
 CATEGORY_NONEXISTENT = "nonexistent"
 CATEGORY_GP = "gp-region"
@@ -41,26 +41,34 @@ class Verdict(NamedTuple):
     category: str
 
 
+def halphen_bound(d: int, s: int) -> int:
+    """G(d, s) in integers: the numerator is divisible by 2s, so // is exact."""
+    if d < 1 or s < 1:
+        raise ValueError("degree and s must be positive")
+    r = -d % s
+    return ((d + s * (s - 4)) * d + 2 * s - r * (s - r) * (s - 1)) // (2 * s)
+
+
+def _parabola(d, s: int) -> Fraction:
+    """G(d, s) without its correction term: a Fraction, for int or Fraction d."""
+    return Fraction((d + s * (s - 4)) * d + 2 * s, 2 * s)
+
+
 def plane_bound(d: int) -> int:
     """Max genus of any degree-d curve in P^3: the plane value."""
-    return plane_genus(d)
+    return halphen_bound(d, 1)
 
 
 def castelnuovo_bound(d: int) -> int:
     """Max genus of a nonplanar smooth degree-d curve in P^3."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if d % 2 == 0:
-        return d * d // 4 - d + 1
-    return (d * d - 1) // 4 - d + 1
+    return halphen_bound(d, 2)
 
 
 def gruson_peskine_bound(d: int) -> Fraction:
-    """d^2/6 - d/2 + 1 as an exact rational; floor it for the max genus
-    off a quadric."""
+    """d^2/6 - d/2 + 1 as an exact rational; its floor is G(d, 3)."""
     if d < 1:
         raise ValueError("degree must be positive")
-    return Fraction(d * d, 6) - Fraction(d, 2) + 1
+    return _parabola(d, 3)
 
 
 def quadric_genera(d: int) -> set[int]:
@@ -71,29 +79,20 @@ def quadric_genera(d: int) -> set[int]:
     return {(a - 1) * (d - a - 1) for a in range(1, d // 2 + 1)}
 
 
-def castelnuovo_inequality_check(d: int, g: int, m: int) -> bool:
-    """The two-sided count comparison m*d - g + 1 >= r(r+2) + (m-r)*d + 1
-    behind the Castelnuovo bound, stated for odd d = 2r + 1."""
-    if d < 3 or d % 2 == 0:
-        raise ValueError("the inequality is stated for odd d = 2r + 1 >= 3")
-    r = (d - 1) // 2
-    if m < r:
-        raise ValueError(f"need m >= r = {r}")
-    return m * d - g + 1 >= r * (r + 2) + (m - r) * d + 1
-
-
 def classify(d: int, g: int) -> Verdict:
     if d < 1:
         raise ValueError("degree must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    return _verdict(d, g, plane_genus(d), floor(gruson_peskine_bound(d)))
+    return _verdict(d, g, plane_bound(d), halphen_bound(d, 3))
 
 
 def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
     """The category is the first regime that holds, in the order
     gp-region, quadric, plane-only; nonexistent if none does.  g is an
-    integer, so g <= gp holds exactly when g <= floor(gp) = gp_floor."""
+    integer, so g <= gp iff g <= floor(gp) = G(d, 3) = gp_floor: if 3 | d
+    the parabola gp is an integer and r = 0, else gp is an integer minus
+    1/3 and the correction r(3-r)/3 is 2/3."""
     # g = (a-1)(b-1) with a + b = d iff a-1 and b-1 are the integer roots of
     # t^2 - (d-2)t + g, i.e. iff the discriminant is a perfect square
     disc = (d - 2) ** 2 - 4 * g
@@ -116,9 +115,8 @@ def region_table(d_max: int) -> list[Verdict]:
     Raises RegionBudgetExceeded before any row is built if there would be
     more than REGION_BUDGET rows.
 
-    The plane bound and the floor of the Gruson-Peskine bound depend on d
-    only, so they are computed once per degree and each row is classified
-    by _verdict, the same code classify runs."""
+    The plane bound and G(d, 3) are computed once per degree, and each row
+    is classified by _verdict, the same code classify runs."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     # sum over d of plane_genus(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
@@ -129,7 +127,7 @@ def region_table(d_max: int) -> list[Verdict]:
         )
     rows = []
     for d in range(1, d_max + 1):
-        plane, gp_floor = plane_genus(d), floor(gruson_peskine_bound(d))
+        plane, gp_floor = plane_bound(d), halphen_bound(d, 3)
         rows.extend(_verdict(d, g, plane, gp_floor) for g in range(plane + 1))
     return rows
 
@@ -179,17 +177,12 @@ def region_svg(d_max: int) -> str:
         f'<text x="14" y="{height / 2:.1f}" text-anchor="middle" '
         'font-family="monospace" font-size="14">g</text>',
     ]
-    curves = [
-        (lambda d: Fraction((d - 1) * (d - 2), 2), "#c05621"),
-        (lambda d: Fraction(d * d, 4) - d + 1, "#2f855a"),
-        (lambda d: gruson_peskine_bound(d), "#2b6cb0"),
-    ]
     steps = 8 * d_max
-    for bound, color in curves:
+    for s, color in ((1, "#c05621"), (2, "#2f855a"), (3, "#2b6cb0")):
         points = []
         for i in range(steps + 1):
             d = Fraction(1) + Fraction(i * (d_max - 1), steps)
-            g = bound(d)
+            g = _parabola(d, s)
             if 0 <= g <= g_max + 1:
                 points.append(f"{x(float(d)):.2f},{y(float(g)):.2f}")
         if len(points) > 1:

@@ -16,15 +16,17 @@ from halphen.classifier import (
     RegionBudgetExceeded,
     Verdict,
     castelnuovo_bound,
-    castelnuovo_inequality_check,
     classify,
+    _parabola,
     gruson_peskine_bound,
+    halphen_bound,
     plane_bound,
     quadric_genera,
     region_csv,
     region_svg,
     region_table,
 )
+from halphen.combinat import plane_genus
 from halphen.groebner import hilbert_polynomial
 from halphen.invariants import invariants_of
 
@@ -64,6 +66,56 @@ class TestBounds:
             assert castelnuovo_bound(d) <= plane_bound(d)
 
 
+class TestHalphenBound:
+    """G(d, s) against independent references: the plane genus C(d-1, 2),
+    the largest bidegree genus on a quadric, and the floor of the
+    Gruson-Peskine parabola."""
+
+    def test_first_three_cases(self):
+        for d in range(1, 5001):
+            assert halphen_bound(d, 1) == plane_genus(d), d
+            assert halphen_bound(d, 3) == floor(gruson_peskine_bound(d)), d
+        for d in range(2, 5001):
+            assert halphen_bound(d, 2) == max(quadric_genera(d)), d
+
+    @staticmethod
+    def _correction(d, s):
+        r = -d % s
+        return Fraction(r * (s - r) * (s - 1), 2 * s)
+
+    def test_floor_division_is_exact(self):
+        # G(d, s) plus its correction term is the parabola exactly, so the
+        # // in halphen_bound never rounds
+        for s in range(1, 31):
+            for d in range(1, 2000):
+                assert halphen_bound(d, s) + self._correction(d, s) == _parabola(d, s), (d, s)
+
+    @given(st.integers(1, 10**12), st.integers(1, 10**4))
+    def test_floor_division_is_exact_hypothesis(self, d, s):
+        assert halphen_bound(d, s) + self._correction(d, s) == _parabola(d, s)
+
+    @given(st.integers(1, 10**6), st.integers(1, 3))
+    def test_small_s_hypothesis(self, d, s):
+        reference = (plane_genus, castelnuovo_bound, lambda d: floor(gruson_peskine_bound(d)))
+        assert halphen_bound(d, s) == reference[s - 1](d)
+
+    def test_complete_intersection_genus(self):
+        # G(st, s) is the genus st(s + t - 4)/2 + 1 of a ci(s, t), t >= s
+        for s in range(1, 20):
+            for t in range(s, 40):
+                assert halphen_bound(s * t, s) == s * t * (s + t - 4) // 2 + 1, (s, t)
+
+    def test_parabola_is_a_fraction(self):
+        assert type(_parabola(7, 3)) is Fraction
+        assert _parabola(7, 3) == gruson_peskine_bound(7) == Fraction(17, 3)
+        assert _parabola(Fraction(5, 2), 2) == Fraction(1, 16)
+
+    @pytest.mark.parametrize("d,s", [(0, 1), (-3, 2), (5, 0), (5, -1)])
+    def test_invalid_inputs(self, d, s):
+        with pytest.raises(ValueError):
+            halphen_bound(d, s)
+
+
 class TestQuadricGenera:
     @pytest.mark.parametrize("d,genera", [(2, {0}), (3, {0}), (4, {0, 1})])
     def test_small_degrees(self, d, genera):
@@ -99,26 +151,6 @@ class TestQuadricGenera:
         assert classify(d, (4 - 1) * (d - 4 - 1)).exists_on_quadric
         assert not classify(d, 5).exists_on_quadric
         assert classify(d, 5).exists_off_quadric
-
-
-class TestCastelnuovoInequality:
-    def test_max_genus_with_equality(self):
-        # d = 5, r = 2, g = 2: both estimates agree at m = r
-        assert castelnuovo_inequality_check(5, 2, 2)
-
-    def test_violating_genus(self):
-        assert not castelnuovo_inequality_check(5, 3, 2)
-
-    def test_degree_three(self):
-        assert castelnuovo_inequality_check(3, 0, 1)
-
-    def test_even_degree_rejected(self):
-        with pytest.raises(ValueError):
-            castelnuovo_inequality_check(4, 1, 2)
-
-    def test_m_below_r_rejected(self):
-        with pytest.raises(ValueError):
-            castelnuovo_inequality_check(5, 2, 1)
 
 
 class TestClassify:

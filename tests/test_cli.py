@@ -10,7 +10,13 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from halphen import graded, groebner
 from halphen.cli import main
-from halphen.parsing import DEGREE_BUDGET, ParseError, parse_ideal_file, parse_polynomial
+from halphen.parsing import (
+    DEGREE_BUDGET,
+    VARIABLE_BUDGET,
+    ParseError,
+    parse_ideal_file,
+    parse_polynomial,
+)
 from halphen.poly import DEFAULT_ORDER
 
 from conftest import FIXTURES, LONG_LITERALS, SCHEMAS
@@ -367,6 +373,26 @@ class TestInputTooLarge:
         code, out, err = run(capsys, "hilbert", "--ideal", str(path), "--max-degree", "1")
         assert (code, out, err) == (0, "m,hilbert_function\n0,1\n1,1099\n", "")
 
+    def test_variable_budget_is_domain_error(self, tmp_path, capsys):
+        n = VARIABLE_BUDGET + 1
+        ring = " ".join(f"x{i}" for i in range(n))
+        path = tmp_path / "wider.ideal"
+        path.write_text(f"ring {ring}\nx0^2 + x1*x{n - 1}\n")
+        code, out, err = run(capsys, "invariants", "--ideal", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"halphen: error: line 1, col 1: a ring of {n} variables; "
+            f"the variable budget is {VARIABLE_BUDGET}\n"
+        )
+        code, out, err = run(
+            capsys, "tangent", "--poly", "x0^2 - x0*x1", "--ring", ring, "--point", "1:0:1"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"halphen: error: --ring: a ring of {n} variables; "
+            f"the variable budget is {VARIABLE_BUDGET}\n"
+        )
+
     def test_piece_budget_is_domain_error(self, capsys):
         code, out, err = run(
             capsys, "hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "10000"
@@ -414,6 +440,7 @@ NOT_CLASSIFIER = (
     "halphen.geometry",
     "halphen.invariants",
     "halphen.parsing",
+    "halphen.combinat",
     "dataclasses",
 )
 

@@ -8,6 +8,7 @@ from halphen.graded import hilbert_function_table
 from halphen.groebner import buchberger
 from halphen.parsing import (
     DEGREE_BUDGET,
+    VARIABLE_BUDGET,
     IdealSpec,
     ParseError,
     format_polynomial,
@@ -119,6 +120,25 @@ class TestParsePolynomial:
         with pytest.raises(ParseError, match="degree budget") as err:
             parse_polynomial(text, RING3)
         assert err.value.col == len(text)
+
+
+class TestVariableBudget:
+    @staticmethod
+    def _ring(n):
+        return " ".join(f"x{i}" for i in range(n))
+
+    def test_budget_admits_its_own_size(self):
+        spec = parse_ideal_file(f"ring {self._ring(VARIABLE_BUDGET)}\nx0\n")
+        assert spec.n_vars == VARIABLE_BUDGET
+
+    def test_longer_ring_refused_at_its_line(self):
+        n = VARIABLE_BUDGET + 1
+        with pytest.raises(ParseError) as err:
+            parse_ideal_file(f"# header\n\nring {self._ring(n)}\nx0\n")
+        assert (err.value.line, err.value.col) == (3, 1)
+        assert err.value.message == (
+            f"a ring of {n} variables; the variable budget is {VARIABLE_BUDGET}"
+        )
 
 
 class TestLongLiterals:
