@@ -20,17 +20,13 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 
-class DomainError(ValueError):
-    pass
-
-
 def _load_ideal(path: str):
     from .parsing import parse_ideal_file
 
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     return parse_ideal_file(text, Path(path).stem)
 
 
@@ -139,7 +135,7 @@ def _cmd_smooth_at(args) -> int:
     spec = _load_ideal(args.ideal)
     point = geometry.ProjectivePoint.parse(args.point)
     if not geometry.on_variety(spec, point):
-        raise DomainError(f"point {point} is not on the variety of {args.ideal}")
+        raise ValueError(f"point {point} is not on the variety of {args.ideal}")
     data = groebner.hilbert_polynomial(spec)
     inv = invariants.invariants_of(data.polynomial)
     codim = spec.n_vars - 1 - inv.dimension
@@ -165,7 +161,7 @@ def _cmd_tangent(args) -> int:
     try:
         ring = _ring_vars(args.ring.split())
     except ParseError as exc:  # a flag has no line or column
-        raise DomainError(f"--ring: {exc.message}") from None
+        raise ValueError(f"--ring: {exc.message}") from None
     f = parse_polynomial(args.poly, ring)
     point = geometry.ProjectivePoint.parse(args.point)
     line = geometry.tangent_line(f, point)

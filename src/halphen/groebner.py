@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
-from math import factorial, gcd
+from itertools import accumulate, combinations
+from math import gcd
 from operator import add, le, sub
 
-from .combinat import binom, binomial_poly
+from .combinat import binom
 from .parsing import IdealSpec, format_polynomial, validate_ideal
 from .poly import (
     DEFAULT_ORDER,
@@ -377,32 +377,25 @@ def series_coefficients(num: HilbertSeriesNumerator, upto: int) -> list[int]:
 
 
 def _hilbert_polynomial_from_numerator(num: HilbertSeriesNumerator) -> HilbertData:
+    """With numerator(t) = sum of a_i (1 - t)^i, P(m) is the sum over i < n of
+    a_i * C(m + n - 1 - i, n - 1 - i), and H(m) = P(m) from deg numerator - n + 1."""
     n = num.n_vars
-    q = list(num.coeffs)
-    exponent = 0
-    while any(q) and sum(q) == 0:
-        # synthetic division by (1 - t)
-        out = []
-        carry = 0
-        for c in q[:-1]:
-            carry = carry + c
-            out.append(carry)
-        q = out
-        exponent += 1
-    s = n - exponent
-    deg_q = len(q) - 1
-    threshold = max(0, deg_q - s + 1)
-    if not any(q) or s <= 0:
+    threshold = max(0, len(num.coeffs) - n)
+    q, a = list(num.coeffs), []
+    for _ in range(n):
+        a_i = sum(q)
+        a.append(a_i)
+        q = [c - a_i for c in accumulate(q[:-1])]  # (q - a_i) / (1 - t)
+    e = next((i for i, c in enumerate(a) if c), None)
+    if e is None:
         return HilbertData(HilbertPolynomial(()), threshold, num)
-    # (s - 1)! * P(m) = sum of c * (s - 1)! * C(m - j + s - 1, s - 1), in ints
-    coeffs = [0] * s
-    for j, c in enumerate(q):
-        if not c:
-            continue
-        for i, b in enumerate(binomial_poly(s - 1 - j, s - 1)):
-            coeffs[i] += c * b
-    f = factorial(s - 1)
-    return HilbertData(HilbertPolynomial(tuple(Fraction(c, f) for c in coeffs)), threshold, num)
+    # (s - 1)! * P by Horner in the basis (m + 1)...(m + k) = k! * C(m + k, k)
+    acc, f = [a[e]], 1
+    for k in range(n - e - 2, -1, -1):
+        f *= k + 1
+        acc = _poly_add([(k + 1) * c for c in acc], acc, shift=1)
+        acc[0] += f * a[n - 1 - k]
+    return HilbertData(HilbertPolynomial(tuple(Fraction(c, f) for c in acc)), threshold, num)
 
 
 def hilbert_polynomial(

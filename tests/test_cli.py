@@ -457,8 +457,13 @@ NOT_CLASSIFIER = (
             "['tangent', '--poly', 'x^2 + y^2 - z^2', '--point', '1:0:1'])",
             ("halphen.groebner", "halphen.graded"),
         ),
+        (
+            "import halphen.cli; halphen.cli.main("
+            f"['invariants', '--ideal', {str(FIXTURES / 'twisted_cubic.ideal')!r}])",
+            ("halphen.graded", "halphen.linalg", "halphen.geometry", "halphen.classifier"),
+        ),
     ],
-    ids=["package", "cli", "classify", "region", "tangent"],
+    ids=["package", "cli", "classify", "region", "tangent", "invariants"],
 )
 def test_import_boundaries(statement, absent):
     """A fresh interpreter runs the statement and then lists the loaded

@@ -382,6 +382,29 @@ class TestCrossModuleConsistency:
         # the plane P^197: P(m) = C(m + 197, 197)
         assert all(data.polynomial(m) == binom(m + 197, 197) for m in range(-3, 4))
 
+    @staticmethod
+    def hypersurface(n_vars, d):
+        ring = tuple(f"x{i}" for i in range(n_vars))
+        return hilbert_polynomial(IdealSpec(ring, (parse_polynomial(f"x0^{d}", ring),)))
+
+    @pytest.mark.parametrize("n_vars, d", [(3, 40), (20, 30), (60, 60), (200, 30)])
+    def test_hypersurface_matches_series_from_threshold(self, n_vars, d):
+        # numerator (1 - t^d) = (1 - t)(1 + t + ... + t^(d-1)): d nonzero
+        # coefficients left after the one factor (1 - t)
+        data = self.hypersurface(n_vars, d)
+        m0 = data.stabilizes_from
+        assert m0 == max(0, d - n_vars + 1)
+        H = series_coefficients(data.numerator, m0 + 5)
+        assert all(data.polynomial(m) == H[m] for m in range(m0, m0 + 6))
+        if m0 > 0:
+            assert data.polynomial(m0 - 1) != H[m0 - 1]
+        self.assert_polynomial_is_binomial_sum(data, n_vars)
+
+    def test_hypersurface_of_degree_100_in_1500_variables(self):
+        data = self.hypersurface(1500, 100)
+        for m in range(4):
+            assert data.polynomial(m) == binom(m + 1499, 1499) - binom(m + 1399, 1499)
+
     def test_threshold_is_tight_for_plane_quintic(self):
         # H(m) < P(m) strictly below the reported threshold
         spec = load_ideal("plane_d5")
