@@ -43,10 +43,17 @@ def _invariants_payload(spec) -> dict:
 
     data = groebner.hilbert_polynomial(spec)
     inv = invariants.invariants_of(data.polynomial)
+    try:
+        text = str(data.polynomial)
+    except ValueError:  # an int over the interpreter's int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"a Hilbert polynomial coefficient is too long to print: over {limit} digits"
+        ) from None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "ideal": spec.label,
-        "hilbert_polynomial": str(data.polynomial),
+        "hilbert_polynomial": text,
         "stabilization_from": data.stabilizes_from,
         "dimension": inv.dimension,
         "degree": inv.degree,

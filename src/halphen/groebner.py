@@ -12,6 +12,18 @@ reduces the S-polynomial of every pair of the reduced basis, with no
 criterion skips, and raises `GroebnerCheckFailed`, so it also runs under
 `python -O`.
 
+Inside all of this a monomial is one packed int (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): fixed-width exponent fields and a degree field, each
+with a guard bit, laid out per order so that an int key gives the order.
+Products, quotients and divisibility tests are int arithmetic.  Monomials
+are packed where a polynomial enters the kernel (`_integer_terms`) and
+unpacked where a `Polynomial` leaves it; the public functions take and
+return exponent tuples.  `_Packing` chooses the field width from the
+input degrees; a monomial that would set a guard bit raises `_Overflow`,
+and `_widening` starts the computation again on wider fields, so the
+width never changes an answer.
+
 The Hilbert series of R/I is read off the initial monomial ideal through
 the standard pivot recursion with inclusion-exclusion, and the Hilbert
 polynomial is extracted from the series together with an exact
@@ -22,10 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
 from math import gcd
-from operator import add, le, sub
+from operator import mul
 
 from .combinat import binom
 from .parsing import IdealSpec, format_polynomial, validate_ideal
@@ -35,12 +48,10 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     RingMismatch,
-    descending_key,
     monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
     primitive,
 )
 
@@ -118,30 +129,128 @@ class HilbertData:
     numerator: HilbertSeriesNumerator
 
 
+# -- packed monomials -----------------------------------------------------
+#
+# Inside the kernel a monomial is one int: n exponent fields and a degree
+# field, each `width` bits wide, whose top bit is a guard bit that every
+# monomial of the kernel keeps clear.  A product is `+`, a quotient `-`,
+# and b divides m exactly when `(m - b) & guard` is 0: a field of m below
+# the same field of b borrows, and the lowest such field sets its guard.
+# The fields are laid out per order so that an int key gives the order:
+#
+#   degrevlex  degree on top, then x_{n-1} down to x_0;
+#   deglex     degree on top, then x_0 down to x_{n-1};
+#   lex        x_0 on top down to x_{n-1}, then the degree.
+#
+# Under deglex and lex a bigger int is a bigger monomial.  Under degrevlex
+# a bigger degree is bigger, and within a degree a smaller int is bigger.
+# So `p ^ flip` (all bits flipped under deglex and lex, the degree field
+# under degrevlex) is smaller for a bigger monomial, the key of the term
+# heaps, and `p ^ ascend` is bigger for a bigger one, the key of the pair
+# heap and of the minimality sort.  Each map is its own inverse.
+
+
+class _Overflow(Exception):
+    """A monomial of the kernel would set a guard bit: its fields are too narrow."""
+
+
+class _Packing:
+    """The layout of packed monomials for a ring size, an order and a bound
+    on the degrees they start from."""
+
+    __slots__ = ("order", "limit", "bits", "guard", "exponents", "flip", "ascend",
+                 "units", "shifts", "field", "deg_shift")
+
+    def __init__(self, n_vars: int, order: MonomialOrder, degree: int):
+        # the only place the width is chosen: room for the lcm of two
+        # monomials of the given degree, twice over
+        self.bits = bits = (4 * degree + 1).bit_length()
+        self.limit = 1 << bits
+        width = bits + 1
+        if order is MonomialOrder.degrevlex:
+            slots, deg_slot = list(range(n_vars)), n_vars
+        elif order is MonomialOrder.deglex:
+            slots, deg_slot = list(range(n_vars - 1, -1, -1)), n_vars
+        else:
+            slots, deg_slot = list(range(n_vars, 0, -1)), 0
+        self.order = order
+        self.shifts = [width * f for f in slots]
+        self.deg_shift = width * deg_slot
+        self.units = [(1 << s) | (1 << self.deg_shift) for s in self.shifts]
+        self.field = (1 << width) - 1
+        self.exponents = sum(self.field << s for s in self.shifts)
+        self.guard = sum(1 << (s + bits) for s in [*self.shifts, self.deg_shift])
+        every = (1 << width * (n_vars + 1)) - 1
+        self.flip = self.field << self.deg_shift if order is MonomialOrder.degrevlex else every
+        self.ascend = self.flip ^ every
+
+    def pack(self, m: Monomial) -> int:
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, p: int) -> Monomial:
+        field = self.field
+        return tuple([p >> s & field for s in self.shifts])
+
+    def field_max(self, a: int, b: int) -> int:
+        """The int whose every field, the degree's too, is the larger one."""
+        # per field, t = a - b + 2^bits: its guard is set where a >= b, and
+        # the mask made from those guards keeps a - b there and drops the rest
+        t = (a | self.guard) - b
+        g = t & self.guard
+        return b + (t & (g - (g >> self.bits)))
+
+    def lcm(self, a: int, b: int) -> int:
+        m = self.field_max(a, b) & self.exponents
+        # the exponents sum to at most deg a + deg b < 2^width - 1, the
+        # modulus, so `%` reads the degree
+        m += m % self.field << self.deg_shift
+        if m & self.guard:
+            raise _Overflow
+        return m
+
+
+def _widening(run, n_vars: int, order: MonomialOrder, degree: int):
+    """run(packing) on fields for monomials of the given degree; while a
+    monomial overflows them, run again from the start on wider fields."""
+    while True:
+        packing = _Packing(n_vars, order, degree)
+        try:
+            return run(packing)
+        except _Overflow:
+            degree = packing.limit
+
+
 # -- polynomial reduction -------------------------------------------------
 #
-# Inside the algorithm a polynomial is a dict monomial -> int.  Basis
-# elements and remainders keep their keys biggest first, so `poly.primitive`
-# makes an element coprime with a positive leading coefficient.  Fractions
-# appear only where a polynomial enters the kernel or a result leaves it.
+# Inside the algorithm a polynomial is a dict packed monomial -> int.
+# Basis elements and remainders keep their keys biggest first, so
+# `poly.primitive` makes an element coprime with a positive leading
+# coefficient.  Fractions and exponent tuples appear only where a
+# polynomial enters the kernel or a result leaves it.
 
 
 class _Element:
-    """A basis element with its leading data split off once, on entry."""
+    """A basis element with its leading data split off once, on entry, and
+    `top`, the field-by-field maximum of its tail monomials: when u * top
+    sets no guard bit, no u * t does, for t in the tail."""
 
-    __slots__ = ("lm", "lc", "tail")
+    __slots__ = ("lm", "lc", "tail", "top")
 
-    def __init__(self, terms: dict[Monomial, int]):
+    def __init__(self, terms: dict[int, int], packing: _Packing):
         (self.lm, self.lc), *self.tail = terms.items()
+        self.top = reduce(packing.field_max, [t for t, _ in self.tail], 0)
 
 
-def _integer_terms(p: Polynomial, order: MonomialOrder):
-    """(s, terms): p = s * terms with the terms primitive, biggest first."""
-    return primitive({m: p.terms[m] for m in order.sorted(p.terms)})
+def _integer_terms(p: Polynomial, packing: _Packing):
+    """(s, terms): p = s * terms with the monomials packed and the terms
+    primitive, biggest first."""
+    flip, pack = packing.flip, packing.pack
+    keyed = sorted((pack(m) ^ flip, c) for m, c in p.terms.items())
+    return primitive({k ^ flip: c for k, c in keyed})
 
 
-def _reduce(work: dict, divisors: list[_Element], order: MonomialOrder):
-    """Fully reduce `work` (monomial -> int, consumed) by the divisors.
+def _reduce(work: dict, divisors: list[_Element], packing: _Packing):
+    """Fully reduce `work` (packed monomial -> int, consumed) by the divisors.
 
     Terms are taken biggest first from a heap; each is cancelled by the
     first divisor whose leading monomial divides it, after scaling the
@@ -150,20 +259,20 @@ def _reduce(work: dict, divisors: list[_Element], order: MonomialOrder):
     product s of those scalings, so that s * work - remainder lies in the
     ideal of the divisors.
     """
-    heap_key = descending_key(order)
-    heap = [(heap_key(m), m) for m in work]
+    flip, guard = packing.flip, packing.guard
+    heap = [m ^ flip for m in work]
     heapify(heap)
     remainder = []
     scale = 1
     while heap:
-        m = heappop(heap)[1]
+        m = heappop(heap) ^ flip
         c = work[m]
         # a cancelled term stays as 0 until popped, so no monomial is pushed twice
         if not c:
             del work[m]
             continue
         for g in divisors:
-            if all(map(le, g.lm, m)):
+            if not (m - g.lm) & guard:
                 break
         else:
             remainder.append(m)
@@ -178,33 +287,40 @@ def _reduce(work: dict, divisors: list[_Element], order: MonomialOrder):
             scale *= a
             for n in work:
                 work[n] *= a
-        u = tuple(map(sub, m, g.lm))
+        u = m - g.lm
+        if (u + g.top) & guard:
+            raise _Overflow
         for t, tc in g.tail:
-            n = tuple(map(add, u, t))
+            n = u + t
             v = work.get(n)
             if v is None:
                 work[n] = -c * tc
-                heappush(heap, (heap_key(n), n))
+                heappush(heap, n ^ flip)
             else:
                 work[n] = v - c * tc
     return {m: work[m] for m in remainder}, scale
 
 
-def _s_terms(f: _Element, g: _Element) -> dict:
+def _s_terms(f: _Element, g: _Element, lcm_fg: int, packing: _Packing) -> dict:
     """A nonzero integer multiple of the S-polynomial of f and g."""
-    lcm_fg = monomial_lcm(f.lm, g.lm)
-    uf, ug = monomial_div(lcm_fg, f.lm), monomial_div(lcm_fg, g.lm)
+    uf, ug = lcm_fg - f.lm, lcm_fg - g.lm
+    if ((uf + f.top) | (ug + g.top)) & packing.guard:
+        raise _Overflow
     d = gcd(f.lc, g.lc)
     a, b = g.lc // d, f.lc // d
-    work = {monomial_mul(uf, t): a * c for t, c in f.tail}
+    work = {uf + t: a * c for t, c in f.tail}
     for t, c in g.tail:
-        n = monomial_mul(ug, t)
+        n = ug + t
         work[n] = work.get(n, 0) - b * c
     return work
 
 
 def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
     return max(p.terms, key=order.key)
+
+
+def _max_degree(polys) -> int:
+    return max(g.total_degree() for g in polys)
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -215,11 +331,17 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
             raise RingMismatch(f"ring mismatch: {f.ring} vs {g.ring}")
     if f.is_zero:
         return Polynomial.zero(f.ring)
-    s, terms = _integer_terms(f, order)
-    divisors = [_Element(_integer_terms(g, order)[1]) for g in basis if not g.is_zero]
-    remainder, scale = _reduce(terms, divisors, order)
-    s /= scale
-    return Polynomial({m: s * c for m, c in remainder.items()}, f.ring)
+    basis = [g for g in basis if not g.is_zero]
+
+    def run(packing: _Packing) -> Polynomial:
+        s, terms = _integer_terms(f, packing)
+        divisors = [_Element(_integer_terms(g, packing)[1], packing) for g in basis]
+        remainder, scale = _reduce(terms, divisors, packing)
+        s /= scale
+        unpack = packing.unpack
+        return Polynomial({unpack(m): s * c for m, c in remainder.items()}, f.ring)
+
+    return _widening(run, len(f.ring), order, _max_degree([f, *basis]))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -235,14 +357,24 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
     validate_ideal(ideal)
     if not ideal.generators:
         raise ValueError("empty generator list")
-    basis = [_Element(_integer_terms(g, order)[1]) for g in ideal.generators]
-    # normal selection: a heap of (order key of the lcm, i, j, lcm)
+    gb = _widening(
+        lambda packing: _buchberger(ideal, packing),
+        ideal.n_vars, order, _max_degree(ideal.generators),
+    )
+    _assert_groebner(gb)
+    return gb
+
+
+def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
+    guard, ascend = packing.guard, packing.ascend
+    basis = [_Element(_integer_terms(g, packing)[1], packing) for g in ideal.generators]
+    # normal selection: a heap of (order key of the lcm, i, j)
     pairs: list = []
 
     def add_pairs(new: int) -> None:
+        lm = basis[new].lm
         for k in range(new):
-            lcm_kn = monomial_lcm(basis[k].lm, basis[new].lm)
-            heappush(pairs, (order.key(lcm_kn), k, new, lcm_kn))
+            heappush(pairs, (packing.lcm(basis[k].lm, lm) ^ ascend, k, new))
 
     for new in range(1, len(basis)):
         add_pairs(new)
@@ -252,56 +384,61 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
         steps += 1
         if steps > PAIR_BUDGET:
             raise GroebnerBudgetExceeded("pair budget exceeded")
-        _, i, j, lcm_ij = heappop(pairs)
+        key, i, j = heappop(pairs)
+        lcm_ij = key ^ ascend
         done.add((i, j))
+        f, g = basis[i], basis[j]
         # first Buchberger criterion: coprime leading monomials
-        if lcm_ij == monomial_mul(basis[i].lm, basis[j].lm):
+        if lcm_ij == f.lm + g.lm:
             continue
         # chain criterion
         if any(
-            k != i
+            not (lcm_ij - h.lm) & guard
+            and k != i
             and k != j
-            and monomial_divides(basis[k].lm, lcm_ij)
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
-            for k in range(len(basis))
+            for k, h in enumerate(basis)
         ):
             continue
-        remainder, _ = _reduce(_s_terms(basis[i], basis[j]), basis, order)
+        remainder, _ = _reduce(_s_terms(f, g, lcm_ij, packing), basis, packing)
         if remainder:
-            basis.append(_Element(primitive(remainder)[1]))
+            basis.append(_Element(primitive(remainder)[1], packing))
             add_pairs(len(basis) - 1)
-    gb = _reduce_basis(basis, order, ideal.ring_vars)
-    _assert_groebner(gb)
-    return gb
+    return _reduce_basis(basis, packing, ideal.ring_vars)
 
 
 def _reduce_basis(
-    basis: list[_Element], order: MonomialOrder, ring: tuple[str, ...]
+    basis: list[_Element], packing: _Packing, ring: tuple[str, ...]
 ) -> GroebnerBasis:
+    guard, ascend, unpack = packing.guard, packing.ascend, packing.unpack
     # minimal: keep one element per leading monomial kept by divisibility
     minimal: list[_Element] = []
-    for g in sorted(basis, key=lambda g: order.key(g.lm)):
-        if not any(monomial_divides(h.lm, g.lm) for h in minimal):
+    for g in sorted(basis, key=lambda g: g.lm ^ ascend):
+        if all((g.lm - h.lm) & guard for h in minimal):
             minimal.append(g)
     # interreduce: each element reduced against the others, then made monic;
     # by minimality no other leading monomial divides its own
     reduced = []
     for i, g in enumerate(minimal):
         work = dict([(g.lm, g.lc), *g.tail])
-        r, _ = _reduce(work, minimal[:i] + minimal[i + 1 :], order)
+        r, _ = _reduce(work, minimal[:i] + minimal[i + 1 :], packing)
         lc = r[g.lm]
-        reduced.append(Polynomial({m: Fraction(c, lc) for m, c in r.items()}, ring))
-    return GroebnerBasis(order, tuple(reduced))
+        reduced.append(Polynomial({unpack(m): Fraction(c, lc) for m, c in r.items()}, ring))
+    return GroebnerBasis(packing.order, tuple(reduced))
 
 
 def _assert_groebner(gb: GroebnerBasis) -> None:
     """Every S-polynomial of the basis must reduce to zero: all pairs, no
     criterion skips.  Raises, so the check also runs under `python -O`."""
-    basis = [_Element(_integer_terms(g, gb.order)[1]) for g in gb.elements]
-    for f, g in combinations(basis, 2):
-        if _reduce(_s_terms(f, g), basis, gb.order)[0]:
-            raise GroebnerCheckFailed("S-polynomial did not reduce to zero")
+
+    def run(packing: _Packing) -> None:
+        basis = [_Element(_integer_terms(g, packing)[1], packing) for g in gb.elements]
+        for f, g in combinations(basis, 2):
+            if _reduce(_s_terms(f, g, packing.lcm(f.lm, g.lm), packing), basis, packing)[0]:
+                raise GroebnerCheckFailed("S-polynomial did not reduce to zero")
+
+    _widening(run, len(gb.elements[0].ring), gb.order, _max_degree(gb.elements))
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:

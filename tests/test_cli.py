@@ -89,6 +89,23 @@ class TestInvariantsCommand:
             f"the limit is {sys.get_int_max_str_digits()} digits\n"
         )
 
+    def test_coefficient_too_long_to_print(self, tmp_path, capsys):
+        # P(m) of x0^2 in 330 variables has 685-digit denominators, over the
+        # smallest int-string limit the interpreter accepts
+        path = tmp_path / "wide.ideal"
+        path.write_text("ring " + " ".join(f"x{i}" for i in range(330)) + "\nx0^2\n")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "invariants", "--ideal", str(path))
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, out) == (1, "")
+        assert err == (
+            "halphen: error: a Hilbert polynomial coefficient is too long to print: "
+            "over 640 digits\n"
+        )
+
     def test_malformed_ideal(self, tmp_path, capsys):
         bad = tmp_path / "bad.ideal"
         bad.write_text("ring x y z\nx^2 + y\n")

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from halphen import groebner
 from halphen.combinat import binom
 from halphen.graded import hilbert_function
 from halphen.groebner import (
@@ -36,9 +38,20 @@ from halphen.poly import (
     enumerate_monomials,
     monomial_div,
     monomial_divides,
+    monomial_lcm,
+    monomial_mul,
 )
 
-from conftest import FIXTURES, RING3, RING4, dense_form, load_ideal, polynomials, random_rnc
+from conftest import (
+    FIXTURES,
+    RING3,
+    RING4,
+    dense_form,
+    exponents,
+    load_ideal,
+    polynomials,
+    random_rnc,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -114,6 +127,114 @@ class TestBuchberger:
             assert g.terms[leading_monomial(g, gb.order)] == 1
 
 
+def basis_sha256(gb):
+    """sha256 of a reduced basis: its elements in order, each with its terms
+    in dict order and its coefficients as text."""
+    text = repr([[(m, str(c)) for m, c in g.terms.items()] for g in gb.elements])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def series_instance(name):
+    """The seeded instance of a `series` benchmark family used by the goldens:
+    "ci(a,b,...)" is dense forms of those degrees in P^3 drawn with seed 7,
+    "rnc(n)" the rational normal curve in P^n as in `random_rnc(Random(n), n)`."""
+    kind, arg = name.rstrip(")").split("(")
+    if kind == "rnc":
+        return random_rnc(random.Random(int(arg)), int(arg))
+    rng = random.Random(7)
+    return IdealSpec(RING4, tuple(dense_form(rng, RING4, int(d)) for d in arg.split(",")))
+
+
+class TestBasisGoldens:
+    """Reduced bases pinned byte for byte, term order included, on every
+    fixture and on seeded instances of the `series` families.  Every case
+    runs under degrevlex; the dense complete intersections whose deglex or
+    lex bases take seconds to minutes are left out under those orders."""
+
+    # sha256 by `basis_sha256`, recorded at commit 52e9955, before the
+    # kernel packed its monomials
+    GOLDEN = {
+        ("twisted_cubic", "degrevlex"): "14bc302fcd380e52517a546e7c6b3163117a4491472b91519677ab24952d0cfd",
+        ("twisted_cubic", "deglex"): "1c42ec2439bcafd8e49433eb656eca79bf2926e01403c14ca25996aa9393580d",
+        ("twisted_cubic", "lex"): "1c42ec2439bcafd8e49433eb656eca79bf2926e01403c14ca25996aa9393580d",
+        ("curve_E", "degrevlex"): "917d549d10ffb8d044ac9e4463c13204c4c1ef1cd34db3d25a39b9c9cc3a1036",
+        ("curve_E", "deglex"): "7fcde9256c78dd0dff72014745367bcbf118a6d25a8c4e3cac0c25c1530c5df4",
+        ("curve_E", "lex"): "7fcde9256c78dd0dff72014745367bcbf118a6d25a8c4e3cac0c25c1530c5df4",
+        ("c0", "degrevlex"): "f66c86ddf6b83468c9282015cd3ad5c1f0e08c0cc18706c7a9a4e4c5cde650ce",
+        ("c0", "deglex"): "1da4ea0d5c73a4497d14df73557235e74101463de957d03f8906b0f9ddafe3ee",
+        ("c0", "lex"): "1da4ea0d5c73a4497d14df73557235e74101463de957d03f8906b0f9ddafe3ee",
+        ("ct_1", "degrevlex"): "eb2dc7bfe60eb50c09762895c8b77d3229b6b0f6a673147e2cd093cf4f0371ce",
+        ("ct_1", "deglex"): "e1a9c4c726db65347219c39e013cd4df546f7bf434bbce24156821ae8dc9f21b",
+        ("ct_1", "lex"): "23e1e4e7cd1f684e53d1cf30a08531982a452c391934e849ee52b524883852d6",
+        ("ct_half", "degrevlex"): "2acd49f3ce0c6af38c953c7085567b82d3181f6af712d41bde769541a2dcd13b",
+        ("ct_half", "deglex"): "cc744e1b1d556b84514a69586a5c1f509ac5bca185841d44667c770a8504a0e7",
+        ("ct_half", "lex"): "b04e5f745ba65472c97a29392bd517638dc8c1485650da90f3c29b97929f4b4b",
+        ("ct_neg2", "degrevlex"): "eb104ff0292e307d3fd2f3838ef40275d9edcd3ab2e11736a9ecf6149e90f8e4",
+        ("ct_neg2", "deglex"): "17cff66edd79b4790f1fc471510cc204dfe361fef176547ab19d2cd4a13dbad5",
+        ("ct_neg2", "lex"): "6fe881b4e7323bc4c2699f8408bf65e2ddab587e3e4eb6995c6c998504ab13ce",
+        ("two_quadrics", "degrevlex"): "a1156fc3f0a950edec0b05d57d47a1279fe2a594bba2f81526bd2c8159711bc8",
+        ("two_quadrics", "deglex"): "df9e74021992f2a1a26e189b8c1e3a7009ca3f362ff7bf89454d3e719f8378ab",
+        ("two_quadrics", "lex"): "90e27139f85b9277d19c67fcfe3dc316dc6404e1d4218b3853d50ea8842e0856",
+        ("line_L", "degrevlex"): "e74ad5b4b7955adb6c9f1870b8c2920c2b94b3d348fedd773f75b8d58bd5c64e",
+        ("line_L", "deglex"): "e74ad5b4b7955adb6c9f1870b8c2920c2b94b3d348fedd773f75b8d58bd5c64e",
+        ("line_L", "lex"): "e74ad5b4b7955adb6c9f1870b8c2920c2b94b3d348fedd773f75b8d58bd5c64e",
+        ("plane_d1", "degrevlex"): "cfeac5e659120767db45e970ded22d6c002e604cb4deb7a7445b3eedaea560f6",
+        ("plane_d1", "deglex"): "cfeac5e659120767db45e970ded22d6c002e604cb4deb7a7445b3eedaea560f6",
+        ("plane_d1", "lex"): "cfeac5e659120767db45e970ded22d6c002e604cb4deb7a7445b3eedaea560f6",
+        ("plane_d2", "degrevlex"): "47357b0cedcb9f5534e4b678213264cecbc268bb8b1c08d14124f539ca765add",
+        ("plane_d2", "deglex"): "47357b0cedcb9f5534e4b678213264cecbc268bb8b1c08d14124f539ca765add",
+        ("plane_d2", "lex"): "47357b0cedcb9f5534e4b678213264cecbc268bb8b1c08d14124f539ca765add",
+        ("plane_d3", "degrevlex"): "15637e3bd8bbd348e381a02abe6c8cb4b34f5ff79267357dc142e71cc68056bd",
+        ("plane_d3", "deglex"): "15637e3bd8bbd348e381a02abe6c8cb4b34f5ff79267357dc142e71cc68056bd",
+        ("plane_d3", "lex"): "15637e3bd8bbd348e381a02abe6c8cb4b34f5ff79267357dc142e71cc68056bd",
+        ("plane_d4", "degrevlex"): "6394bd833bb622814b7c5386b26d19ccd369bd27f5ec1b7093aed18740597c6b",
+        ("plane_d4", "deglex"): "6394bd833bb622814b7c5386b26d19ccd369bd27f5ec1b7093aed18740597c6b",
+        ("plane_d4", "lex"): "6394bd833bb622814b7c5386b26d19ccd369bd27f5ec1b7093aed18740597c6b",
+        ("plane_d5", "degrevlex"): "da0e3eba77b7e6abf8eb5b62ea634c2abefdee1cf0d9771c8408335c675ca02b",
+        ("plane_d5", "deglex"): "da0e3eba77b7e6abf8eb5b62ea634c2abefdee1cf0d9771c8408335c675ca02b",
+        ("plane_d5", "lex"): "da0e3eba77b7e6abf8eb5b62ea634c2abefdee1cf0d9771c8408335c675ca02b",
+        ("zero4", "degrevlex"): "b6aa01d70df6d9fbc72a97a99d05915ff26f8cce100e19f686c0fe366422ffdd",
+        ("zero4", "deglex"): "b6aa01d70df6d9fbc72a97a99d05915ff26f8cce100e19f686c0fe366422ffdd",
+        ("zero4", "lex"): "b6aa01d70df6d9fbc72a97a99d05915ff26f8cce100e19f686c0fe366422ffdd",
+        ("ci(2,3)", "degrevlex"): "e2f3aedf7ee9d41801f7913628e5eb0981a8456fd69a7b24db4beb0e7afcecef",
+        ("ci(3,3)", "degrevlex"): "967aa3ef767ae5b2af56ac11c1b6f80e63b68dcdeb231d0188f0433de27ad9f6",
+        ("ci(3,4)", "degrevlex"): "72831aa70eff93b5a29378f3b07d0202f71569b159af993fd39d8854806ce723",
+        ("ci(4,4)", "degrevlex"): "1c36cd6797d4babce4f889b086d0c95d9ea65b91f77cdd39f60783a652276537",
+        ("ci(4,5)", "degrevlex"): "99f62206efbdd11432565ec91f74e48895c2e7ec7a383dfd621cb73871e014f5",
+        ("ci(2,2,2)", "degrevlex"): "f429b0ae9aaf5ac7761ede1a3e9ab295ab474216f2dfad79ef6e8aa15395ab12",
+        ("ci(2,2,3)", "degrevlex"): "d212281584ffdc65be7918768d531eb892f8d1275209c477b02715e67d5318c4",
+        ("ci(3,3,3)", "degrevlex"): "43365218a5e5a53e3af36c2d3e306f52d66dd6d1923f42ca6ddac9021cae9530",
+        ("ci(2,3)", "deglex"): "5e3402c41793708cbe693361499d18b8e41c19cd6f26adc0b5fa86c5deeffe46",
+        ("ci(2,3)", "lex"): "9a5a3aad9e289513d432c63e7e37be611fa8d47fc7a0bf4b2b6e6bf12805f719",
+        ("ci(2,2,2)", "deglex"): "eeb00ae9b0af55358bf18131dbb3d52d76f48e11d14c970c84c73754570a8ba3",
+        ("ci(2,2,2)", "lex"): "9d099793dd5cf875748ef95bb069f39f76ab91cc6948329267456dce8901511c",
+        ("ci(2,2,3)", "deglex"): "22fbf354dbd02a70751b3df119bd3ae41b179eedc674c2e116ba91048cab1674",
+        ("ci(2,2,3)", "lex"): "b9f00339a94882f0c69fc1a7f2e16c14640bca5f60a80bc14649830049a83f6c",
+        ("ci(3,3)", "deglex"): "754ad7c542495161687f2ba4572606ec0a733449a1389e5479f104be34bf8410",
+        ("rnc(4)", "degrevlex"): "0e2ed720583029eec3e28d49a7a8092cf0b5f50682bf0891f6bb7990609c06db",
+        ("rnc(4)", "deglex"): "660ff76155b653104d70ada8441047af153731409b02503ed337027bc04264cf",
+        ("rnc(4)", "lex"): "660ff76155b653104d70ada8441047af153731409b02503ed337027bc04264cf",
+        ("rnc(5)", "degrevlex"): "02b3b3fa193eede5af538b100df6a257bafe3ca65c609a712b9fe8c220deed30",
+        ("rnc(5)", "deglex"): "ead72c238d0509652cf9d241ecb3bd40097680abb42cfc6ee6d0462b602de1e1",
+        ("rnc(5)", "lex"): "ead72c238d0509652cf9d241ecb3bd40097680abb42cfc6ee6d0462b602de1e1",
+        ("rnc(6)", "degrevlex"): "d97d8dd83f06cc7cae0662cb240469169c954cc0271ef0638298b57ca6e9293c",
+        ("rnc(6)", "deglex"): "f6efea08ace18ba49225205d279b0eeaf9d027f33a6aff5a536017dc2514779a",
+        ("rnc(6)", "lex"): "f6efea08ace18ba49225205d279b0eeaf9d027f33a6aff5a536017dc2514779a",
+        ("rnc(7)", "degrevlex"): "8859cc78f3144159e99bc61fe8e9da1060ab1a72b7f85ba48b81376f64236bd1",
+        ("rnc(7)", "deglex"): "0e06af718d9ffb5a2dc3cdaf86456fb3a8eda89428ba507947bab1debdd122a3",
+        ("rnc(7)", "lex"): "0e06af718d9ffb5a2dc3cdaf86456fb3a8eda89428ba507947bab1debdd122a3",
+        ("rnc(8)", "degrevlex"): "40ae72556313ce98bd6ef46f6cd3dac38e50f778f16f094ad5354e3d6af9cd78",
+        ("rnc(8)", "deglex"): "efdf6a0ce056d789ac7f6f07610e1140af4d8913ef2f42c1a8d687bfe6e97bfe",
+        ("rnc(8)", "lex"): "efdf6a0ce056d789ac7f6f07610e1140af4d8913ef2f42c1a8d687bfe6e97bfe",
+    }
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_reduced_basis_is_unchanged(self, case):
+        name, order = case
+        spec = load_ideal(name) if name in FIXTURE_NAMES else series_instance(name)
+        assert basis_sha256(buchberger(spec, MonomialOrder[order])) == self.GOLDEN[case]
+
+
 def _reference_normal_form(f, basis, order):
     """Textbook division in Fractions: the biggest term of the working
     polynomial is divided by the first element whose leading term divides it."""
@@ -155,6 +276,102 @@ class TestNormalForm:
         # x^2 = (x/2 + 5z/4)(2x - 5z) + 25/4 z^2
         expect = parse_polynomial("1/3*y^2 + 25/4*z^2", RING3)
         assert normal_form(f, [g], DEFAULT_ORDER) == expect
+
+
+class TestPacking:
+    """Packed monomials against exponent tuples under every order."""
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @given(a=exponents(4), b=exponents(4))
+    def test_matches_tuples(self, order, a, b):
+        packing = groebner._Packing(4, order, 12)
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(pa) == a
+        assert packing.unpack(pa + pb) == monomial_mul(a, b)
+        assert packing.unpack(packing.lcm(pa, pb)) == monomial_lcm(a, b)
+        assert (not (pb - pa) & packing.guard) == monomial_divides(a, b)
+        # a bigger monomial has the bigger `ascend` key and the smaller `flip` key
+        assert (pa ^ packing.ascend < pb ^ packing.ascend) == (order.key(a) < order.key(b))
+        assert (pa ^ packing.flip > pb ^ packing.flip) == (order.key(a) < order.key(b))
+        top = packing.field_max(pa, pb)
+        assert packing.unpack(top) == tuple(map(max, a, b))
+        assert packing.unpack(top - pa) == tuple(y - x if y > x else 0 for x, y in zip(a, b))
+
+
+WIDENED_UNDER_O = """
+import sys
+from halphen.groebner import normal_form
+from halphen.parsing import parse_polynomial
+from halphen.poly import MonomialOrder
+
+ring = ("x", "y", "z")
+f = parse_polynomial("x^40", ring)
+r = normal_form(f, [parse_polynomial("x - y^40", ring)], MonomialOrder.lex)
+print(r.terms == {(0, 1600, 0): 1})
+print("optimize", sys.flags.optimize)
+"""
+
+
+class TestFieldWidening:
+    """Monomials that outgrow the fields the kernel started with: it starts
+    again on wider fields, and the answer stays exact."""
+
+    @staticmethod
+    def packing_limits(monkeypatch):
+        """The `limit` of every packing made from now on, in order."""
+        limits = []
+        original = groebner._Packing
+
+        def recording(*args):
+            packing = original(*args)
+            limits.append(packing.limit)
+            return packing
+
+        monkeypatch.setattr(groebner, "_Packing", recording)
+        return limits
+
+    def test_lex_normal_form_outgrows_the_width(self, monkeypatch):
+        f = parse_polynomial("x^40", RING3)
+        basis = [parse_polynomial("x - y^40", RING3)]
+        limits = self.packing_limits(monkeypatch)
+        got = normal_form(f, basis, MonomialOrder.lex)
+        assert got == _reference_normal_form(f, basis, MonomialOrder.lex)
+        assert got == Polynomial.monomial((0, 1600, 0), RING3)
+        assert limits[0] <= 1600 < limits[-1]
+
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_lex_basis_outgrows_the_width(self, k, monkeypatch):
+        # each S-pair of (x^k, x z^(k-1) - y^k) trades an x for y^k, so the
+        # pair lcms climb to degree k^2, past the fields sized by degree k
+        lead = parse_polynomial(f"x*z^{k - 1} - y^{k}", RING3)
+        ideal = IdealSpec(RING3, (parse_polynomial(f"x^{k}", RING3), lead))
+        limits = self.packing_limits(monkeypatch)
+        gb = buchberger(ideal, MonomialOrder.lex)
+        powers = {Polynomial.monomial((k - j, j * k, 0), RING3) for j in range(k + 1)}
+        assert set(gb.elements) == powers | {lead}
+        assert len(gb.elements) == k + 2
+        assert limits[0] < k * k
+
+    def test_monomials_past_the_fields_raise(self):
+        # fields sized for degree 1 hold degrees below 8
+        packing = groebner._Packing(3, MonomialOrder.lex, 1)
+        x7, y7, z = (packing.pack(m) for m in [(7, 0, 0), (0, 7, 0), (0, 0, 1)])
+        with pytest.raises(groebner._Overflow):
+            packing.lcm(x7, y7)
+        # the S-polynomial of x - y^7 and z has the term z * y^7, of degree 8
+        f = groebner._Element({packing.pack((1, 0, 0)): 1, y7: -1}, packing)
+        g = groebner._Element({z: 1}, packing)
+        with pytest.raises(groebner._Overflow):
+            groebner._s_terms(f, g, packing.lcm(f.lm, g.lm), packing)
+
+    def test_widening_runs_under_python_O(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", WIDENED_UNDER_O],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.stdout.split("\n")[:2] == ["True", "optimize 1"], proc.stderr
 
 
 NON_BASIS = ("x*y - z^2", "x^2 - y*z")
