@@ -14,8 +14,11 @@ one category; the bounds depend on d only and stay functions of d.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import groupby
 from math import comb, isqrt
+from operator import itemgetter
 from typing import NamedTuple
 
 CATEGORY_NONEXISTENT = "nonexistent"
@@ -23,7 +26,9 @@ CATEGORY_GP = "gp-region"
 CATEGORY_QUADRIC = "quadric"
 CATEGORY_PLANE_ONLY = "plane-only"
 
-# Largest (d, g) table, in rows, that region_table will build.
+# Largest (d, g) table, in rows, that region_table or region_chunks will
+# make.  The renderers work one degree at a time, so the budget bounds the
+# output's size and the time to make it, not memory.
 REGION_BUDGET = 500_000
 
 
@@ -110,10 +115,10 @@ def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
     )
 
 
-def region_table(d_max: int) -> list[Verdict]:
-    """Every (d, g) with d <= d_max, g <= plane_bound(d), classified.
-    Raises RegionBudgetExceeded before any row is built if there would be
-    more than REGION_BUDGET rows.
+def _region_rows(d_max: int) -> Iterator[Verdict]:
+    """Every (d, g) with d <= d_max, g <= plane_bound(d), classified, in
+    order of d and then g.  d_max and the budget are checked on the call,
+    before any row exists; the rows are made lazily, one degree at a time.
 
     The plane bound and G(d, 3) are computed once per degree, and each row
     is classified by _verdict, the same code classify runs."""
@@ -125,22 +130,42 @@ def region_table(d_max: int) -> list[Verdict]:
         raise RegionBudgetExceeded(
             f"region d_max = {d_max} has {n_rows} rows; the budget is {REGION_BUDGET}"
         )
-    rows = []
-    for d in range(1, d_max + 1):
-        plane, gp_floor = plane_bound(d), halphen_bound(d, 3)
-        rows.extend(_verdict(d, g, plane, gp_floor) for g in range(plane + 1))
-    return rows
+    bounds = ((d, plane_bound(d), halphen_bound(d, 3)) for d in range(1, d_max + 1))
+    return (
+        _verdict(d, g, plane, gp_floor) for d, plane, gp_floor in bounds for g in range(plane + 1)
+    )
+
+
+def region_table(d_max: int) -> list[Verdict]:
+    """The rows of _region_rows as a list.  Raises RegionBudgetExceeded
+    before any row is built if there would be more than REGION_BUDGET rows."""
+    return list(_region_rows(d_max))
+
+
+def region_chunks(d_max: int, fmt: str) -> Iterator[str]:
+    """The region as CSV or SVG text, one chunk per degree, over rows made
+    lazily: memory stays flat in d_max.  d_max and the budget are checked
+    on the call, before any chunk exists."""
+    if fmt not in ("csv", "svg"):
+        raise ValueError(f"unknown region format {fmt!r}")
+    rows = _region_rows(d_max)
+    return _svg_chunks(rows, d_max) if fmt == "svg" else _csv_chunks(rows)
 
 
 def region_csv(d_max: int) -> str:
-    lines = ["d,g,exists_plane,exists_on_quadric,exists_off_quadric,exists_any,category"]
+    return "".join(_csv_chunks(region_table(d_max)))
+
+
+def _csv_chunks(rows: Iterable[Verdict]) -> Iterator[str]:
+    """The header, then the lines of each degree's rows as one chunk."""
+    yield "d,g,exists_plane,exists_on_quadric,exists_off_quadric,exists_any,category\n"
     word = ("false", "true")
-    for d, g, plane, on_quadric, off_quadric, any_, cat in region_table(d_max):
-        lines.append(
+    for _, degree in groupby(rows, itemgetter(0)):
+        yield "".join(
             f"{d},{g},{word[plane]},{word[on_quadric]},"
-            f"{word[off_quadric]},{word[any_]},{cat}"
+            f"{word[off_quadric]},{word[any_]},{cat}\n"
+            for d, g, plane, on_quadric, off_quadric, any_, cat in degree
         )
-    return "\n".join(lines) + "\n"
 
 
 _COLORS = {
@@ -157,7 +182,13 @@ _CELL = 24.0
 def region_svg(d_max: int) -> str:
     """Deterministic scatter of (d, g) colored by category, with the
     plane, Castelnuovo, and Gruson-Peskine parabolas overlaid."""
-    rows = region_table(d_max)
+    return "".join(_svg_chunks(region_table(d_max), d_max))
+
+
+def _svg_chunks(rows: Iterable[Verdict], d_max: int) -> Iterator[str]:
+    """The preamble with the parabolas, the circles of each degree's rows,
+    the d-axis labels and the g-axis labels with the closing tag, each as
+    one chunk."""
     g_max = plane_bound(d_max)
     width = _MARGIN * 2 + _CELL * d_max
     height = _MARGIN * 2 + _CELL * (g_max + 1)
@@ -190,23 +221,22 @@ def region_svg(d_max: int) -> str:
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'stroke-dasharray="4 3" points="{" ".join(points)}"/>'
             )
+    yield "\n".join(out) + "\n"
     xs = [f"{x(d):.2f}" for d in range(d_max + 1)]
     ys = [f"{y(g):.2f}" for g in range(g_max + 1)]
-    for v in rows:
-        d, g, cat = v.d, v.g, v.category
-        out.append(
+    for _, degree in groupby(rows, itemgetter(0)):
+        yield "".join(
             f'<circle cx="{xs[d]}" cy="{ys[g]}" r="6" fill="{_COLORS[cat]}">'
-            f"<title>d={d} g={g} {cat}</title></circle>"
+            f"<title>d={d} g={g} {cat}</title></circle>\n"
+            for d, g, _, _, _, _, cat in degree
         )
-    for d in range(1, d_max + 1):
-        out.append(
-            f'<text x="{xs[d]}" y="{height - _MARGIN + 18:.1f}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">{d}</text>'
-        )
-    for g in range(0, g_max + 1, max(1, (g_max + 1) // 12)):
-        out.append(
-            f'<text x="{_MARGIN - 10:.1f}" y="{y(g) + 4:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">{g}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    yield "".join(
+        f'<text x="{xs[d]}" y="{height - _MARGIN + 18:.1f}" text-anchor="middle" '
+        f'font-family="monospace" font-size="11">{d}</text>\n'
+        for d in range(1, d_max + 1)
+    )
+    yield "".join(
+        f'<text x="{_MARGIN - 10:.1f}" y="{y(g) + 4:.2f}" text-anchor="end" '
+        f'font-family="monospace" font-size="11">{g}</text>\n'
+        for g in range(0, g_max + 1, max(1, (g_max + 1) // 12))
+    ) + "</svg>\n"

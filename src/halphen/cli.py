@@ -129,10 +129,8 @@ def _cmd_classify(args) -> int:
 def _cmd_region(args) -> int:
     from . import classifier
 
-    if args.format == "svg":
-        sys.stdout.write(classifier.region_svg(args.dmax))
-    else:
-        sys.stdout.write(classifier.region_csv(args.dmax))
+    # one chunk per degree, written as it is made: memory stays flat in dmax
+    sys.stdout.writelines(classifier.region_chunks(args.dmax, args.format))
     return 0
 
 

@@ -22,6 +22,7 @@ from halphen.classifier import (
     halphen_bound,
     plane_bound,
     quadric_genera,
+    region_chunks,
     region_csv,
     region_svg,
     region_table,
@@ -244,6 +245,24 @@ class TestRegionTable:
         with pytest.raises(RegionBudgetExceeded):
             region_table(11)
 
+    # region_chunks checks on the call, not when the first chunk is asked
+    # for, so the CLI writes nothing before an error
+    @pytest.mark.parametrize(
+        "d_max, fmt, error",
+        [(0, "csv", ValueError), (1_000_000, "svg", RegionBudgetExceeded), (3, "png", ValueError)],
+    )
+    def test_chunks_refuse_on_the_call(self, d_max, fmt, error):
+        with pytest.raises(error):
+            region_chunks(d_max, fmt)
+
+    # one chunk per degree, plus the CSV header, or the SVG preamble and
+    # its two axis-label chunks
+    @pytest.mark.parametrize("fmt, render, extra", [("csv", region_csv, 1), ("svg", region_svg, 3)])
+    def test_chunks_one_per_degree(self, fmt, render, extra):
+        chunks = list(region_chunks(9, fmt))
+        assert len(chunks) == 9 + extra
+        assert "".join(chunks) == render(9)
+
     def test_category_matches_verdict(self):
         # an independent reference: the quadric genera as a set, the plane
         # bound, and the Gruson-Peskine bound compared as a Fraction,
@@ -331,6 +350,12 @@ class TestEmitters:
         30: (
             "8f789598bfdc5ec9ef703aab82b5250b3e74cebc6f19a631e6ce25ef5ac24fe1",
             "496dc1634cc53d68101fae18607e7741f7ca25d74a43424ea4d688a237df13ad",
+        ),
+        # recorded at commit 528f27e, before the renderers were made to work
+        # one degree at a time; 80 is the benchmark's largest table
+        80: (
+            "1a5c865d17a153da459fa53920a779e3f26a549085770984c9f37808a9f6c7b2",
+            "6c62b6dc891817a5a384e021f0e5b58c78c8228b9a3df0cb50d5a90325021e7f",
         ),
     }
 

@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from halphen import graded, groebner
+from halphen import classifier, graded, groebner
 from halphen.cli import main
 from halphen.parsing import (
     DEGREE_BUDGET,
@@ -248,12 +248,65 @@ class TestRegionCommand:
         assert code == 0
         assert out.startswith("<svg ")
 
-    @pytest.mark.parametrize("fmt", ["csv", "svg"])
-    def test_budget_is_domain_error(self, capsys, fmt):
-        code, out, err = run(capsys, "region", "--dmax", "1000000", "--format", fmt)
+    # the stream is checked before its first chunk: no header or preamble
+    # reaches stdout ahead of the error
+    @pytest.mark.parametrize(
+        "fmt, dmax, message",
+        [
+            pytest.param(
+                fmt,
+                "1000000",
+                "region d_max = 1000000 has 166666166668000000 rows; the budget is 500000",
+                id=fmt,
+            )
+            for fmt in ("csv", "svg")
+        ]
+        + [
+            pytest.param(fmt, dmax, "d_max must be positive", id=f"{fmt}-dmax{dmax}")
+            for dmax in ("0", "-3")
+            for fmt in ("csv", "svg")
+        ],
+    )
+    def test_budget_is_domain_error(self, capsys, fmt, dmax, message):
+        code, out, err = run(capsys, "region", "--dmax", dmax, "--format", fmt)
         assert code == 1 and out == ""
-        assert err.startswith("halphen: error: region d_max = 1000000 has ")
-        assert err.endswith("the budget is 500000\n")
+        assert err == f"halphen: error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize("d_max", [1, 2, 12, 40])
+    def test_stream_equals_library_string(self, capsys, fmt, d_max):
+        render = classifier.region_svg if fmt == "svg" else classifier.region_csv
+        code, out, err = run(capsys, "region", "--dmax", str(d_max), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == render(d_max)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_memory_flat_in_dmax(self):
+        # a fresh child writes the dmax-120 SVG (29 MB) to /dev/null and
+        # reports the peak RSS of its own address space: about 18 MB when
+        # the CLI streams, 157 MB when it held the whole table and text.
+        # VmHWM, not ru_maxrss: Linux carries the RSS of the spawning
+        # process (this test runner) across exec into the child's ru_maxrss.
+        code = (
+            "import os, sys\n"
+            "from halphen.cli import main\n"
+            "with open(os.devnull, 'w') as sink:\n"
+            "    sys.stdout, stdout = sink, sys.stdout\n"
+            "    status = main(['region', '--dmax', '120', '--format', 'svg'])\n"
+            "    sys.stdout = stdout\n"
+            "with open('/proc/self/status') as f:\n"
+            "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
+            "print(status, hwm)\n"
+        )
+        path = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        status, kib = map(int, result.stdout.split())
+        assert status == 0
+        assert kib < 64 * 1024
 
 
 class TestSmoothAtCommand:
