@@ -235,6 +235,104 @@ class TestBasisGoldens:
         assert basis_sha256(buchberger(spec, MonomialOrder[order])) == self.GOLDEN[case]
 
 
+def series_sha256(spec, order):
+    """sha256 of the initial ideal of the reduced basis, its generators
+    sorted, and of the numerator of its Hilbert series."""
+    mi = initial_ideal(buchberger(spec, order))
+    num = series_numerator(mi, spec.n_vars)
+    text = repr((sorted(mi.minimal_generators), num.coeffs))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSeriesGoldens:
+    """The initial ideal and the Hilbert series numerator pinned on every
+    case of `TestBasisGoldens`.  The generators are hashed sorted: their
+    order within a degree is not part of the result."""
+
+    # sha256 by `series_sha256`, recorded at commit 641cdb7, before the
+    # series path packed its monomials
+    GOLDEN = {
+        ("twisted_cubic", "degrevlex"): "1d462fa84d0d1292a0fdeaecae902a714b6f45b897f5fbd9a2c1cb5a059ad348",
+        ("twisted_cubic", "deglex"): "da4c82b5082b3eb5c90e9c351bb780ac4c2d62100ca716e452518a571cf50267",
+        ("twisted_cubic", "lex"): "da4c82b5082b3eb5c90e9c351bb780ac4c2d62100ca716e452518a571cf50267",
+        ("curve_E", "degrevlex"): "f9c234035ef3d52698d597e933d8ce1526827899a10fc6274f7f5acf75ea50cb",
+        ("curve_E", "deglex"): "f9c234035ef3d52698d597e933d8ce1526827899a10fc6274f7f5acf75ea50cb",
+        ("curve_E", "lex"): "f9c234035ef3d52698d597e933d8ce1526827899a10fc6274f7f5acf75ea50cb",
+        ("c0", "degrevlex"): "f6fe715cedd6ed91245530ff9f699f624e1ca8d69c70c39d91975dc3f7af17b3",
+        ("c0", "deglex"): "f19bc2c3aceb2b6e0537a15a31618b725246ec797290141efc5cfc4454c75ffc",
+        ("c0", "lex"): "f19bc2c3aceb2b6e0537a15a31618b725246ec797290141efc5cfc4454c75ffc",
+        ("ct_1", "degrevlex"): "dec298264eea2750a8ed2b00cea2b5be9daec5cf25a9f136ea60bc413b80daf4",
+        ("ct_1", "deglex"): "02b81266562bb191963834b9e5b2c16e1d91b0f61995cd3363cbf599390d1759",
+        ("ct_1", "lex"): "02b81266562bb191963834b9e5b2c16e1d91b0f61995cd3363cbf599390d1759",
+        ("ct_half", "degrevlex"): "dec298264eea2750a8ed2b00cea2b5be9daec5cf25a9f136ea60bc413b80daf4",
+        ("ct_half", "deglex"): "02b81266562bb191963834b9e5b2c16e1d91b0f61995cd3363cbf599390d1759",
+        ("ct_half", "lex"): "02b81266562bb191963834b9e5b2c16e1d91b0f61995cd3363cbf599390d1759",
+        ("ct_neg2", "degrevlex"): "dec298264eea2750a8ed2b00cea2b5be9daec5cf25a9f136ea60bc413b80daf4",
+        ("ct_neg2", "deglex"): "02b81266562bb191963834b9e5b2c16e1d91b0f61995cd3363cbf599390d1759",
+        ("ct_neg2", "lex"): "02b81266562bb191963834b9e5b2c16e1d91b0f61995cd3363cbf599390d1759",
+        ("two_quadrics", "degrevlex"): "67cdca1c60fb6abc355f5feda0f1518882c50a31b7d96e33eef10427fdc09cc6",
+        ("two_quadrics", "deglex"): "db973a869b6f26b1787ebf2de849e97fd78a8829e7ef3130ab00cd519e1ef470",
+        ("two_quadrics", "lex"): "db973a869b6f26b1787ebf2de849e97fd78a8829e7ef3130ab00cd519e1ef470",
+        ("line_L", "degrevlex"): "653651c4235eeef0f1aa69cbe9a1504d5e3c8706d0773277a0db47e9cb7bde63",
+        ("line_L", "deglex"): "653651c4235eeef0f1aa69cbe9a1504d5e3c8706d0773277a0db47e9cb7bde63",
+        ("line_L", "lex"): "653651c4235eeef0f1aa69cbe9a1504d5e3c8706d0773277a0db47e9cb7bde63",
+        ("plane_d1", "degrevlex"): "76d6bc43a39ace6d1eb20b753597bf95773bbfe7411ee609e163a41c4280d421",
+        ("plane_d1", "deglex"): "76d6bc43a39ace6d1eb20b753597bf95773bbfe7411ee609e163a41c4280d421",
+        ("plane_d1", "lex"): "76d6bc43a39ace6d1eb20b753597bf95773bbfe7411ee609e163a41c4280d421",
+        ("plane_d2", "degrevlex"): "4532e66643bc05390abe72fe1a277d7f5621ce02ae2c35cd529a7e4473a18071",
+        ("plane_d2", "deglex"): "4532e66643bc05390abe72fe1a277d7f5621ce02ae2c35cd529a7e4473a18071",
+        ("plane_d2", "lex"): "4532e66643bc05390abe72fe1a277d7f5621ce02ae2c35cd529a7e4473a18071",
+        ("plane_d3", "degrevlex"): "6cbb419f9bb5df73bcbd6b8f07c0256b1db840cd4dba9e356671887824d22d8e",
+        ("plane_d3", "deglex"): "6cbb419f9bb5df73bcbd6b8f07c0256b1db840cd4dba9e356671887824d22d8e",
+        ("plane_d3", "lex"): "6cbb419f9bb5df73bcbd6b8f07c0256b1db840cd4dba9e356671887824d22d8e",
+        ("plane_d4", "degrevlex"): "324e1592f6af513a7d961c2cd362740b8b08f27fc23fc6928dc6720d83c800a2",
+        ("plane_d4", "deglex"): "324e1592f6af513a7d961c2cd362740b8b08f27fc23fc6928dc6720d83c800a2",
+        ("plane_d4", "lex"): "324e1592f6af513a7d961c2cd362740b8b08f27fc23fc6928dc6720d83c800a2",
+        ("plane_d5", "degrevlex"): "1157f1e2fa3fd9404e028b467c956291dba820374be99305fe48862b73a99de2",
+        ("plane_d5", "deglex"): "1157f1e2fa3fd9404e028b467c956291dba820374be99305fe48862b73a99de2",
+        ("plane_d5", "lex"): "1157f1e2fa3fd9404e028b467c956291dba820374be99305fe48862b73a99de2",
+        ("zero4", "degrevlex"): "73cb6013df57154ec75597d1cf36ef66d79f0b303df830a1f1b2e906249b447c",
+        ("zero4", "deglex"): "73cb6013df57154ec75597d1cf36ef66d79f0b303df830a1f1b2e906249b447c",
+        ("zero4", "lex"): "73cb6013df57154ec75597d1cf36ef66d79f0b303df830a1f1b2e906249b447c",
+        ("ci(2,3)", "degrevlex"): "eb146ee640eef2ca873046899a6f5ef432683e712c47bfdd55f2c63665d61ac7",
+        ("ci(3,3)", "degrevlex"): "787d1a4362c2e79e420f12ef9ab399a8a663a8218d1669fd63ee8e9123bdcaee",
+        ("ci(3,4)", "degrevlex"): "0807ce6e644f7995d545d2519dc990498d8c47366e2c6e174a4aa98a77bd4782",
+        ("ci(4,4)", "degrevlex"): "3356d52126c918c790dd2d9590957ab84235cadad62fa9f344166919286e03dc",
+        ("ci(4,5)", "degrevlex"): "7440b321923f88558ddb28719c14518bb4bd1e5d82bcd4b29bb4770e5cb68748",
+        ("ci(2,2,2)", "degrevlex"): "bab66b649c9d27d52bf20cc26be1eec71bd4e235e69a6e7cfe22aa4cde9776b1",
+        ("ci(2,2,3)", "degrevlex"): "48189051bc964fbf8278c8d5994599c164034ba4389b8e816fa368144e7a41b5",
+        ("ci(3,3,3)", "degrevlex"): "d6c3f19e80ab11a9ec1d0f1e08f3e08b38efdc7f744704b5a6abd4ac2a1348c5",
+        ("ci(2,3)", "deglex"): "8c5f770850aabcf2d0fc1514d5e72140789bf38fbc760c4b6a0b2b39fa69c6ce",
+        ("ci(2,3)", "lex"): "8c5f770850aabcf2d0fc1514d5e72140789bf38fbc760c4b6a0b2b39fa69c6ce",
+        ("ci(2,2,2)", "deglex"): "f957b8167558e88c7cbdc775379ecd11f9e9d89ed1270b84e17779aabdbe22c5",
+        ("ci(2,2,2)", "lex"): "f957b8167558e88c7cbdc775379ecd11f9e9d89ed1270b84e17779aabdbe22c5",
+        ("ci(2,2,3)", "deglex"): "e973bf3707c8b404b0fcd32df2cf97e6895519dcafce2c2024d34c48a2b8a2c9",
+        ("ci(2,2,3)", "lex"): "e973bf3707c8b404b0fcd32df2cf97e6895519dcafce2c2024d34c48a2b8a2c9",
+        ("ci(3,3)", "deglex"): "b370714aeac02125e9625ca8b8a44c1f0d94ab6adcc7706a18d511302dcddb77",
+        ("rnc(4)", "degrevlex"): "9d44a9c5ced09d299b721ec6480f112257c02d7c1296f1a91583cfa925cc3b5a",
+        ("rnc(4)", "deglex"): "0bb5c76b60face59eb1ec71044a0745aa9570e5d56ac2314cc751c020414f2d4",
+        ("rnc(4)", "lex"): "0bb5c76b60face59eb1ec71044a0745aa9570e5d56ac2314cc751c020414f2d4",
+        ("rnc(5)", "degrevlex"): "9898f18697a5f9451bcbf15d3eac9649a993dc2c72ae0b4b0d8ef8a45ac08e30",
+        ("rnc(5)", "deglex"): "0277a8001199bee1dfbabcdcfd96427e62abd957d0d3c916c0c4695060f6a0dd",
+        ("rnc(5)", "lex"): "0277a8001199bee1dfbabcdcfd96427e62abd957d0d3c916c0c4695060f6a0dd",
+        ("rnc(6)", "degrevlex"): "89d31ada0ed79c387af74750dc9b382455043e4fb8f45c75bfa3461480f272db",
+        ("rnc(6)", "deglex"): "1467cc955b1c819245b4b9b97fda3c5249610d063880c3de2df0b1005b0f0a28",
+        ("rnc(6)", "lex"): "1467cc955b1c819245b4b9b97fda3c5249610d063880c3de2df0b1005b0f0a28",
+        ("rnc(7)", "degrevlex"): "6f471ac55ec6932f7cb7c0ea77452cfaa6ea3107ee7c01346bf42dc65de57d0b",
+        ("rnc(7)", "deglex"): "ae2c9841812875dff5a3357a175d5cffdeeafea1f401e7a9c71bb3385a975ccd",
+        ("rnc(7)", "lex"): "ae2c9841812875dff5a3357a175d5cffdeeafea1f401e7a9c71bb3385a975ccd",
+        ("rnc(8)", "degrevlex"): "d0ab13a7aa0ac277d42bd5d2385c4d37b1816b6b4bae6ad31ccf9764ada43876",
+        ("rnc(8)", "deglex"): "11e5d0c6f407c3ebce28f6aae806fc706f53aa7b53138c91e4ce3364e539cda8",
+        ("rnc(8)", "lex"): "11e5d0c6f407c3ebce28f6aae806fc706f53aa7b53138c91e4ce3364e539cda8",
+    }
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_initial_ideal_and_numerator_are_unchanged(self, case):
+        name, order = case
+        spec = load_ideal(name) if name in FIXTURE_NAMES else series_instance(name)
+        assert series_sha256(spec, MonomialOrder[order]) == self.GOLDEN[case]
+
+
 def _reference_normal_form(f, basis, order):
     """Textbook division in Fractions: the biggest term of the working
     polynomial is divided by the first element whose leading term divides it."""
