@@ -1,8 +1,8 @@
 """Binomial coefficients with the C(a, b) = 0 for a < b convention, and
 the plane genus C(d - 1, 2).
 
-The rank path and the series coefficients count monomials through `binom`,
-so the out-of-range convention lives in exactly one place.
+The rank path counts monomials through `binom`, so the out-of-range
+convention lives in exactly one place.
 """
 
 from __future__ import annotations

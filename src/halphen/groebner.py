@@ -25,9 +25,15 @@ and `_widening` starts the computation again on wider fields, so the
 width never changes an answer.
 
 The Hilbert series of R/I is read off the initial monomial ideal through
-the standard pivot recursion with inclusion-exclusion, and the Hilbert
-polynomial is extracted from the series together with an exact
-stabilization threshold.
+the pivot recursion of Bayer & Stillman, "Computation of Hilbert
+functions" (JSC 14, 1992), with N(I) = N(I + <x>) + t * N(I : x) for the
+variable x in the most generators.  It runs on packed monomials too, on
+one degrevlex packing sized by the largest generator degree: the
+generators are minimalized once on entry, by a sort and guard-bit
+divisibility tests, the colon I : x subtracts the unit of x and is
+minimalized again, and the generators of I + <x> need no minimalizing.
+The Hilbert polynomial is extracted from the series together with an
+exact stabilization threshold.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from itertools import accumulate, combinations
 from math import gcd
 from operator import mul
 
-from .combinat import binom
 from .parsing import IdealSpec, format_polynomial, validate_ideal
 from .poly import (
     DEFAULT_ORDER,
@@ -48,9 +53,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     RingMismatch,
-    monomial_degree,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     primitive,
 )
@@ -442,14 +445,23 @@ def _assert_groebner(gb: GroebnerBasis) -> None:
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
-    lms = [leading_monomial(g, gb.order) for g in gb.elements]
-    return MonomialIdeal(tuple(_minimalize(lms)))
+    """The leading monomials of the basis, each once and those that another
+    one divides dropped, smallest first in the basis's order."""
+    packing = _Packing(len(gb.elements[0].ring), gb.order, _max_degree(gb.elements))
+    pack, ascend = packing.pack, packing.ascend
+    lms = [max([pack(m) ^ ascend for m in g.terms]) ^ ascend for g in gb.elements]
+    return MonomialIdeal(tuple(map(packing.unpack, _minimal(lms, packing.guard))))
 
 
-def _minimalize(monomials) -> list[Monomial]:
-    minimal: list[Monomial] = []
-    for m in sorted(set(monomials), key=monomial_degree):
-        if not any(monomial_divides(g, m) for g in minimal):
+def _minimal(monomials, guard: int) -> list[int]:
+    """The packed monomials that no other one divides, each once, ascending.
+    A divisor sorts first: m = g + (m - g) when g divides m."""
+    minimal: list[int] = []
+    for m in sorted(set(monomials)):
+        for g in minimal:
+            if not (m - g) & guard:
+                break
+        else:
             minimal.append(m)
     return minimal
 
@@ -464,50 +476,56 @@ def _poly_add(a: list[int], b: list[int], shift: int = 0) -> list[int]:
     return out
 
 
-def _series_numerator(gens: list[Monomial], n_vars: int) -> list[int]:
-    gens = _minimalize(gens)
-    if not gens:
-        return [1]
-    if any(monomial_degree(g) == 0 for g in gens):
-        return [0]
-    supports = [[i for i, e in enumerate(g) if e] for g in gens]
-    if all(len(s) == 1 for s in supports):
-        # pairwise coprime pure powers: product of (1 - t^deg)
-        numerator = [1]
-        for g in gens:
-            numerator = _poly_add(numerator, [-c for c in numerator], shift=monomial_degree(g))
-        return numerator
-    counts = [0] * n_vars
-    for s in supports:
-        if len(s) > 1:
-            for i in s:
-                counts[i] += 1
-    pivot = counts.index(max(counts))
-    p = tuple(1 if i == pivot else 0 for i in range(n_vars))
-    quotient = [
-        tuple(e - 1 if i == pivot and e else e for i, e in enumerate(g)) for g in gens
-    ]
-    sum_gens = [g for g in gens if g[pivot] == 0] + [p]
-    # N(I) = N(I + <x>) + t * N(I : x)
-    return _poly_add(
-        _series_numerator(sum_gens, n_vars), _series_numerator(quotient, n_vars), shift=1
-    )
-
-
 def series_numerator(mi: MonomialIdeal, n_vars: int) -> HilbertSeriesNumerator:
-    coeffs = _series_numerator(list(mi.minimal_generators), n_vars)
+    """The numerator of the Hilbert series of R/I for I generated by the
+    monomials, which need not be minimal or distinct."""
+    gens = mi.minimal_generators
+    # The recursion only lowers exponents and adds variables of degree 1, so
+    # no field outgrows the largest generator degree the packing is sized
+    # for: nothing can overflow, and no `_widening` is needed.
+    packing = _Packing(n_vars, MonomialOrder.degrevlex, max(map(sum, gens), default=0))
+    guard, field, deg_shift, bits = packing.guard, packing.field, packing.deg_shift, packing.bits
+    # `(g + ones) & nonzero` keeps the guard bit of each exponent field
+    # where g is nonzero: the support of g
+    nonzero = guard & packing.exponents
+    ones = packing.exponents ^ nonzero
+
+    def numerator(gens: list[int]) -> list[int]:
+        """N(I) for the ideal of the packed monomials, a minimal set."""
+        mixed = []
+        for g in gens:
+            support = (g + ones) & nonzero
+            if support & (support - 1):
+                mixed.append(support)
+        if not mixed:
+            # pairwise coprime pure powers, or the degree-0 generator alone:
+            # the product of (1 - t^deg)
+            out = [1]
+            for g in gens:
+                out = _poly_add(out, [-c for c in out], shift=g >> deg_shift)
+            return out
+        # pivot on the variable in the most generators that are not pure
+        # powers, the first such variable on a tie
+        counts: dict[int, int] = {}
+        for support in mixed:
+            while support:
+                low = support & -support
+                counts[low] = counts.get(low, 0) + 1
+                support ^= low
+        x = min(counts, key=lambda low: (-counts[low], low)) >> bits
+        mask = x * field  # the exponent field of the pivot
+        unit = x | 1 << deg_shift
+        # N(I) = N(I + <x>) + t * N(I : x).  The generators of I + <x> that
+        # are kept are not divisible by x and x divides none of them, so that
+        # set is minimal; I : x is minimalized again.
+        total = numerator([g for g in gens if not g & mask] + [unit])
+        colon = numerator(_minimal([g - unit if g & mask else g for g in gens], guard))
+        return _poly_add(total, colon, shift=1)
+
+    coeffs = numerator(_minimal(map(packing.pack, gens), guard))
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return HilbertSeriesNumerator(tuple(coeffs), n_vars)
-
-
-def series_coefficients(num: HilbertSeriesNumerator, upto: int) -> list[int]:
-    """H(m) for m = 0..upto by expanding numerator(t) / (1-t)^n."""
-    n = num.n_vars
-    return [
-        sum(c * binom(m - j + n - 1, n - 1) for j, c in enumerate(num.coeffs))
-        for m in range(upto + 1)
-    ]
 
 
 # -- Hilbert polynomial ---------------------------------------------------

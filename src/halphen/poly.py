@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
 Key = TypeVar("Key")
@@ -74,11 +74,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """Does a divide b?"""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b, assuming b divides a."""
     return tuple(x - y for x, y in zip(a, b))
@@ -86,28 +81,6 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _iter_exponents(n_vars: int, degree: int) -> Iterator[Monomial]:
-    """Exponent vectors of the given degree, biggest first in lex.  Each
-    multiset of variable indices is one monomial; no recursion, so any
-    number of variables works."""
-    for indices in combinations_with_replacement(range(n_vars), degree):
-        exponents = [0] * n_vars
-        for i in indices:
-            exponents[i] += 1
-        yield tuple(exponents)
-
-
-def enumerate_monomials(
-    n_vars: int, degree: int, order: MonomialOrder = DEFAULT_ORDER
-) -> list[Monomial]:
-    """All monomials of the given total degree, biggest first in `order`."""
-    if n_vars < 1:
-        raise ValueError("need at least one variable")
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    return order.sorted(_iter_exponents(n_vars, degree))
 
 
 def _like_terms(pairs: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:

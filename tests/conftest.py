@@ -10,7 +10,9 @@ settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
 from halphen.parsing import IdealSpec, parse_ideal_file
-from halphen.poly import Polynomial, enumerate_monomials, primitive
+from halphen.poly import Polynomial, primitive
+
+from reference import enumerate_monomials
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"

@@ -24,14 +24,14 @@ from halphen.groebner import (
     buchberger,
     hilbert_polynomial,
     initial_ideal,
-    series_coefficients,
     series_numerator,
 )
 from halphen.invariants import invariants_of
 from halphen.parsing import IdealSpec, format_polynomial, parse_polynomial
-from halphen.poly import Polynomial, enumerate_monomials
+from halphen.poly import Polynomial
 
 from conftest import RING3, RING4, load_ideal
+from reference import enumerate_monomials, series_coefficients
 
 ALL_FIXTURES = [
     "twisted_cubic",

@@ -18,9 +18,10 @@ from halphen.graded import (
 )
 from halphen.linalg import exact_rank
 from halphen.parsing import IdealSpec, parse_polynomial
-from halphen.poly import Polynomial, enumerate_monomials
+from halphen.poly import Polynomial
 
 from conftest import RING3, RING4, dense_form, integer_rows, load_ideal, nonzero_rationals, random_rnc
+from reference import enumerate_monomials
 
 
 def principal(f_text, ring):

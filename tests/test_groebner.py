@@ -8,7 +8,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from halphen import groebner
@@ -25,7 +25,6 @@ from halphen.groebner import (
     initial_ideal,
     leading_monomial,
     normal_form,
-    series_coefficients,
     series_numerator,
     _assert_groebner,
 )
@@ -35,9 +34,7 @@ from halphen.poly import (
     MonomialOrder,
     Polynomial,
     RingMismatch,
-    enumerate_monomials,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomial_mul,
 )
@@ -52,6 +49,7 @@ from conftest import (
     polynomials,
     random_rnc,
 )
+from reference import enumerate_monomials, monomial_divides, series_coefficients
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,6 +69,17 @@ FIXTURE_NAMES = [
     "plane_d5",
     "zero4",
 ]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(generators, n_vars): up to six monomials in one to three variables.
+    In one or two variables an exponent may be 64 to 70, which widens the
+    packed fields; three variables keep small exponents so that the direct
+    count stays cheap."""
+    n = draw(st.integers(1, 3))
+    exponent = st.integers(0, 3) if n == 3 else st.integers(0, 3) | st.integers(64, 70)
+    return tuple(draw(st.lists(st.tuples(*[exponent] * n), max_size=6))), n
 
 
 class TestHilbertPolynomialStr:
@@ -559,8 +568,6 @@ class TestSeriesNumerator:
 
     def test_mixed_ideal_against_direct_count(self):
         # dim of R_m / mi counted by brute enumeration
-        from halphen.poly import enumerate_monomials
-
         gens = [(2, 1, 0), (0, 0, 3), (1, 0, 2)]
         num = series_numerator(MonomialIdeal(tuple(gens)), 3)
         series = series_coefficients(num, 8)
@@ -571,6 +578,30 @@ class TestSeriesNumerator:
                 if not any(monomial_divides(g, u) for g in gens)
             ]
             assert series[m] == len(alive)
+
+    @given(case=monomial_ideals())
+    @example(case=((), 3))
+    @example(case=(((1, 2, 0), (0, 1, 1), (1, 2, 0)), 3))
+    @example(case=(((2, 1, 0), (1, 0, 0), (1, 1, 1)), 3))
+    @example(case=(((2, 1, 0), (0, 0, 0)), 3))
+    @example(case=(((0, 0), (0, 0)), 2))
+    @example(case=(((70, 0), (3, 65), (0, 66), (64, 66)), 2))
+    def test_any_generators_against_direct_count(self, case):
+        """Generators that repeat, divide one another or include 1, and
+        exponents past 63, against a count of the standard monomials of
+        every degree up to that of the lcm of the generators, which bounds
+        the degree of the numerator."""
+        gens, n = case
+        num = series_numerator(MonomialIdeal(gens), n)
+        upto = sum(max(e) for e in zip(*gens)) if gens else 0
+        counts = [
+            sum(not any(monomial_divides(g, u) for g in gens) for u in enumerate_monomials(n, m))
+            for m in range(upto + 1)
+        ]
+        assert len(num.coeffs) <= upto + 1
+        assert series_coefficients(num, upto) == counts
+        if (0,) * n in gens:
+            assert num.coeffs == (0,)
 
 
 class TestStandardMonomialCount:

@@ -21,7 +21,9 @@ sympy = pytest.importorskip("sympy")
 from halphen import groebner
 from halphen.groebner import GroebnerBudgetExceeded, buchberger
 from halphen.parsing import IdealSpec
-from halphen.poly import MonomialOrder, Polynomial, enumerate_monomials
+from halphen.poly import MonomialOrder, Polynomial
+
+from reference import enumerate_monomials
 
 SYMPY_ORDER = {
     MonomialOrder.degrevlex: "grevlex",

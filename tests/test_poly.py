@@ -10,9 +10,10 @@ from halphen.poly import (
     Polynomial,
     RingMismatch,
     descending_key,
-    enumerate_monomials,
     primitive,
 )
+
+from reference import enumerate_monomials
 
 from conftest import (
     RING3,
