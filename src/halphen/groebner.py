@@ -26,14 +26,14 @@ width never changes an answer.
 
 The Hilbert series of R/I is read off the initial monomial ideal through
 the pivot recursion of Bayer & Stillman, "Computation of Hilbert
-functions" (JSC 14, 1992), with N(I) = N(I + <x>) + t * N(I : x) for the
-variable x in the most generators.  It runs on packed monomials too, on
-one degrevlex packing sized by the largest generator degree: the
-generators are minimalized once on entry, by a sort and guard-bit
-divisibility tests, the colon I : x subtracts the unit of x and is
-minimalized again, and the generators of I + <x> need no minimalizing.
-The Hilbert polynomial is extracted from the series together with an
-exact stabilization threshold.
+functions" (JSC 14, 1992): N(I) = N(I + <x>) + t * N(I : x), for the
+variable x in the most generators that are not pure powers.  It runs on
+packed monomials too, in one degrevlex layout sized by the largest
+generator degree.  The generators are minimalized once on entry, by a
+sort and guard-bit divisibility tests; the colon I : x subtracts the unit
+of x and is minimalized again, while the generators of I + <x> need no
+minimalizing.  The Hilbert polynomial is extracted from the series
+together with an exact stabilization threshold.
 """
 
 from __future__ import annotations
