@@ -342,7 +342,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
         remainder, scale = _reduce(terms, divisors, packing)
         s /= scale
         unpack = packing.unpack
-        return Polynomial({unpack(m): s * c for m, c in remainder.items()}, f.ring)
+        return Polynomial._from_pairs([(unpack(m), s * c) for m, c in remainder.items()], f.ring)
 
     return _widening(run, len(f.ring), order, _max_degree([f, *basis]))
 
@@ -427,7 +427,8 @@ def _reduce_basis(
         work = dict([(g.lm, g.lc), *g.tail])
         r, _ = _reduce(work, minimal[:i] + minimal[i + 1 :], packing)
         lc = r[g.lm]
-        reduced.append(Polynomial({unpack(m): Fraction(c, lc) for m, c in r.items()}, ring))
+        terms = [(unpack(m), Fraction(c, lc)) for m, c in r.items()]
+        reduced.append(Polynomial._from_pairs(terms, ring))
     return GroebnerBasis(packing.order, tuple(reduced))
 
 

@@ -104,7 +104,8 @@ class RingMismatch(ValueError):
 class Polynomial:
     """Sparse polynomial in the normal form of `_like_terms`: `terms` maps each
     monomial to a nonzero `Fraction`.  The constructor checks outside input;
-    the arithmetic hands its terms to `_from_pairs`, which does not."""
+    the arithmetic and the Groebner kernel hand their terms to `_from_pairs`,
+    which does not."""
 
     __slots__ = ("terms", "ring")
 
