@@ -1,9 +1,9 @@
 """Plain reference implementations that the tests compare the program with.
 
-Each one is the direct definition, written on exponent tuples with no
-packing and no recursion, so that it shares nothing with the code under
-test: monomial divisibility, the monomials of a degree, and the Hilbert
-function read off a series numerator by expanding it over (1 - t)^n.
+Each one is the direct definition on exponent tuples, with no packing and
+no pivot recursion: monomial divisibility, the monomials of a degree, and
+the Hilbert function read off a series numerator by expanding it over
+(1 - t)^n.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
