@@ -24,25 +24,41 @@ each degree's basis is generated as codes in degrevlex-descending order,
 so a column of u*f is found by one int addition and one dict lookup.
 
 Rows known to lie in the span of earlier rows are never built (the F5
-criterion, in the matrix form of Bardet, Faugere and Salvy).  The
-generators f_1..f_s are taken by degree, then in input order, and degree
-m eliminates the block of rows u*f_1, then that of u*f_2, and so on, into
-one echelon form.  Since each pivot is the largest monomial of its row,
-after block i the pivot columns are exactly the leading monomials of
-(f_1..f_i)_m.  A table computes the degrees in increasing order, so when
-degree m reaches block i + 1, with d = deg f_{i+1}, it already knows the
-leading monomials of (f_1..f_i)_{m-d}; the row u*f_{i+1} is skipped for
-each u among them.  Skipping changes no span: by induction on i, and
-within block i + 1 on u in the monomial order.  Write u = LM(g) with g
-in (f_1..f_i)_{m-d} monic; then
+criterion and the syzygy criterion, in the matrix form of Bardet,
+Faugere and Salvy).  The generators f_1..f_s are taken by degree, then in
+input order, and degree m eliminates the block of rows u*f_1, then that
+of u*f_2, and so on, into one echelon form; inside a block the rows come
+in increasing u, smallest monomial first.  Since each pivot is the
+largest monomial of its row, after block i the pivot columns are exactly
+the leading monomials of (f_1..f_i)_m.  A table computes the degrees in
+increasing order, so when degree m reaches block i + 1, with
+d = deg f_{i+1}, it already knows two kinds of u whose row u*f_{i+1} it
+skips:
 
-    u*f_{i+1} = g*f_{i+1} - sum over v < u of c_v * v*f_{i+1}.
+- F5: u is a leading monomial of (f_1..f_i)_{m-d}.  Write u = LM(g) with
+  g in (f_1..f_i)_{m-d} monic; then
 
-g*f_{i+1} is a combination of multiples w*f_j with j <= i, the rows of
-blocks 1..i, whose span the built rows already give; each v*f_{i+1} is
-a built row or, by induction, in the span of the built rows.  Nothing
-here asks for a regular sequence or a saturated ideal, and the rank
-stays exact.
+      u*f_{i+1} = g*f_{i+1} - sum over v < u of c_v * v*f_{i+1}.
+
+- Syzygy: u = w*z, where the row z*f_{i+1} of a lower degree reduced to
+  zero.  It was reduced against blocks 1..i and the rows before it in
+  its own block, the smaller v, so z*f_{i+1} = r + sum over v < z of
+  c_v * v*f_{i+1} with r in (f_1..f_i); times w, and as wv < wz,
+
+      u*f_{i+1} = w*r + sum over v < z of c_v * (wv)*f_{i+1}.
+
+Either way u*f_{i+1} is an element of (f_1..f_i)_m, whose span the built
+rows of blocks 1..i already give, plus rows v'*f_{i+1} with v' < u.
+Skipping changes no span: by induction on i, and within block i + 1 on
+u in increasing order, each such row is built or lies in the span of
+the built rows.  The increasing order is what lets the two rules share
+one induction.  Were the rows taken largest first, a zero row would
+give z*f_{i+1} in terms of rows v > z, while F5 still points at v < u;
+the two skips can then each lean on the other, and some tables come out
+too large.  Each block carries the set of u whose row is known to be
+redundant, the zero rows and the rows this rule skipped, up one degree
+as {u*x_j}, which on codes is u + weight_j.  Nothing here asks for a
+regular sequence or a saturated ideal, and the rank stays exact.
 
 Caveat: the value H(m) is computed for the ideal exactly as presented.
 For a non-saturated ideal the Hilbert *function* (though never the
@@ -144,6 +160,8 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     # (i, k) -> the pivot columns of degree k after the blocks before
     # block i; kept only while block i of a later degree still needs it
     leading: dict[tuple[int, int], set[int]] = {}
+    # i -> the codes u of the next degree whose row u*f_i is redundant
+    redundant: dict[int, set[int]] = {}
     values = {}
     for m in range(m_max + 1):
         basis = bases[m]
@@ -152,12 +170,19 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
         for i, (d, terms) in enumerate(gens):
             if d <= m:
                 skip = leading.pop((i, m - d), ())
-                rows = [
-                    {index[u + mono]: c for mono, c in terms}
-                    for j, u in enumerate(bases[m - d])
-                    if j not in skip
+                known = redundant.pop(i, set())
+                block = bases[m - d]
+                # smallest u first: block is degrevlex-descending
+                us = [
+                    block[j]
+                    for j in range(len(block) - 1, -1, -1)
+                    if j not in skip and block[j] not in known
                 ]
-                exact_rank(rows, pivots)
+                zero: list[int] = []
+                exact_rank([{index[u + mono]: c for mono, c in terms} for u in us], pivots, zero)
+                if m < m_max:
+                    known.update(us[t] for t in zero)
+                    redundant[i] = {u + w for u in known for w in weights}
             if i + 1 < len(gens) and m + gens[i + 1][0] <= m_max:
                 leading[i + 1, m] = set(pivots)
         values[m] = len(basis) - len(pivots)

@@ -12,7 +12,10 @@ so callers choose the elimination order by how they number the columns.
 The echelon form is a dict column -> pivot row.  A caller may pass in the
 dict left by earlier rows and have `exact_rank` extend it: the pivot
 columns are then the leading columns of the span of all the rows so far,
-and the return value counts only the pivots the new rows added.
+and the return value counts only the pivots the new rows added.  A caller
+that also passes a list has the index, within this call, of each row that
+added no pivot appended to it: the rows that reduced to zero against the
+pivots before them, i.e. lie in the span of the earlier rows.
 """
 
 from __future__ import annotations
@@ -26,15 +29,18 @@ SparseRow = Mapping[int, int]
 Pivots = dict[int, tuple[int, list[tuple[int, int]]]]
 
 
-def exact_rank(rows: Iterable[SparseRow], pivots: Pivots | None = None) -> int:
+def exact_rank(
+    rows: Iterable[SparseRow], pivots: Pivots | None = None, zero: list[int] | None = None
+) -> int:
     """Rank over the rationals of the matrix whose rows are sparse maps
     column -> nonzero int.  Given the echelon form `pivots` of earlier
     rows, extends it in place and returns by how much these rows raise
-    the rank.  The input rows are left unmodified."""
+    the rank.  Given a list `zero`, appends to it the index of each row
+    that reduced to zero.  The input rows are left unmodified."""
     if pivots is None:
         pivots = {}
     before = len(pivots)
-    for raw in rows:
+    for t, raw in enumerate(rows):
         # a copy, not the caller's dict: bench/tracing.py reads the rows
         # after the call (pinned by test_input_rows_are_not_modified)
         row = dict(raw)
@@ -71,4 +77,7 @@ def exact_rank(rows: Iterable[SparseRow], pivots: Pivots | None = None) -> int:
                 if g != 1:
                     for k in row:
                         row[k] //= g
+        else:
+            if zero is not None:
+                zero.append(t)
     return len(pivots) - before

@@ -51,31 +51,25 @@ class IdealSpec:
         return len(self.ring_vars)
 
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^])|(.)")
+# leading whitespace, then one token: its group number is its kind
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^])|(\S))")
+_KINDS = (None, "num", "name", "op")
 
 
 def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, col); kind in {num, name, op}."""
+    """Tokens as (kind, value, col); kind in {num, name, op}.  Each match
+    starts where the last one ended, since every non-space character is a
+    token or the start of one; only trailing whitespace is left unmatched."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        num, name, op, bad = m.groups()
-        col = m.start(m.lastindex) + 1
-        if num is not None:
-            tokens.append(("num", num, col))
-        elif name is not None:
-            tokens.append(("name", name, col))
-        elif op is not None:
-            tokens.append(("op", op, col))
-        else:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        col = m.start(kind) + 1
+        if kind == 4:
+            bad = m[4]
             if bad == ".":
                 raise ParseError("decimal literals are not supported; use p/q", line, col)
             raise ParseError(f"unexpected character {bad!r}", line, col)
-        pos = m.end()
+        tokens.append((_KINDS[kind], m[kind], col))
     return tokens
 
 
