@@ -80,6 +80,23 @@ class TestParsePolynomial:
             parse_polynomial(text, RING3)
         assert (err.value.line, err.value.col, err.value.message) == (1, col, message)
 
+    @pytest.mark.parametrize(
+        "text,col,message",
+        [
+            ("x +\t\t$y", 6, "unexpected character '$'"),
+            (" \t  x   *    y   @", 18, "unexpected character '@'"),
+            ("\t\t 0.5*x", 5, "decimal literals are not supported; use p/q"),
+            ("x\t^\t 2  \t  ^3", 12, "expected '+' or '-', got '^'"),
+        ],
+    )
+    def test_refused_after_runs_of_tabs_and_spaces(self, text, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, RING3)
+        assert (err.value.line, err.value.col, err.value.message) == (1, col, message)
+        with pytest.raises(ParseError) as err:
+            parse_ideal_file(f"ring x y z\n\ny {text}\n")
+        assert (err.value.line, err.value.col, err.value.message) == (3, col + 2, message)
+
     def test_trailing_operator(self):
         with pytest.raises(ParseError):
             parse_polynomial("x +", RING3)
