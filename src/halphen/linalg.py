@@ -77,7 +77,7 @@ def exact_rank(
                 if g != 1:
                     for k in row:
                         row[k] //= g
-        else:
+        else:  # the row reduced to zero
             if zero is not None:
                 zero.append(t)
     return len(pivots) - before

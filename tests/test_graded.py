@@ -225,8 +225,10 @@ def with_syzygies(draw):
     to 5 variables: ideals with syzygies that are not Koszul, so some rows
     reduce to zero and the table skips their multiples."""
     ring = draw(st.sampled_from([RING3, RING4, ("x", "y", "z", "w", "v")]))
-    sparse = [draw(forms(ring, draw(st.integers(2, 3)), max_terms=2)) for _ in range(draw(st.integers(2, 3)))]
-    return IdealSpec(ring, (draw(forms(ring, 1, max_terms=3)), *sparse))
+    gens = [draw(forms(ring, 1, max_terms=3))]
+    for _ in range(draw(st.integers(2, 3))):
+        gens.append(draw(forms(ring, draw(st.integers(2, 3)), max_terms=2)))
+    return IdealSpec(ring, tuple(gens))
 
 
 @st.composite
