@@ -124,7 +124,7 @@ def _region_rows(d_max: int) -> Iterator[Verdict]:
     is classified by _verdict, the same code classify runs."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
-    # sum over d of plane_genus(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
+    # sum over d of plane_bound(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
     n_rows = comb(d_max, 3) + d_max
     if n_rows > REGION_BUDGET:
         raise RegionBudgetExceeded(

@@ -161,7 +161,8 @@ def _cmd_smooth_at(args) -> int:
 
 def _cmd_tangent(args) -> int:
     from . import geometry
-    from .parsing import ParseError, _ring_vars, format_polynomial, parse_polynomial
+    from .parsing import ParseError, _ring_vars, parse_polynomial
+    from .poly import format_polynomial
 
     try:
         ring = _ring_vars(args.ring.split())

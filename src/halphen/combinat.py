@@ -1,5 +1,4 @@
-"""Binomial coefficients with the C(a, b) = 0 for a < b convention, and
-the plane genus C(d - 1, 2).
+"""Binomial coefficients with the C(a, b) = 0 for a < b convention.
 
 The rank path counts monomials through `binom`, so the out-of-range
 convention lives in exactly one place.
@@ -15,10 +14,3 @@ def binom(a: int, b: int) -> int:
     if b < 0 or a < b:
         return 0
     return comb(a, b)
-
-
-def plane_genus(d: int) -> int:
-    """(d-1)(d-2)/2: the only genus a degree-d plane curve can have."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return binom(d - 1, 2)

@@ -7,8 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import exact_rank
-from .parsing import IdealSpec
-from .poly import Polynomial, Rational, primitive
+from .poly import IdealSpec, Polynomial, Rational, primitive
 
 
 class SingularPointError(ValueError):
@@ -32,7 +31,9 @@ class ProjectivePoint:
         parts = text.strip().strip("[]").split(":")
         try:
             return cls([Fraction(p.strip()) for p in parts])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ValueError(f"bad point {text!r}: zero denominator") from None
+        except ValueError as exc:
             raise ValueError(f"bad point {text!r}: {exc}") from None
 
     def normalized(self) -> tuple[Fraction, ...]:

@@ -72,8 +72,7 @@ from operator import itemgetter, mul
 
 from .combinat import binom
 from .linalg import Pivots, exact_rank
-from .parsing import IdealSpec, validate_ideal
-from .poly import primitive
+from .poly import IdealSpec, primitive, validate_ideal
 
 # Largest Macaulay matrix, in rows or in columns, that a Hilbert function
 # computation will build.

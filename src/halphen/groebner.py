@@ -46,16 +46,17 @@ from itertools import accumulate, combinations
 from math import gcd
 from operator import mul
 
-from .parsing import IdealSpec, format_polynomial, validate_ideal
 from .poly import (
     DEFAULT_ORDER,
+    IdealSpec,
     Monomial,
     MonomialOrder,
     Polynomial,
-    RingMismatch,
+    format_polynomial,
     monomial_div,
     monomial_lcm,
     primitive,
+    validate_ideal,
 )
 
 PAIR_BUDGET = 200_000
@@ -330,8 +331,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     """Full remainder of f on division by the basis: every term, biggest
     first, is divided by the first element whose leading monomial divides it."""
     for g in basis:
-        if g.ring != f.ring:
-            raise RingMismatch(f"ring mismatch: {f.ring} vs {g.ring}")
+        f._check_ring(g)
     if f.is_zero:
         return Polynomial.zero(f.ring)
     basis = [g for g in basis if not g.is_zero]

@@ -1,5 +1,5 @@
 """Dimension, degree, and genus of a projective set from its Hilbert
-polynomial, plus the plane-curve closed forms."""
+polynomial."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .combinat import plane_genus
 from .groebner import HilbertPolynomial
 
 
@@ -40,10 +39,3 @@ def invariants_of(P: HilbertPolynomial) -> ProjectiveInvariants:
         return ProjectiveInvariants(1, a, genus=1 - b)
     # beyond curves: leading coefficient times dim! is the standard degree
     return ProjectiveInvariants(dim, _as_int(P.leading_coefficient() * factorial(dim), "degree"))
-
-
-def plane_hilbert_polynomial(d: int) -> HilbertPolynomial:
-    """P(m) = d*m - (d-1)(d-2)/2 + 1 for a degree-d curve in the plane."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return HilbertPolynomial((Fraction(1 - plane_genus(d)), Fraction(d)))

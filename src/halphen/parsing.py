@@ -1,22 +1,22 @@
-"""Text format for polynomials, ideals, and points.
+"""Reads the text format of polynomials and ideal files.
 
 Polynomial grammar: signed terms, optional rational coefficients written
 p/q, variables with `^` integer powers, `*` optional between factors.
 There are no parentheses, so every term is a coefficient times a
 monomial; the terms are summed into one dict per polynomial.
 Ideal files: a `ring x y z w` line followed by one homogeneous generator
-per line; `#` starts a comment.
+per line; `#` starts a comment.  Only the command line imports this module;
+it re-exports `IdealSpec`, `format_polynomial` and `validate_ideal` from `poly`.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import DEFAULT_ORDER, Monomial, Polynomial, Rational
+from .poly import IdealSpec, Monomial, Polynomial, Rational, format_polynomial, validate_ideal
 
 # Largest total degree of a term the parser accepts.  `invariants` of
 # x^10000 - y^10000 in 4 variables takes 0.04 s on a 2-vCPU x86-64 host;
@@ -38,21 +38,9 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    """A homogeneous ideal presented by its generators."""
-
-    ring_vars: tuple[str, ...]
-    generators: tuple[Polynomial, ...]
-    label: str | None = None
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.ring_vars)
-
-
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # a variable, in a polynomial or on a ring line
 # leading whitespace, then one token: its group number is its kind
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^])|(\S))")
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME})|([+\-*/^])|(\S))")
 _KINDS = (None, "num", "name", "op")
 
 
@@ -181,9 +169,6 @@ def parse_polynomial(text: str, ring_vars: Sequence[str], line: int = 1) -> Poly
     return _PolyParser(text, ring_vars, line=line).parse()
 
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-
-
 def _ring_vars(names: Sequence[str], line: int = 1) -> tuple[str, ...]:
     """The variable names of a ring line or of `tangent --ring`, checked."""
     if not names:
@@ -192,7 +177,7 @@ def _ring_vars(names: Sequence[str], line: int = 1) -> tuple[str, ...]:
         message = f"a ring of {len(names)} variables; the variable budget is {VARIABLE_BUDGET}"
         raise ParseError(message, line, 1)
     for name in names:
-        if not _NAME_RE.match(name):
+        if not re.fullmatch(_NAME, name):
             raise ParseError(f"bad variable name {name!r}", line, 1)
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable name in ring line", line, 1)
@@ -203,7 +188,9 @@ def parse_ideal_file(text: str, label: str | None = None) -> IdealSpec:
     ring_vars: tuple[str, ...] | None = None
     generators: list[Polynomial] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+        # a generator keeps its indentation, so its error columns are the line's
+        code = raw.split("#", 1)[0].rstrip()
+        body = code.lstrip()
         if not body:
             continue
         if ring_vars is None:
@@ -215,7 +202,7 @@ def parse_ideal_file(text: str, label: str | None = None) -> IdealSpec:
         if body.startswith("label "):
             label = body[len("label "):].strip()
             continue
-        p = parse_polynomial(body, ring_vars, line=lineno)
+        p = parse_polynomial(code, ring_vars, line=lineno)
         if p.is_zero:
             raise ParseError("zero generator", lineno, 1)
         if not p.is_homogeneous():
@@ -226,44 +213,3 @@ def parse_ideal_file(text: str, label: str | None = None) -> IdealSpec:
     if not generators:
         raise ParseError("empty generator list")
     return IdealSpec(ring_vars, tuple(generators), label)
-
-
-def _format_monomial(mono, ring_vars) -> str:
-    parts = []
-    for name, e in zip(ring_vars, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
-def format_polynomial(p: Polynomial) -> str:
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for mono in DEFAULT_ORDER.sorted(p.terms):
-        coeff = p.terms[mono]
-        mono_str = _format_monomial(mono, p.ring)
-        mag = abs(coeff)
-        if not mono_str:
-            body = str(mag)
-        elif mag == 1:
-            body = mono_str
-        else:
-            body = f"{mag}*{mono_str}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
-
-
-def validate_ideal(ideal: IdealSpec) -> None:
-    for g in ideal.generators:
-        if g.is_zero:
-            raise ValueError("zero generator in ideal")
-        if not g.is_homogeneous():
-            raise ValueError("inhomogeneous generator in ideal")
-        if g.ring != ideal.ring_vars:
-            raise ValueError("generator ring does not match ideal ring")

@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with exact rational coefficients, the
+homogeneous ideals they generate, and the text a polynomial prints as.
 
 Monomials are plain exponent tuples, one slot per ring variable.  All
 coefficient arithmetic is done with `fractions.Fraction`; there is no
@@ -8,11 +9,12 @@ normal form, like terms summed and no zero stored, made by `_like_terms`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 Monomial = tuple[int, ...]
 Key = TypeVar("Key")
@@ -38,20 +40,10 @@ class MonomialOrder(Enum):
 
     def sorted(self, monomials: Iterable[Monomial]) -> list[Monomial]:
         """The monomials, biggest first."""
-        return sorted(monomials, key=descending_key(self))
+        return sorted(monomials, key=self.key, reverse=True)
 
 
 DEFAULT_ORDER = MonomialOrder.degrevlex
-
-
-def descending_key(order: MonomialOrder) -> Callable[[Monomial], tuple[int, ...]]:
-    """A flat key under which ascending sort order is descending `order`:
-    smaller key = bigger monomial.  Suited to a min-heap of monomials."""
-    if order is MonomialOrder.lex:
-        return lambda m: tuple([-e for e in m])
-    if order is MonomialOrder.deglex:
-        return lambda m: (-sum(m), *[-e for e in m])
-    return lambda m: (-sum(m), *m[::-1])
 
 
 def primitive(coeffs: Mapping[Key, Rational]) -> tuple[Fraction, dict[Key, int]]:
@@ -64,10 +56,6 @@ def primitive(coeffs: Mapping[Key, Rational]) -> tuple[Fraction, dict[Key, int]]
     if next(iter(ints.values())) < 0:
         g = -g
     return Fraction(g, den), ints if g == 1 else {k: c // g for k, c in ints.items()}
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -163,10 +151,10 @@ class Polynomial:
         """Max term degree; None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(monomial_degree(m) for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degrees = {monomial_degree(m) for m in self.terms}
+        degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
 
     def __eq__(self, other) -> bool:
@@ -242,6 +230,58 @@ class Polynomial:
         return Polynomial._from_pairs(pairs, self.ring)
 
     def __repr__(self) -> str:
-        from .parsing import format_polynomial
-
         return f"Polynomial({format_polynomial(self)!r}, ring={self.ring})"
+
+
+def _format_monomial(mono, ring_vars) -> str:
+    parts = []
+    for name, e in zip(ring_vars, mono):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
+def format_polynomial(p: Polynomial) -> str:
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for mono in DEFAULT_ORDER.sorted(p.terms):
+        coeff = p.terms[mono]
+        mono_str = _format_monomial(mono, p.ring)
+        mag = abs(coeff)
+        if not mono_str:
+            body = str(mag)
+        elif mag == 1:
+            body = mono_str
+        else:
+            body = f"{mag}*{mono_str}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+@dataclass(frozen=True)
+class IdealSpec:
+    """A homogeneous ideal presented by its generators."""
+
+    ring_vars: tuple[str, ...]
+    generators: tuple[Polynomial, ...]
+    label: str | None = None
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.ring_vars)
+
+
+def validate_ideal(ideal: IdealSpec) -> None:
+    for g in ideal.generators:
+        if g.is_zero:
+            raise ValueError("zero generator in ideal")
+        if not g.is_homogeneous():
+            raise ValueError("inhomogeneous generator in ideal")
+        if g.ring != ideal.ring_vars:
+            raise ValueError("generator ring does not match ideal ring")

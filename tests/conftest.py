@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
-from halphen.parsing import IdealSpec, parse_ideal_file
-from halphen.poly import Polynomial, primitive
+from halphen.parsing import parse_ideal_file
+from halphen.poly import IdealSpec, Polynomial, primitive
 
 from reference import enumerate_monomials
 

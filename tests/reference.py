@@ -1,9 +1,10 @@
 """Plain reference implementations that the tests compare the program with.
 
-Each one is the direct definition on exponent tuples, with no packing and
-no pivot recursion: monomial divisibility, the monomials of a degree, and
-the Hilbert function read off a series numerator by expanding it over
-(1 - t)^n.  Nothing in the package calls them.
+Each one is the direct definition, on exponent tuples where monomials
+appear, with no packing and no pivot recursion: monomial divisibility,
+the monomials of a degree, the Hilbert function read off a series
+numerator by expanding it over (1 - t)^n, and the genus of a plane
+curve.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def enumerate_monomials(
     if degree < 0:
         raise ValueError("degree must be non-negative")
     return order.sorted(_iter_exponents(n_vars, degree))
+
+
+def plane_genus(d: int) -> int:
+    """(d-1)(d-2)/2: the only genus a degree-d plane curve can have."""
+    return (d - 1) * (d - 2) // 2
 
 
 def series_coefficients(num: HilbertSeriesNumerator, upto: int) -> list[int]:

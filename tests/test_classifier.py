@@ -27,11 +27,11 @@ from halphen.classifier import (
     region_svg,
     region_table,
 )
-from halphen.combinat import plane_genus
 from halphen.groebner import hilbert_polynomial
 from halphen.invariants import invariants_of
 
 from conftest import load_ideal
+from reference import plane_genus
 
 
 class TestBounds:

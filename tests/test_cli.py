@@ -341,6 +341,13 @@ class TestSmoothAtCommand:
         assert code == 1
         assert "not on the variety" in err
 
+    def test_zero_denominator_in_point(self, capsys):
+        code, out, err = run(
+            capsys, "smooth-at", "--ideal", fixture("c0"), "--point", "1/0:1:1:1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "halphen: error: bad point '1/0:1:1:1': zero denominator\n"
+
 
 class TestTangentCommand:
     def test_plane_cubic(self, capsys):
@@ -514,6 +521,13 @@ NOT_CLASSIFIER = (
     "dataclasses",
 )
 
+# Every package module but poly itself.
+NOT_POLY = tuple(
+    f"halphen.{path.stem}"
+    for path in sorted((FIXTURES.parent / "src" / "halphen").glob("*.py"))
+    if path.stem not in ("__init__", "poly")
+)
+
 
 @pytest.mark.parametrize(
     "statement, absent",
@@ -532,8 +546,11 @@ NOT_CLASSIFIER = (
             f"['invariants', '--ideal', {str(FIXTURES / 'twisted_cubic.ideal')!r}])",
             ("halphen.graded", "halphen.linalg", "halphen.geometry", "halphen.classifier"),
         ),
+        # the ring and its ideals stand alone, and the oracles read no text
+        ("import halphen.poly; repr(halphen.poly.Polynomial.constant(1, 'x'))", NOT_POLY),
+        ("import halphen.graded, halphen.groebner, halphen.geometry", ("halphen.parsing",)),
     ],
-    ids=["package", "cli", "classify", "region", "tangent", "invariants"],
+    ids=["package", "cli", "classify", "region", "tangent", "invariants", "poly", "oracles"],
 )
 def test_import_boundaries(statement, absent):
     """A fresh interpreter runs the statement and then lists the loaded

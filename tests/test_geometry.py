@@ -11,7 +11,8 @@ from halphen.geometry import (
     on_variety,
     tangent_line,
 )
-from halphen.parsing import IdealSpec, parse_polynomial
+from halphen.parsing import parse_polynomial
+from halphen.poly import IdealSpec
 
 from conftest import RING3, RING4
 

@@ -17,8 +17,8 @@ from halphen.graded import (
     ideal_piece_dimension,
 )
 from halphen.linalg import exact_rank
-from halphen.parsing import IdealSpec, parse_ideal_file, parse_polynomial
-from halphen.poly import Polynomial, primitive
+from halphen.parsing import parse_ideal_file, parse_polynomial
+from halphen.poly import IdealSpec, Polynomial, primitive
 
 from conftest import RING3, RING4, dense_form, integer_rows, load_ideal, nonzero_rationals, random_rnc
 from reference import enumerate_monomials

@@ -28,9 +28,10 @@ from halphen.groebner import (
     series_numerator,
     _assert_groebner,
 )
-from halphen.parsing import IdealSpec, parse_polynomial
+from halphen.parsing import parse_polynomial
 from halphen.poly import (
     DEFAULT_ORDER,
+    IdealSpec,
     MonomialOrder,
     Polynomial,
     RingMismatch,

@@ -20,8 +20,7 @@ sympy = pytest.importorskip("sympy")
 
 from halphen import groebner
 from halphen.groebner import GroebnerBudgetExceeded, buchberger
-from halphen.parsing import IdealSpec
-from halphen.poly import MonomialOrder, Polynomial
+from halphen.poly import IdealSpec, MonomialOrder, Polynomial
 
 from reference import enumerate_monomials
 

@@ -3,17 +3,22 @@ from fractions import Fraction
 import pytest
 
 from halphen.groebner import HilbertPolynomial, hilbert_polynomial
-from halphen.invariants import (
-    invariants_of,
-    plane_genus,
-    plane_hilbert_polynomial,
-)
+from halphen.invariants import invariants_of
+from halphen.parsing import parse_polynomial
+from halphen.poly import IdealSpec
 
-from conftest import load_ideal
+from conftest import RING3, load_ideal
+from reference import plane_genus
 
 
 def P(*coeffs):
     return HilbertPolynomial(tuple(Fraction(c) for c in coeffs))
+
+
+def plane_hilbert_polynomial(d):
+    """The Hilbert polynomial of the Fermat curve of degree d in the plane."""
+    f = parse_polynomial(f"x^{d} + y^{d} + z^{d}", RING3)
+    return hilbert_polynomial(IdealSpec(RING3, (f,))).polynomial
 
 
 class TestInvariantsOf:

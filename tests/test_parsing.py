@@ -9,13 +9,11 @@ from halphen.groebner import buchberger
 from halphen.parsing import (
     DEGREE_BUDGET,
     VARIABLE_BUDGET,
-    IdealSpec,
     ParseError,
-    format_polynomial,
     parse_ideal_file,
     parse_polynomial,
 )
-from halphen.poly import Polynomial
+from halphen.poly import IdealSpec, Polynomial, format_polynomial
 
 from conftest import LONG_LITERALS, RING3, RING4, polynomials
 
@@ -96,6 +94,21 @@ class TestParsePolynomial:
         with pytest.raises(ParseError) as err:
             parse_ideal_file(f"ring x y z\n\ny {text}\n")
         assert (err.value.line, err.value.col, err.value.message) == (3, col + 2, message)
+
+    @pytest.mark.parametrize("indent", ["    ", "\t", " \t  "])
+    @pytest.mark.parametrize(
+        "text,col,message",
+        [
+            ("x + q", 5, "unknown variable 'q'"),
+            ("x^2 + y z 1/0", 13, "zero denominator"),
+            ("x +", 4, "expected a number or variable"),
+        ],
+    )
+    def test_indented_generator_reports_columns_of_its_line(self, indent, text, col, message):
+        for prefix in ("", indent):
+            with pytest.raises(ParseError) as err:
+                parse_ideal_file(f"ring x y z\n{prefix}{text}  # note\n")
+            assert (err.value.line, err.value.col, err.value.message) == (2, len(prefix) + col, message)
 
     def test_trailing_operator(self):
         with pytest.raises(ParseError):

@@ -9,7 +9,6 @@ from halphen.poly import (
     MonomialOrder,
     Polynomial,
     RingMismatch,
-    descending_key,
     primitive,
 )
 
@@ -219,7 +218,7 @@ class TestDescendingKey:
     def test_ascending_key_is_descending_order(self, order, monos):
         monos = list(set(monos))
         expect = sorted(monos, key=order.key, reverse=True)
-        assert sorted(monos, key=descending_key(order)) == order.sorted(monos) == expect
+        assert order.sorted(monos) == expect
 
 
 class TestPrimitive:

@@ -1,7 +1,8 @@
 import pytest
 
 from halphen.classifier import classify
-from halphen.parsing import IdealSpec, parse_polynomial
+from halphen.parsing import parse_polynomial
+from halphen.poly import IdealSpec
 
 from witnesses import RING, certify, diagonal_ci
 

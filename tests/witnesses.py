@@ -26,7 +26,8 @@ from typing import NamedTuple
 from halphen.classifier import halphen_bound
 from halphen.graded import hilbert_function
 from halphen.groebner import EmptyProjectiveSet, hilbert_polynomial
-from halphen.parsing import IdealSpec, parse_polynomial
+from halphen.parsing import parse_polynomial
+from halphen.poly import IdealSpec
 
 RING = ("x", "y", "z", "w")
 
