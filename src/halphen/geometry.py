@@ -29,6 +29,8 @@ class ProjectivePoint:
     @classmethod
     def parse(cls, text: str) -> "ProjectivePoint":
         parts = text.strip().strip("[]").split(":")
+        if "e" in text.lower():  # Fraction("1e3000000") builds a 3-million-digit int
+            raise ValueError(f"bad point {text!r}: exponent notation is not supported")
         try:
             return cls([Fraction(p.strip()) for p in parts])
         except ZeroDivisionError:

@@ -447,7 +447,9 @@ def _assert_groebner(gb: GroebnerBasis) -> None:
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """The leading monomials of the basis, each once and those that another
-    one divides dropped, smallest first in the basis's order."""
+    one divides dropped, in ascending order of their packed ints: ascending
+    under deglex and lex; under degrevlex, by rising degree and biggest
+    first within a degree."""
     packing = _Packing(len(gb.elements[0].ring), gb.order, _max_degree(gb.elements))
     pack, ascend = packing.pack, packing.ascend
     lms = [max([pack(m) ^ ascend for m in g.terms]) ^ ascend for g in gb.elements]
@@ -554,14 +556,12 @@ def _hilbert_polynomial_from_numerator(num: HilbertSeriesNumerator) -> HilbertDa
     return HilbertData(HilbertPolynomial(tuple(Fraction(c, f) for c in acc)), threshold, num)
 
 
-def hilbert_polynomial(
-    ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER
-) -> HilbertData:
+def hilbert_polynomial(ideal: IdealSpec) -> HilbertData:
     validate_ideal(ideal)
     if any(g.total_degree() == 0 for g in ideal.generators):
         raise EmptyProjectiveSet(
             "ideal contains a nonzero constant; the projective set is empty"
         )
-    gb = buchberger(ideal, order)
+    gb = buchberger(ideal)
     num = series_numerator(initial_ideal(gb), ideal.n_vars)
     return _hilbert_polynomial_from_numerator(num)

@@ -3,7 +3,10 @@
 Polynomial grammar: signed terms, optional rational coefficients written
 p/q, variables with `^` integer powers, `*` optional between factors.
 There are no parentheses, so every term is a coefficient times a
-monomial; the terms are summed into one dict per polynomial.
+monomial; the terms are summed into one dict per polynomial.  The reader
+walks the token list with the end token (None, "", len(text) + 1) appended:
+every look at the next token finds one, and an error at the end of the
+text reports the column one past it.
 Ideal files: a `ring x y z w` line followed by one homogeneous generator
 per line; `#` starts a comment.  Only the command line imports this module;
 it re-exports `IdealSpec`, `format_polynomial` and `validate_ideal` from `poly`.
@@ -61,112 +64,79 @@ def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _PolyParser:
-    def __init__(self, text: str, ring_vars: Sequence[str], line: int = 1):
-        self.line = line
-        self.ring = tuple(ring_vars)
-        self.tokens = _tokenize(text, line)
-        self.i = 0
-        self.end_col = len(text) + 1
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _error(self, message: str, col: int | None = None):
-        if col is None:
-            tok = self._peek()
-            col = tok[2] if tok else self.end_col
-        raise ParseError(message, self.line, col)
-
-    def _int(self, tok) -> int:
-        try:
-            return int(tok[1])
-        except ValueError:  # longer than the interpreter's int-string limit
-            limit = sys.get_int_max_str_digits()
-            self._error(f"a literal of {len(tok[1])} digits; the limit is {limit} digits", tok[2])
-
-    def parse(self) -> Polynomial:
-        if not self.tokens:
-            self._error("empty polynomial")
-        terms: dict[Monomial, Rational] = {}
-        tok = self._peek()
-        while True:
-            # the sign is optional before the first term only
-            sign = 1
-            if tok[0] == "op" and tok[1] in "+-":
-                sign = -1 if tok[1] == "-" else 1
-                self.i += 1
-            coeff, mono = self._term()
-            terms[mono] = terms.get(mono, 0) + sign * coeff
-            tok = self._peek()
-            if tok is None:
-                return Polynomial(terms, self.ring)
-            if not (tok[0] == "op" and tok[1] in "+-"):
-                self._error(f"expected '+' or '-', got {tok[1]!r}")
-
-    def _term(self) -> tuple[Rational, Monomial]:
-        coeff, exps = 1, [0] * len(self.ring)
-        while True:
-            c, index, power = self._factor()
-            coeff *= c
-            if index is not None:
-                exps[index] += power
-                degree = sum(exps)
-                if degree > DEGREE_BUDGET:
-                    # reported at the exponent (or variable) that crossed it
-                    self._error(
-                        f"a term of degree {degree}; the degree budget is {DEGREE_BUDGET}",
-                        self.tokens[self.i - 1][2],
-                    )
-            tok = self._peek()
-            # "*", or implicitly a number or name ("2x", "x y"), continues the term
-            if tok is None or tok[0] == "op" and tok[1] != "*":
-                return coeff, tuple(exps)
-            if tok[1] == "*":
-                self.i += 1
-
-    def _factor(self) -> tuple[Rational, int | None, int]:
-        """(coefficient, variable index or None, power)."""
-        tok = self._peek()
-        if tok is None:
-            self._error("expected a number or variable")
-        kind, value, col = tok
-        if kind == "num":
-            self.i += 1
-            numerator = self._int(tok)
-            nxt = self._peek()
-            if nxt and nxt[:2] == ("op", "/"):
-                self.i += 1
-                den = self._peek()
-                if den is None or den[0] != "num":
-                    self._error("expected an integer denominator")
-                self.i += 1
-                denominator = self._int(den)
-                if denominator == 0:
-                    self._error("zero denominator", den[2])
-                return Fraction(numerator, denominator), None, 0
-            return numerator, None, 0
-        if kind == "name":
-            self.i += 1
-            if value not in self.ring:
-                self._error(f"unknown variable {value!r}", col)
-            power = 1
-            nxt = self._peek()
-            if nxt and nxt[:2] == ("op", "^"):
-                self.i += 1
-                exp = self._peek()
-                if exp and exp[:2] == ("op", "-"):
-                    self._error("negative exponent", exp[2])
-                if exp is None or exp[0] != "num":
-                    self._error("expected an integer exponent")
-                self.i += 1
-                power = self._int(exp)
-            return 1, self.ring.index(value), power
-        self._error(f"unexpected {value!r}", col)
+def _int(tok: tuple[str, str, int], line: int) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # longer than the interpreter's int-string limit
+        limit = sys.get_int_max_str_digits()
+        message = f"a literal of {len(tok[1])} digits; the limit is {limit} digits"
+        raise ParseError(message, line, tok[2]) from None
 
 
 def parse_polynomial(text: str, ring_vars: Sequence[str], line: int = 1) -> Polynomial:
-    return _PolyParser(text, ring_vars, line=line).parse()
+    ring = tuple(ring_vars)
+    tokens = _tokenize(text, line)
+    tokens.append((None, "", len(text) + 1))  # the end token
+    if len(tokens) == 1:
+        raise ParseError("empty polynomial", line, tokens[0][2])
+    terms: dict[Monomial, Rational] = {}
+    i = 0
+    while True:
+        # the sign is optional before the first term only
+        sign = 1
+        if tokens[i][0] == "op" and tokens[i][1] in "+-":
+            sign = -1 if tokens[i][1] == "-" else 1
+            i += 1
+        coeff, exps = 1, [0] * len(ring)
+        while True:  # one factor: a number, p/q, or a variable with its power
+            tok = kind, value, col = tokens[i]
+            i += 1
+            if kind == "num":
+                c = _int(tok, line)
+                if tokens[i][:2] == ("op", "/"):
+                    den = tokens[i + 1]
+                    if den[0] != "num":
+                        raise ParseError("expected an integer denominator", line, den[2])
+                    i += 2
+                    denominator = _int(den, line)
+                    if denominator == 0:
+                        raise ParseError("zero denominator", line, den[2])
+                    c = Fraction(c, denominator)
+                coeff *= c
+            elif kind == "name":
+                if value not in ring:
+                    raise ParseError(f"unknown variable {value!r}", line, col)
+                power = 1
+                if tokens[i][:2] == ("op", "^"):
+                    exp = tokens[i + 1]
+                    if exp[:2] == ("op", "-"):
+                        raise ParseError("negative exponent", line, exp[2])
+                    if exp[0] != "num":
+                        raise ParseError("expected an integer exponent", line, exp[2])
+                    i += 2
+                    power = _int(exp, line)
+                exps[ring.index(value)] += power
+                degree = sum(exps)
+                if degree > DEGREE_BUDGET:
+                    # reported at the exponent (or variable) that crossed it
+                    message = f"a term of degree {degree}; the degree budget is {DEGREE_BUDGET}"
+                    raise ParseError(message, line, tokens[i - 1][2])
+            elif kind is None:
+                raise ParseError("expected a number or variable", line, col)
+            else:
+                raise ParseError(f"unexpected {value!r}", line, col)
+            # "*", or implicitly a number or name ("2x", "x y"), continues the term
+            kind, value, col = tokens[i]
+            if value == "*":
+                i += 1
+            elif kind is None or kind == "op":
+                break
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + sign * coeff
+        kind, value, col = tokens[i]
+        if kind is None:
+            return Polynomial(terms, ring)
+        if value not in "+-":
+            raise ParseError(f"expected '+' or '-', got {value!r}", line, col)
 
 
 def _ring_vars(names: Sequence[str], line: int = 1) -> tuple[str, ...]:
@@ -198,6 +168,8 @@ def parse_ideal_file(text: str, label: str | None = None) -> IdealSpec:
             if head != "ring":
                 raise ParseError("expected a 'ring x y z ...' line first", lineno, 1)
             ring_vars = _ring_vars(rest, lineno)
+            if "label" in ring_vars:  # a generator "label - x" would read as the label
+                raise ParseError("'label' is reserved and cannot name a variable", lineno, 1)
             continue
         if body.startswith("label "):
             label = body[len("label "):].strip()

@@ -106,6 +106,14 @@ class TestInvariantsCommand:
             "over 640 digits\n"
         )
 
+    def test_label_variable_is_refused(self, tmp_path, capsys):
+        # it once dropped the generator "label - x" and answered 2*m + 1
+        path = tmp_path / "label.ideal"
+        path.write_text("ring label x y\nlabel - x\nx*y - y^2\n")
+        code, out, err = run(capsys, "invariants", "--ideal", str(path))
+        assert (code, out) == (1, "")
+        assert err == "halphen: error: line 1, col 1: 'label' is reserved and cannot name a variable\n"
+
     def test_malformed_ideal(self, tmp_path, capsys):
         bad = tmp_path / "bad.ideal"
         bad.write_text("ring x y z\nx^2 + y\n")
@@ -348,6 +356,15 @@ class TestSmoothAtCommand:
         assert (code, out) == (1, "")
         assert err == "halphen: error: bad point '1/0:1:1:1': zero denominator\n"
 
+    def test_exponent_notation_in_point(self, capsys):
+        # Fraction("1e3000000") alone would build a 3-million-digit integer
+        point = "1e3000000:0:0:0"
+        code, out, err = run(
+            capsys, "smooth-at", "--ideal", fixture("twisted_cubic"), "--point", point
+        )
+        assert (code, out) == (1, "")
+        assert err == f"halphen: error: bad point {point!r}: exponent notation is not supported\n"
+
 
 class TestTangentCommand:
     def test_plane_cubic(self, capsys):
@@ -368,6 +385,12 @@ class TestTangentCommand:
         code, _, err = run(capsys, "tangent", "--poly", "x*y", "--point", "0:0:1")
         assert code == 1
         assert "tangent line undefined" in err
+
+    def test_exponent_notation_in_point(self, capsys):
+        point = "0:1E3000000:1"
+        code, out, err = run(capsys, "tangent", "--poly", "x^2 + y^2 - z^2", "--point", point)
+        assert (code, out) == (1, "")
+        assert err == f"halphen: error: bad point {point!r}: exponent notation is not supported\n"
 
     # --ring is checked like an ideal file's ring line, with the same message
     # but no line and column, which a flag does not have

@@ -71,6 +71,14 @@ class TestParsePolynomial:
             ("1/x", 3, "expected an integer denominator"),
             ("1/0*x", 3, "zero denominator"),
             ("x^y", 3, "expected an integer exponent"),
+            ("x + + y", 5, "unexpected '+'"),
+            ("*x", 1, "unexpected '*'"),
+            ("", 1, "empty polynomial"),
+            ("   ", 4, "empty polynomial"),
+            ("1/", 3, "expected an integer denominator"),
+            ("x^", 3, "expected an integer exponent"),
+            ("2/3/4", 4, "expected '+' or '-', got '/'"),
+            ("x^2^3", 4, "expected '+' or '-', got '^'"),
         ],
     )
     def test_refused_at_the_offending_token(self, text, col, message):
@@ -223,6 +231,13 @@ class TestParseIdealFile:
         spec = parse_ideal_file(text)
         assert spec.label == "conic"
         assert len(spec.generators) == 1
+
+    def test_label_is_not_a_variable_name(self):
+        # with a variable `label`, the generator "label - x" read as the label
+        with pytest.raises(ParseError) as err:
+            parse_ideal_file("ring label x y\nlabel - x\nx*y - y^2\n")
+        assert (err.value.line, err.value.col) == (1, 1)
+        assert err.value.message == "'label' is reserved and cannot name a variable"
 
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
