@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,6 +37,16 @@ class ProjectivePoint:
         except ZeroDivisionError:
             raise ValueError(f"bad point {text!r}: zero denominator") from None
         except ValueError as exc:
+            # a literal longer than the interpreter's int-string limit is
+            # named by its coordinate, not echoed
+            limit = sys.get_int_max_str_digits()
+            for k, p in enumerate(parts, 1):
+                digits = max(sum(map(str.isdigit, q)) for q in p.split("/"))
+                if limit and digits > limit:
+                    raise ValueError(
+                        f"bad point: coordinate {k} is a literal of {digits} digits;"
+                        f" the limit is {limit} digits"
+                    ) from None
             raise ValueError(f"bad point {text!r}: {exc}") from None
 
     def normalized(self) -> tuple[Fraction, ...]:

@@ -8,8 +8,10 @@ enters.  One reduction kernel serves the pair loop, the interreduction,
 the final check and `normal_form`: it works in a mutable term dict with a
 heap of pending monomials and primitive integer coefficients, so no
 Fraction is built until the reduced basis is made monic.  The final check
-reduces the S-polynomial of every pair of the reduced basis, with no
-criterion skips, and raises `GroebnerCheckFailed`, so it also runs under
+certifies the reduced basis from scratch: the S-polynomials of a pair set
+that generates the syzygies of its leading terms (the coprime and chain
+criteria, computed on the final basis alone) and every input generator
+reduce to zero.  It raises `GroebnerCheckFailed`, so it also runs under
 `python -O`.
 
 Inside all of this a monomial is one packed int (Monagan & Pearce,
@@ -67,8 +69,9 @@ class GroebnerBudgetExceeded(RuntimeError):
 
 
 class GroebnerCheckFailed(RuntimeError):
-    """The final check found an S-polynomial of the result that does not
-    reduce to zero: the returned basis would not be a Groebner basis."""
+    """The final check found an S-polynomial of the result, or a generator
+    of the input ideal, that does not reduce to zero: the returned basis
+    would not be a Groebner basis of the ideal."""
 
 
 class EmptyProjectiveSet(ValueError):
@@ -364,7 +367,7 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
         lambda packing: _buchberger(ideal, packing),
         ideal.n_vars, order, _max_degree(ideal.generators),
     )
-    _assert_groebner(gb)
+    _assert_groebner(gb, ideal)
     return gb
 
 
@@ -432,17 +435,57 @@ def _reduce_basis(
     return GroebnerBasis(packing.order, tuple(reduced))
 
 
-def _assert_groebner(gb: GroebnerBasis) -> None:
-    """Every S-polynomial of the basis must reduce to zero: all pairs, no
-    criterion skips.  Raises, so the check also runs under `python -O`."""
+def _syzygy_pairs(lms: list[int], packing: _Packing) -> list[tuple[int, int, int]]:
+    """(i, j, lcm of lm_i and lm_j) for the pairs whose S-polynomials the
+    final check reduces: all but those with coprime leading monomials and
+    those where some lm_k divides lcm_ij with lcm_ik and lcm_jk both
+    properly dividing it.  Computed from the leading monomials alone."""
+    n, guard = len(lms), packing.guard
+    lcms = [[0] * n for _ in lms]
+    for i, j in combinations(range(n), 2):
+        lcms[i][j] = lcms[j][i] = packing.lcm(lms[i], lms[j])
+    kept = []
+    for i, j in combinations(range(n), 2):
+        m = lcms[i][j]
+        if m == lms[i] + lms[j]:
+            continue
+        # when lm_k divides m, so does lcm_ik, properly when it is not m;
+        # neither k = i nor k = j passes, since lcm_ji and lcm_ij are m
+        row_i, row_j = lcms[i], lcms[j]
+        if any(
+            1 for k, lk in enumerate(lms) if not (m - lk) & guard and row_i[k] != m != row_j[k]
+        ):
+            continue
+        kept.append((i, j, m))
+    return kept
+
+
+def _assert_groebner(gb: GroebnerBasis, ideal: IdealSpec) -> None:
+    """Certify that the basis is a Groebner basis of the ideal, or raise
+    `GroebnerCheckFailed`, so that the check also runs under `python -O`.
+
+    First, the S-polynomial of every pair of `_syzygy_pairs` reduces to
+    zero.  Those S-polynomials generate the syzygies of the leading terms:
+    a pair dropped by the chain test is a combination of two pairs whose
+    lcms divide its own properly, so induction on the lcm under divisibility
+    ends, and a coprime pair reduces to zero by the first criterion.  So the
+    basis is a Groebner basis of the ideal it generates (Cox, Little &
+    O'Shea, ch. 2 §10; Gebauer & Moeller, JSC 6, 1988).  Second, every
+    generator of the ideal reduces to zero modulo the basis, so I is in <G>.
+    That G is in I holds by construction: `buchberger` makes each element
+    from the generators."""
 
     def run(packing: _Packing) -> None:
         basis = [_Element(_integer_terms(g, packing)[1], packing) for g in gb.elements]
-        for f, g in combinations(basis, 2):
-            if _reduce(_s_terms(f, g, packing.lcm(f.lm, g.lm), packing), basis, packing)[0]:
+        for i, j, m in _syzygy_pairs([g.lm for g in basis], packing):
+            if _reduce(_s_terms(basis[i], basis[j], m, packing), basis, packing)[0]:
                 raise GroebnerCheckFailed("S-polynomial did not reduce to zero")
+        for g in ideal.generators:
+            if _reduce(_integer_terms(g, packing)[1], basis, packing)[0]:
+                raise GroebnerCheckFailed("input generator did not reduce to zero")
 
-    _widening(run, len(gb.elements[0].ring), gb.order, _max_degree(gb.elements))
+    degree = _max_degree([*gb.elements, *ideal.generators])
+    _widening(run, ideal.n_vars, gb.order, degree)
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:

@@ -3,13 +3,17 @@
 Each one is the direct definition, on exponent tuples where monomials
 appear, with no packing and no pivot recursion: monomial divisibility,
 the monomials of a degree, the Hilbert function read off a series
-numerator by expanding it over (1 - t)^n, and the genus of a plane
-curve.  Nothing in the package calls them.
+numerator by expanding it over (1 - t)^n, the genus of a plane curve,
+and textbook division and the S-polynomial of every pair, over Fractions.
+Nothing in the package calls them.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from functools import cache
+from itertools import combinations, combinations_with_replacement
+from operator import add, le, sub
 from typing import Iterator
 
 from halphen.combinat import binom
@@ -19,7 +23,7 @@ from halphen.poly import DEFAULT_ORDER, Monomial, MonomialOrder
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """Does a divide b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _iter_exponents(n_vars: int, degree: int) -> Iterator[Monomial]:
@@ -56,3 +60,50 @@ def series_coefficients(num: HilbertSeriesNumerator, upto: int) -> list[int]:
         sum(c * binom(m - j + n - 1, n - 1) for j, c in enumerate(num.coeffs))
         for m in range(upto + 1)
     ]
+
+
+Terms = dict[Monomial, Fraction]
+
+
+def textbook_remainder(f: Terms, divisors: list[Terms], order: MonomialOrder) -> Terms:
+    """The remainder of f on division by the divisors: the biggest term
+    left is cancelled by the first divisor whose leading monomial divides
+    it, or else moved to the remainder."""
+    key = cache(order.key)
+    leads = [max(g, key=key) for g in divisors]
+    work, remainder = dict(f), {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for g, lm in zip(divisors, leads):
+            if monomial_divides(lm, m):
+                q = Fraction(c) / g[lm]
+                u = tuple(map(sub, m, lm))
+                for t, tc in g.items():
+                    if t != lm:
+                        n = tuple(map(add, u, t))
+                        v = work.pop(n, 0) - q * tc
+                        if v:
+                            work[n] = v
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def all_pairs_groebner(basis: list[Terms], order: MonomialOrder) -> bool:
+    """Buchberger's criterion with no pair skipped: does the S-polynomial
+    of every pair of the basis leave no remainder?"""
+    for f, g in combinations(basis, 2):
+        lf, lg = max(f, key=order.key), max(g, key=order.key)
+        lcm = tuple(map(max, lf, lg))
+        s: Terms = {}
+        for p, lm, sign in [(f, lf, 1), (g, lg, -1)]:
+            q = Fraction(sign) / p[lm]
+            u = tuple(map(sub, lcm, lm))
+            for t, c in p.items():
+                n = tuple(map(add, u, t))
+                s[n] = s.get(n, 0) + q * c
+        if textbook_remainder({m: c for m, c in s.items() if c}, basis, order):
+            return False
+    return True

@@ -15,7 +15,6 @@ from halphen.parsing import (
     VARIABLE_BUDGET,
     ParseError,
     parse_ideal_file,
-    parse_polynomial,
 )
 from halphen.poly import DEFAULT_ORDER
 
@@ -160,16 +159,23 @@ class TestHilbertCommand:
 
 
 class TestGroebnerCheckFailure:
-    def test_failed_final_check_is_domain_error(self, capsys, monkeypatch):
-        ring = ("x", "y", "z")
-        bad = groebner.GroebnerBasis(
-            DEFAULT_ORDER,
-            (parse_polynomial("x*y - z^2", ring), parse_polynomial("x^2 - y*z", ring)),
-        )
+    def test_failed_final_check_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        # the generators, their own ideal, given back as its basis: not a
+        # Groebner basis
+        path = tmp_path / "non_basis.ideal"
+        path.write_text("ring x y z\nx*y - z^2\nx^2 - y*z\n")
+        bad = groebner.GroebnerBasis(DEFAULT_ORDER, parse_ideal_file(path.read_text()).generators)
         monkeypatch.setattr(groebner, "_reduce_basis", lambda *args: bad)
-        code, out, err = run(capsys, "invariants", "--ideal", fixture("curve_E"))
+        code, out, err = run(capsys, "invariants", "--ideal", str(path))
         assert code == 1 and out == ""
         assert err == "halphen: error: S-polynomial did not reduce to zero\n"
+
+    def test_basis_of_another_ideal_is_domain_error(self, capsys, monkeypatch):
+        other = groebner.buchberger(parse_ideal_file((FIXTURES / "curve_E.ideal").read_text()))
+        monkeypatch.setattr(groebner, "_reduce_basis", lambda *args: other)
+        code, out, err = run(capsys, "invariants", "--ideal", fixture("twisted_cubic"))
+        assert code == 1 and out == ""
+        assert err == "halphen: error: input generator did not reduce to zero\n"
 
 
 class TestClassifyCommand:
@@ -364,6 +370,19 @@ class TestSmoothAtCommand:
         )
         assert (code, out) == (1, "")
         assert err == f"halphen: error: bad point {point!r}: exponent notation is not supported\n"
+
+    def test_coordinate_past_the_int_string_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        point = "0:1/" + "1" * (limit + 100) + ":0:0"
+        code, out, err = run(
+            capsys, "smooth-at", "--ideal", fixture("twisted_cubic"), "--point", point
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"halphen: error: bad point: coordinate 2 is a literal of {limit + 100} digits;"
+            f" the limit is {limit} digits\n"
+        )
+        assert len(err) <= 1000
 
 
 class TestTangentCommand:

@@ -4,11 +4,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halphen import groebner
@@ -35,7 +35,6 @@ from halphen.poly import (
     MonomialOrder,
     Polynomial,
     RingMismatch,
-    monomial_div,
     monomial_lcm,
     monomial_mul,
 )
@@ -46,11 +45,18 @@ from conftest import (
     RING4,
     dense_form,
     exponents,
+    homogeneous_polynomials,
     load_ideal,
     polynomials,
     random_rnc,
 )
-from reference import enumerate_monomials, monomial_divides, series_coefficients
+from reference import (
+    all_pairs_groebner,
+    enumerate_monomials,
+    monomial_divides,
+    series_coefficients,
+    textbook_remainder,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -244,6 +250,16 @@ class TestBasisGoldens:
         spec = load_ideal(name) if name in FIXTURE_NAMES else series_instance(name)
         assert basis_sha256(buchberger(spec, MonomialOrder[order])) == self.GOLDEN[case]
 
+    # The all-pairs reference divides in Fractions: on the deglex basis of
+    # ci(3,3), whose coefficients run to 622 bits, it takes about 10 s, as
+    # long as half of the rest of the suite, so that one case is left out.
+    @pytest.mark.parametrize("case", [c for c in GOLDEN if c != ("ci(3,3)", "deglex")])
+    def test_every_s_polynomial_reduces_to_zero(self, case):
+        name, order = case
+        spec = load_ideal(name) if name in FIXTURE_NAMES else series_instance(name)
+        gb = buchberger(spec, MonomialOrder[order])
+        assert all_pairs_groebner([g.terms for g in gb.elements], gb.order)
+
 
 def series_sha256(spec, order):
     """sha256 of the initial ideal of the reduced basis, its generators
@@ -344,24 +360,8 @@ class TestSeriesGoldens:
 
 
 def _reference_normal_form(f, basis, order):
-    """Textbook division in Fractions: the biggest term of the working
-    polynomial is divided by the first element whose leading term divides it."""
-    remainder = Polynomial.zero(f.ring)
-    work = f
-    while not work.is_zero:
-        lm = leading_monomial(work, order)
-        lc = work.terms[lm]
-        for g in basis:
-            glm = leading_monomial(g, order)
-            if monomial_divides(glm, lm):
-                u = Polynomial.monomial(monomial_div(lm, glm), f.ring, lc / g.terms[glm])
-                work = work - u * g
-                break
-        else:
-            head = Polynomial.monomial(lm, f.ring, lc)
-            remainder = remainder + head
-            work = work - head
-    return remainder
+    """`textbook_remainder` on `Polynomial`s."""
+    return Polynomial(textbook_remainder(f.terms, [g.terms for g in basis], order), f.ring)
 
 
 class TestNormalForm:
@@ -483,44 +483,205 @@ class TestFieldWidening:
 
 
 NON_BASIS = ("x*y - z^2", "x^2 - y*z")
+NON_BASIS_IDEAL = "ring x y z\n" + "\n".join(NON_BASIS) + "\n"
 
-CHECK_UNDER_O = f"""
+# Each half of the final check fails once in-process and once through
+# `cli.main`: the generators of `NON_BASIS_IDEAL` as their own basis, which
+# is not a Groebner basis, and the twisted cubic given the reduced basis of
+# curve_E, a Groebner basis of another ideal.
+CHECK_UNDER_O = """
 import sys
 from halphen import cli, groebner
-from halphen.parsing import parse_polynomial
+from halphen.parsing import parse_ideal_file
 from halphen.poly import DEFAULT_ORDER
 
-ring = ("x", "y", "z")
-bad = groebner.GroebnerBasis(
-    DEFAULT_ORDER, tuple(parse_polynomial(t, ring) for t in {NON_BASIS!r})
-)
-try:
-    groebner._assert_groebner(bad)
-except groebner.GroebnerCheckFailed:
-    print("raised")
-groebner._reduce_basis = lambda *args: bad
-print("exit", cli.main(["invariants", "--ideal", sys.argv[1]]))
+non_basis_path, cubic_path, curve_e_path = sys.argv[1:]
+
+def load(path):
+    with open(path) as f:
+        return parse_ideal_file(f.read())
+
+non_basis = load(non_basis_path)
+cases = [
+    (non_basis_path, groebner.GroebnerBasis(DEFAULT_ORDER, non_basis.generators)),
+    (cubic_path, groebner.buchberger(load(curve_e_path))),
+]
+for path, bad in cases:
+    try:
+        groebner._assert_groebner(bad, load(path))
+    except groebner.GroebnerCheckFailed as exc:
+        print("raised", exc)
+    groebner._reduce_basis = lambda *args: bad
+    print("exit", cli.main(["invariants", "--ideal", path]))
 print("optimize", sys.flags.optimize)
 """
 
 
-class TestFinalCheck:
-    def test_non_basis_is_rejected(self):
-        bad = GroebnerBasis(DEFAULT_ORDER, tuple(parse_polynomial(t, RING3) for t in NON_BASIS))
-        with pytest.raises(GroebnerCheckFailed):
-            _assert_groebner(bad)
+FORMS = homogeneous_polynomials(max_degree=3).filter(bool)
 
-    def test_check_runs_under_python_O(self):
+
+def rnc_minors(n):
+    """The 2x2 minors of [[x0 .. x(n-1)], [x1 .. xn]], the rational normal
+    curve in P^n in its own coordinates, with no seed."""
+    ring = tuple(f"x{i}" for i in range(n + 1))
+    x = [Polynomial.variable(i, ring) for i in range(n + 1)]
+    minors = [x[i] * x[j + 1] - x[j] * x[i + 1] for i in range(n) for j in range(i + 1, n)]
+    return IdealSpec(ring, tuple(minors))
+
+
+def mutant_cases():
+    """(ideal, reduced basis) for the bases whose mutants the final check
+    must reject."""
+    specs = [rnc_minors(6)] + [series_instance(f"ci({d})") for d in ["2,2,2", "3,3,3", "4,4"]]
+    return [(spec, buchberger(spec)) for spec in specs]
+
+
+def tail_mutants(gb):
+    """The basis with one tail coefficient raised by 1, for every tail term;
+    a coefficient -1 becomes 0, so that term drops out."""
+    out = []
+    for i, g in enumerate(gb.elements):
+        lm = leading_monomial(g, gb.order)
+        for m in g.terms:
+            if m != lm:
+                terms = dict(g.terms)
+                terms[m] += 1
+                out.append(gb.elements[:i] + (Polynomial(terms, g.ring),) + gb.elements[i + 1 :])
+    return out
+
+
+def check_message(gb, ideal):
+    """The message of the final check on the basis, or None if it passes."""
+    try:
+        _assert_groebner(gb, ideal)
+    except GroebnerCheckFailed as exc:
+        return str(exc)
+    return None
+
+
+class TestFinalCheck:
+    S_FAILED = "S-polynomial did not reduce to zero"
+    GENERATOR_FAILED = "input generator did not reduce to zero"
+
+    def test_non_basis_is_rejected(self):
+        gens = tuple(parse_polynomial(t, RING3) for t in NON_BASIS)
+        bad = GroebnerBasis(DEFAULT_ORDER, gens)
+        with pytest.raises(GroebnerCheckFailed, match=self.S_FAILED):
+            _assert_groebner(bad, IdealSpec(RING3, gens))
+
+    def test_basis_of_another_ideal_fails_only_the_generator_half(self, twisted_cubic, curve_e):
+        other = buchberger(curve_e)
+        assert all_pairs_groebner([g.terms for g in other.elements], other.order)
+        assert check_message(other, curve_e) is None
+        assert check_message(other, twisted_cubic) == self.GENERATOR_FAILED
+
+    def test_drop_one_mutants_are_rejected(self):
+        """Dropping any element leaves a set that is not a Groebner basis,
+        and the S-pair half alone sees it, as the all-pairs check does."""
+        count = 0
+        for spec, gb in mutant_cases():
+            for i in range(len(gb.elements)):
+                elements = gb.elements[:i] + gb.elements[i + 1 :]
+                bad = GroebnerBasis(gb.order, elements)
+                assert check_message(bad, spec) == self.S_FAILED
+                assert not all_pairs_groebner([g.terms for g in elements], gb.order)
+                count += 1
+        assert count == 37
+
+    def test_tail_coefficient_mutants_are_rejected(self):
+        """The S-pair half rejects each, so the all-pairs check, which
+        reduces a superset of its pairs, does too."""
+        count = 0
+        for spec, gb in mutant_cases():
+            for elements in tail_mutants(gb):
+                assert check_message(GroebnerBasis(gb.order, elements), spec) == self.S_FAILED
+                count += 1
+        # 550 raised coefficients stay nonzero; 19 that were -1 drop out
+        assert count == 569
+
+    def test_fields_hold_the_generators_degree(self, monkeypatch):
+        # the basis {x} has degree 1, the generator x*y^20 degree 21
+        x, big = (parse_polynomial(t, RING3) for t in ["x", "x*y^20"])
+        limits = TestFieldWidening.packing_limits(monkeypatch)
+        ideal = IdealSpec(RING3, (x, big))
+        assert check_message(GroebnerBasis(DEFAULT_ORDER, (x,)), ideal) is None
+        assert limits[0] > 21
+
+    @pytest.mark.parametrize(
+        "lms, kept",
+        [
+            # pairwise coprime: nothing to reduce
+            ([(2, 0, 0), (0, 3, 0), (0, 0, 1)], []),
+            # xy divides lcm(x^2 y, x y^2) = x^2 y^2, and lcm(x^2 y, xy) and
+            # lcm(x y^2, xy) divide it properly: (0, 1) is dropped
+            ([(2, 1, 0), (1, 2, 0), (1, 1, 0)], [(0, 2), (1, 2)]),
+            # xyz divides lcm(xy, yz) = xyz but not properly: all are kept
+            ([(1, 1, 0), (0, 1, 1), (1, 1, 1)], [(0, 1), (0, 2), (1, 2)]),
+        ],
+    )
+    def test_pairs_dropped_by_each_criterion(self, lms, kept):
+        packing = groebner._Packing(3, DEFAULT_ORDER, 3)
+        pairs = groebner._syzygy_pairs([packing.pack(m) for m in lms], packing)
+        assert [(i, j) for i, j, _ in pairs] == kept
+        assert all(packing.unpack(m) == monomial_lcm(lms[i], lms[j]) for i, j, m in pairs)
+
+    @pytest.mark.parametrize("n, pairs, coprime, kept", [(6, 105, 55, 50), (7, 210, 120, 90)])
+    def test_pairs_kept_on_rational_normal_curves(self, n, pairs, coprime, kept):
+        gb = buchberger(rnc_minors(n))
+        lms = [leading_monomial(g, gb.order) for g in gb.elements]
+        assert len(list(combinations(lms, 2))) == pairs
+        assert sum(not any(map(min, a, b)) for a, b in combinations(lms, 2)) == coprime
+        packing = groebner._Packing(n + 1, gb.order, 2)
+        assert len(groebner._syzygy_pairs([packing.pack(m) for m in lms], packing)) == kept
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @settings(max_examples=60, derandomize=True)
+    @given(gens=st.lists(FORMS, min_size=2, max_size=4))
+    def test_kept_pairs_decide_like_all_pairs(self, order, gens):
+        """Given its own generators as a basis, the check fails exactly when
+        the test-side all-pairs check does, and then by its S-pair half:
+        the pairs it skips never decide."""
+        gens = tuple(gens)
+        message = check_message(GroebnerBasis(order, gens), IdealSpec(RING3, gens))
+        if all_pairs_groebner([g.terms for g in gens], order):
+            assert message is None
+        else:
+            assert message == self.S_FAILED
+
+    def test_check_runs_under_python_O(self, tmp_path):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        fixture = str(FIXTURES / "twisted_cubic.ideal")
+        non_basis = tmp_path / "non_basis.ideal"
+        non_basis.write_text(NON_BASIS_IDEAL)
+        fixtures = [str(FIXTURES / f"{name}.ideal") for name in ["twisted_cubic", "curve_E"]]
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", CHECK_UNDER_O, fixture],
+            [sys.executable, "-O", "-c", CHECK_UNDER_O, str(non_basis), *fixtures],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert proc.stdout.split("\n")[:3] == ["raised", "exit 1", "optimize 1"], proc.stderr
-        assert "halphen: error: S-polynomial did not reduce to zero" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stdout.split("\n")[:5] == [
+            f"raised {self.S_FAILED}",
+            "exit 1",
+            f"raised {self.GENERATOR_FAILED}",
+            "exit 1",
+            "optimize 1",
+        ], proc.stderr
+        assert proc.stderr == (
+            f"halphen: error: {self.S_FAILED}\nhalphen: error: {self.GENERATOR_FAILED}\n"
+        )
+
+
+class TestAllPairsReference:
+    """Every S-polynomial of a computed basis, with no pair skipped, and
+    every generator leave no remainder under the test-side division."""
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @settings(max_examples=30, derandomize=True)
+    @given(gens=st.lists(FORMS, min_size=2, max_size=3))
+    def test_random_homogeneous_ideals(self, order, gens):
+        gb = buchberger(IdealSpec(RING3, tuple(gens)), order)
+        basis = [g.terms for g in gb.elements]
+        assert all_pairs_groebner(basis, order)
+        assert not any(textbook_remainder(g.terms, basis, order) for g in gens)
 
 
 class TestInitialIdeal:
