@@ -136,9 +136,10 @@ def _cmd_region(args) -> int:
 
 def _cmd_smooth_at(args) -> int:
     from . import geometry, groebner, invariants
+    from .parsing import parse_point
 
     spec = _load_ideal(args.ideal)
-    point = geometry.ProjectivePoint.parse(args.point)
+    point = geometry.ProjectivePoint(parse_point(args.point))
     if not geometry.on_variety(spec, point):
         raise ValueError(f"point {point} is not on the variety of {args.ideal}")
     data = groebner.hilbert_polynomial(spec)
@@ -161,7 +162,7 @@ def _cmd_smooth_at(args) -> int:
 
 def _cmd_tangent(args) -> int:
     from . import geometry
-    from .parsing import ParseError, _ring_vars, parse_polynomial
+    from .parsing import ParseError, _ring_vars, parse_point, parse_polynomial
     from .poly import format_polynomial
 
     try:
@@ -169,7 +170,7 @@ def _cmd_tangent(args) -> int:
     except ParseError as exc:  # a flag has no line or column
         raise ValueError(f"--ring: {exc.message}") from None
     f = parse_polynomial(args.poly, ring)
-    point = geometry.ProjectivePoint.parse(args.point)
+    point = geometry.ProjectivePoint(parse_point(args.point))
     line = geometry.tangent_line(f, point)
     form = geometry.tangent_line_polynomial(line, ring)
     payload = {

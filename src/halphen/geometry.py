@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,28 +25,6 @@ class ProjectivePoint:
         if not coords or all(c == 0 for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
         object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def parse(cls, text: str) -> "ProjectivePoint":
-        parts = text.strip().strip("[]").split(":")
-        if "e" in text.lower():  # Fraction("1e3000000") builds a 3-million-digit int
-            raise ValueError(f"bad point {text!r}: exponent notation is not supported")
-        try:
-            return cls([Fraction(p.strip()) for p in parts])
-        except ZeroDivisionError:
-            raise ValueError(f"bad point {text!r}: zero denominator") from None
-        except ValueError as exc:
-            # a literal longer than the interpreter's int-string limit is
-            # named by its coordinate, not echoed
-            limit = sys.get_int_max_str_digits()
-            for k, p in enumerate(parts, 1):
-                digits = max(sum(map(str.isdigit, q)) for q in p.split("/"))
-                if limit and digits > limit:
-                    raise ValueError(
-                        f"bad point: coordinate {k} is a literal of {digits} digits;"
-                        f" the limit is {limit} digits"
-                    ) from None
-            raise ValueError(f"bad point {text!r}: {exc}") from None
 
     def normalized(self) -> tuple[Fraction, ...]:
         pivot = next(c for c in self.coords if c != 0)

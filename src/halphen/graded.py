@@ -4,7 +4,8 @@ dim I_m is the exact rank of the Macaulay matrix M_m, whose rows are the
 monomial multiples u*f_i of degree m, written in the monomial basis of
 R_m; the Hilbert function of R/I is the codimension.  This is the
 definitional computation and serves as the independent oracle for the
-Groebner path.
+Groebner path.  Monomials are counted by `binom`, the one place of the
+convention C(a, b) = 0 for a < b.
 
 Each generator is made primitive over the integers (cleared of
 denominators, divided by its content) before any row is built, and every
@@ -68,9 +69,9 @@ Hilbert polynomial) can differ from that of its saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from operator import itemgetter, mul
 
-from .combinat import binom
 from .linalg import Pivots, exact_rank
 from .poly import IdealSpec, primitive, validate_ideal
 
@@ -81,6 +82,13 @@ PIECE_BUDGET = 100_000
 
 class RankBudgetExceeded(RuntimeError):
     pass
+
+
+def binom(a: int, b: int) -> int:
+    """C(a, b), zero whenever a < b or either side is negative."""
+    if b < 0 or a < b:
+        return 0
+    return comb(a, b)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Reads the text format of polynomials and ideal files.
+"""Reads every text input: polynomials, ideal files and points.
 
 Polynomial grammar: signed terms, optional rational coefficients written
 p/q, variables with `^` integer powers, `*` optional between factors.
@@ -8,8 +8,9 @@ walks the token list with the end token (None, "", len(text) + 1) appended:
 every look at the next token finds one, and an error at the end of the
 text reports the column one past it.
 Ideal files: a `ring x y z w` line followed by one homogeneous generator
-per line; `#` starts a comment.  Only the command line imports this module;
-it re-exports `IdealSpec`, `format_polynomial` and `validate_ideal` from `poly`.
+per line; `#` starts a comment.  Points: `a:b:...`, optionally in
+brackets, each coordinate whatever `Fraction` reads but exponent notation.
+Only the command line imports this module.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import IdealSpec, Monomial, Polynomial, Rational, format_polynomial, validate_ideal
+from .poly import IdealSpec, Monomial, Polynomial, Rational
 
 # Largest total degree of a term the parser accepts.  `invariants` of
 # x^10000 - y^10000 in 4 variables takes 0.04 s on a 2-vCPU x86-64 host;
@@ -64,13 +65,17 @@ def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _past_limit(digits: int) -> str:
+    """Why `int` refuses a literal of `digits` digits (the int-string limit), or ""."""
+    limit = sys.get_int_max_str_digits()
+    return f"a literal of {digits} digits; the limit is {limit} digits" if limit and digits > limit else ""
+
+
 def _int(tok: tuple[str, str, int], line: int) -> int:
     try:
         return int(tok[1])
-    except ValueError:  # longer than the interpreter's int-string limit
-        limit = sys.get_int_max_str_digits()
-        message = f"a literal of {len(tok[1])} digits; the limit is {limit} digits"
-        raise ParseError(message, line, tok[2]) from None
+    except ValueError:  # a run of digits is refused only past the int-string limit
+        raise ParseError(_past_limit(len(tok[1])), line, tok[2]) from None
 
 
 def parse_polynomial(text: str, ring_vars: Sequence[str], line: int = 1) -> Polynomial:
@@ -178,10 +183,32 @@ def parse_ideal_file(text: str, label: str | None = None) -> IdealSpec:
         if p.is_zero:
             raise ParseError("zero generator", lineno, 1)
         if not p.is_homogeneous():
-            raise ParseError(f"inhomogeneous generator {body!r}", lineno, 1)
+            degrees = {sum(mono) for mono in p.terms}
+            message = f"inhomogeneous generator: terms of degrees {min(degrees)} to {max(degrees)}"
+            raise ParseError(message, lineno, 1)
         generators.append(p)
     if ring_vars is None:
         raise ParseError("missing ring line")
     if not generators:
         raise ParseError("empty generator list")
     return IdealSpec(ring_vars, tuple(generators), label)
+
+
+def parse_point(text: str) -> tuple[Fraction, ...]:
+    """The coordinates, read one at a time: a refusal names its position, never the text."""
+    coords = []
+    for k, part in enumerate(text.strip().strip("[]").split(":"), 1):
+        if "e" in part.lower():  # Fraction("1e3000000") builds a 3-million-digit int
+            why = "uses exponent notation, which is not supported"
+        else:
+            try:
+                coords.append(Fraction(part.strip()))
+                continue
+            except ZeroDivisionError:
+                why = "has a zero denominator"
+            except ValueError:
+                # int() counts the digits of a literal without its underscores
+                digits = max(map(len, re.findall(r"\d+", part.replace("_", ""))), default=0)
+                why = "is " + (_past_limit(digits) or "not a number")
+        raise ValueError(f"bad point: coordinate {k} {why}")
+    return tuple(coords)

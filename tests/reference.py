@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import add, le, sub
 from typing import Iterator
 
-from halphen.combinat import binom
+from halphen.graded import binom
 from halphen.groebner import HilbertSeriesNumerator
 from halphen.poly import DEFAULT_ORDER, Monomial, MonomialOrder
 

@@ -16,9 +16,8 @@ from halphen.classifier import (
     plane_bound,
     quadric_genera,
 )
-from halphen.combinat import binom
 from halphen.geometry import ProjectivePoint, jacobian_rank_at, on_variety
-from halphen.graded import hilbert_function
+from halphen.graded import binom, hilbert_function
 from halphen.groebner import (
     HilbertPolynomial,
     buchberger,
@@ -27,8 +26,8 @@ from halphen.groebner import (
     series_numerator,
 )
 from halphen.invariants import invariants_of
-from halphen.parsing import IdealSpec, format_polynomial, parse_polynomial
-from halphen.poly import Polynomial
+from halphen.parsing import parse_polynomial
+from halphen.poly import IdealSpec, Polynomial, format_polynomial
 
 from conftest import RING3, RING4, load_ideal
 from reference import enumerate_monomials, series_coefficients

@@ -40,12 +40,6 @@ class TestProjectivePoint:
         with pytest.raises(ValueError):
             pt(0, 0, 0)
 
-    def test_parse(self):
-        assert ProjectivePoint.parse("1:0:0:0") == pt(1, 0, 0, 0)
-        assert ProjectivePoint.parse("[1/2:1:0]") == pt(1, 2, 0)
-        with pytest.raises(ValueError):
-            ProjectivePoint.parse("1:q:0")
-
 
 class TestOnVariety:
     def test_c0_contains_p(self, c0):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halphen import graded
-from halphen.combinat import binom
 from halphen.graded import (
     RankBudgetExceeded,
+    binom,
     hilbert_function,
     hilbert_function_table,
     ideal_piece_dimension,

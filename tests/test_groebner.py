@@ -12,8 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halphen import groebner
-from halphen.combinat import binom
-from halphen.graded import hilbert_function
+from halphen.graded import binom, hilbert_function
 from halphen.groebner import (
     EmptyProjectiveSet,
     GroebnerBasis,

@@ -11,6 +11,7 @@ from halphen.parsing import (
     VARIABLE_BUDGET,
     ParseError,
     parse_ideal_file,
+    parse_point,
     parse_polynomial,
 )
 from halphen.poly import IdealSpec, Polynomial, format_polynomial
@@ -242,6 +243,66 @@ class TestParseIdealFile:
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_ideal_file("ring x y x\nx^2\n")
+
+
+class TestParsePoint:
+    def test_parse(self):
+        assert parse_point("1:0:0:0") == (1, 0, 0, 0)
+        assert parse_point("[1/2:1:0]") == (Fraction(1, 2), 1, 0)
+        with pytest.raises(ValueError):
+            parse_point("1:q:0")
+
+    # each coordinate is whatever Fraction reads; the expected tuples are
+    # what the reader gave before it moved out of geometry
+    @pytest.mark.parametrize(
+        "text,coords",
+        [
+            ("1:0:0:0", (1, 0, 0, 0)),
+            ("[1/2:1:0]", (Fraction(1, 2), 1, 0)),
+            (" 1 : -2/3 : 0.25 ", (1, Fraction(-2, 3), Fraction(1, 4))),
+            ("+3:.5:1.:0", (3, Fraction(1, 2), 1, 0)),
+            ("1_0:0:1", (10, 0, 1)),
+            ("\u0663:1:0", (3, 1, 0)),  # ARABIC-INDIC DIGIT THREE
+        ],
+    )
+    def test_accepted(self, text, coords):
+        got = parse_point(text)
+        assert got == coords
+        assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1:q:0", "coordinate 2 is not a number"),
+            ("1:0:", "coordinate 3 is not a number"),
+            ("", "coordinate 1 is not a number"),
+            ("inf:0:1", "coordinate 1 is not a number"),
+            ("1:0:2e3", "coordinate 3 uses exponent notation, which is not supported"),
+            ("0:1E3000000:1", "coordinate 2 uses exponent notation, which is not supported"),
+            ("1:1/0:0", "coordinate 2 has a zero denominator"),
+        ],
+    )
+    def test_refused_by_position(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_point(text)
+        assert str(err.value) == f"bad point: {message}"
+
+    # the same refusal text as a long literal in a polynomial; int() counts
+    # digits without underscores
+    @pytest.mark.parametrize(
+        "coordinate,digits",
+        [("1/" + "7" * 5000, 5000), ("1_" * 5000 + "1", 5001), ("0." + "3" * 5000, 5000)],
+    )
+    def test_literal_past_the_int_string_limit(self, coordinate, digits):
+        with pytest.raises(ParseError) as literal:
+            parse_polynomial("7" * digits + "*x", RING3)
+        with pytest.raises(ValueError) as err:
+            parse_point(f"1:{coordinate}:0")
+        assert str(err.value) == f"bad point: coordinate 2 is {literal.value.message}"
+
+    def test_underscores_within_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_point("1_" * (limit - 1) + "1:0") == (int("1" * limit), 0)
 
 
 class TestValidateIdeal:
