@@ -32,7 +32,7 @@ CATEGORY_PLANE_ONLY = "plane-only"
 REGION_BUDGET = 500_000
 
 
-class RegionBudgetExceeded(RuntimeError):
+class RegionBudgetExceeded(ValueError):
     pass
 
 

@@ -2,6 +2,9 @@
 
 Subcommands: hilbert, invariants, classify, region, smooth-at, tangent.
 Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage.
+Subcommands return their output; `main` alone writes it, and maps every
+refusal, a `ValueError` in every layer (budgets and self-checks too), to
+exit 1.  Any other exception is a bug and keeps its traceback.
 All JSON output is exact: integers stay integers, rationals are "p/q"
 strings, and repeated runs produce byte-identical output.
 """
@@ -35,7 +38,8 @@ def _rational(x: Fraction):
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    """The payload as JSON, its schema version first."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
 
 
 def _invariants_payload(spec) -> dict:
@@ -51,7 +55,6 @@ def _invariants_payload(spec) -> dict:
             f"a Hilbert polynomial coefficient is too long to print: over {limit} digits"
         ) from None
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "ideal": spec.label,
         "hilbert_polynomial": text,
         "stabilization_from": data.stabilizes_from,
@@ -63,7 +66,7 @@ def _invariants_payload(spec) -> dict:
     return payload
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args) -> str:
     from . import graded
 
     spec = _load_ideal(args.ideal)
@@ -73,28 +76,17 @@ def _cmd_hilbert(args) -> int:
 
         data = groebner.hilbert_polynomial(spec)
         m_max = max(6, data.stabilizes_from + 2)
-    table = graded.hilbert_function_table(spec, m_max)
+    values = sorted(graded.hilbert_function_table(spec, m_max).values.items())
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "ideal": spec.label,
-            "values": {str(m): h for m, h in sorted(table.values.items())},
-        }
-        sys.stdout.write(_dump(payload))
-    else:
-        sys.stdout.write("m,hilbert_function\n")
-        for m, h in sorted(table.values.items()):
-            sys.stdout.write(f"{m},{h}\n")
-    return 0
+        return _dump({"ideal": spec.label, "values": {str(m): h for m, h in values}})
+    return "m,hilbert_function\n" + "".join(f"{m},{h}\n" for m, h in values)
 
 
-def _cmd_invariants(args) -> int:
-    spec = _load_ideal(args.ideal)
-    sys.stdout.write(_dump(_invariants_payload(spec)))
-    return 0
+def _cmd_invariants(args) -> str:
+    return _dump(_invariants_payload(_load_ideal(args.ideal)))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> str:
     from . import classifier
 
     v = classifier.classify(args.d, args.g)
@@ -102,52 +94,43 @@ def _cmd_classify(args) -> int:
     castelnuovo = classifier.castelnuovo_bound(v.d)
     gp = classifier.gruson_peskine_bound(v.d)
     if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            **v._asdict(),
-            "bounds": {
-                "plane_bound": plane,
-                "castelnuovo_bound": castelnuovo,
-                "gruson_peskine_bound": _rational(gp),
-            },
+        bounds = {
+            "plane_bound": plane,
+            "castelnuovo_bound": castelnuovo,
+            "gruson_peskine_bound": _rational(gp),
         }
-        sys.stdout.write(_dump(payload))
-    else:
-        word = "exists" if v.exists_any else "does not exist"
-        sys.stdout.write(
-            f"a smooth curve of degree {v.d} and genus {v.g} in P^3 {word}\n"
-            f"  plane curve:        {'yes' if v.exists_plane else 'no'}"
-            f" (g = {plane} required)\n"
-            f"  on a quadric:       {'yes' if v.exists_on_quadric else 'no'}"
-            f" (Castelnuovo bound {castelnuovo})\n"
-            f"  in the Gruson-Peskine range: {'yes' if v.exists_off_quadric else 'no'}"
-            f" (Gruson-Peskine bound {gp})\n"
-        )
-    return 0
+        return _dump({**v._asdict(), "bounds": bounds})
+    word = "exists" if v.exists_any else "does not exist"
+    return (
+        f"a smooth curve of degree {v.d} and genus {v.g} in P^3 {word}\n"
+        f"  plane curve:        {'yes' if v.exists_plane else 'no'}"
+        f" (g = {plane} required)\n"
+        f"  on a quadric:       {'yes' if v.exists_on_quadric else 'no'}"
+        f" (Castelnuovo bound {castelnuovo})\n"
+        f"  in the Gruson-Peskine range: {'yes' if v.exists_off_quadric else 'no'}"
+        f" (Gruson-Peskine bound {gp})\n"
+    )
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args):
     from . import classifier
 
-    # one chunk per degree, written as it is made: memory stays flat in dmax
-    sys.stdout.writelines(classifier.region_chunks(args.dmax, args.format))
-    return 0
+    # one chunk per degree, made as it is written: memory stays flat in dmax
+    return classifier.region_chunks(args.dmax, args.format)
 
 
-def _cmd_smooth_at(args) -> int:
+def _cmd_smooth_at(args) -> str:
     from . import geometry, groebner, invariants
     from .parsing import parse_point
 
     spec = _load_ideal(args.ideal)
     point = geometry.ProjectivePoint(parse_point(args.point))
-    if not geometry.on_variety(spec, point):
-        raise ValueError(f"point {point} is not on the variety of {args.ideal}")
+    # first: it refuses a point off the variety before any Buchberger work
+    rank = geometry.jacobian_rank_at(spec, point)
     data = groebner.hilbert_polynomial(spec)
     inv = invariants.invariants_of(data.polynomial)
     codim = spec.n_vars - 1 - inv.dimension
-    rank = geometry.jacobian_rank_at(spec, point)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return _dump({
         "ideal": spec.label,
         "point": str(point),
         "on_variety": True,
@@ -155,12 +138,10 @@ def _cmd_smooth_at(args) -> int:
         "codimension": codim,
         "jacobian_rank": rank,
         "smooth": rank == codim,
-    }
-    sys.stdout.write(_dump(payload))
-    return 0
+    })
 
 
-def _cmd_tangent(args) -> int:
+def _cmd_tangent(args) -> str:
     from . import geometry
     from .parsing import ParseError, _ring_vars, parse_point, parse_polynomial
     from .poly import format_polynomial
@@ -173,14 +154,11 @@ def _cmd_tangent(args) -> int:
     point = geometry.ProjectivePoint(parse_point(args.point))
     line = geometry.tangent_line(f, point)
     form = geometry.tangent_line_polynomial(line, ring)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return _dump({
         "point": str(point),
         "coefficients": [_rational(c) for c in line.coefficients],
         "line": f"{format_polynomial(form)} = 0",
-    }
-    sys.stdout.write(_dump(payload))
-    return 0
+    })
 
 
 def _nonnegative_int(text: str) -> int:
@@ -241,36 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _domain_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that exit 1 with their own message.  Called only
-    once an exception arrives, so naming them loads no layer early."""
-    from .classifier import RegionBudgetExceeded
-    from .graded import RankBudgetExceeded
-    from .groebner import GroebnerBudgetExceeded, GroebnerCheckFailed
-
-    return (
-        ValueError,
-        GroebnerBudgetExceeded,
-        GroebnerCheckFailed,
-        RankBudgetExceeded,
-        RegionBudgetExceeded,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        output = args.func(args)
+        if isinstance(output, str):
+            sys.stdout.write(output)
+        else:  # region's chunks, each written as it is made
+            sys.stdout.writelines(output)
     except RecursionError:
         print("halphen: error: input too large: recursion limit exceeded", file=sys.stderr)
         return 1
     except MemoryError:
         print("halphen: error: input too large: out of memory", file=sys.stderr)
         return 1
-    except _domain_errors() as exc:
+    except ValueError as exc:
         print(f"halphen: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

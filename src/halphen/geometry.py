@@ -69,7 +69,7 @@ def jacobian_rank_at(ideal: IdealSpec, p: ProjectivePoint) -> int:
     """Rank of the Jacobian of the generators at p, each nonzero row
     cleared to primitive integers for `exact_rank`."""
     if not on_variety(ideal, p):
-        raise ValueError(f"point {p} is not on the variety")
+        raise ValueError("the point is not on the variety")
     rows = (
         {j: v for j in range(ideal.n_vars) if (v := g.partial_derivative(j).evaluate(p.coords))}
         for g in ideal.generators
@@ -93,10 +93,10 @@ def tangent_line(f: Polynomial, p: ProjectivePoint) -> TangentLine:
     if len(p.coords) != 3:
         raise ValueError("tangent_line expects a point in the plane")
     if f.evaluate(p.coords) != 0:
-        raise ValueError(f"point {p} is not on the curve")
+        raise ValueError("the point is not on the curve")
     gradient = [f.partial_derivative(j).evaluate(p.coords) for j in range(3)]
     if all(g == 0 for g in gradient):
-        raise SingularPointError(f"gradient vanishes at {p}: tangent line undefined")
+        raise SingularPointError("the gradient vanishes at the point: tangent line undefined")
     pivot = next(g for g in gradient if g != 0)
     return TangentLine(tuple(g / pivot for g in gradient))
 

@@ -80,7 +80,7 @@ from .poly import IdealSpec, primitive, validate_ideal
 PIECE_BUDGET = 100_000
 
 
-class RankBudgetExceeded(RuntimeError):
+class RankBudgetExceeded(ValueError):
     pass
 
 

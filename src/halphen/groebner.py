@@ -64,14 +64,16 @@ from .poly import (
 PAIR_BUDGET = 200_000
 
 
-class GroebnerBudgetExceeded(RuntimeError):
+class GroebnerBudgetExceeded(ValueError):
     pass
 
 
-class GroebnerCheckFailed(RuntimeError):
+class GroebnerCheckFailed(ValueError):
     """The final check found an S-polynomial of the result, or a generator
     of the input ideal, that does not reduce to zero: the returned basis
-    would not be a Groebner basis of the ideal."""
+    would not be a Groebner basis of the ideal.  A `ValueError`, because
+    the CLI reports it like any other refusal; raised, not asserted, so
+    the check still runs under `python -O`."""
 
 
 class EmptyProjectiveSet(ValueError):

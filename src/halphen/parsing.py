@@ -48,6 +48,13 @@ _TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME})|([+\-*/^])|(\S))")
 _KINDS = (None, "num", "name", "op")
 
 
+def _quoted(name: str) -> str:
+    """A name as a message shows it: quoted, and cut after 32 characters."""
+    if len(name) <= 32:
+        return repr(name)
+    return f"{name[:32]!r}... ({len(name)} characters)"
+
+
 def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
     """Tokens as (kind, value, col); kind in {num, name, op}.  Each match
     starts where the last one ended, since every non-space character is a
@@ -110,7 +117,7 @@ def parse_polynomial(text: str, ring_vars: Sequence[str], line: int = 1) -> Poly
                 coeff *= c
             elif kind == "name":
                 if value not in ring:
-                    raise ParseError(f"unknown variable {value!r}", line, col)
+                    raise ParseError(f"unknown variable {_quoted(value)}", line, col)
                 power = 1
                 if tokens[i][:2] == ("op", "^"):
                     exp = tokens[i + 1]
@@ -153,7 +160,7 @@ def _ring_vars(names: Sequence[str], line: int = 1) -> tuple[str, ...]:
         raise ParseError(message, line, 1)
     for name in names:
         if not re.fullmatch(_NAME, name):
-            raise ParseError(f"bad variable name {name!r}", line, 1)
+            raise ParseError(f"bad variable name {_quoted(name)}", line, 1)
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable name in ring line", line, 1)
     return tuple(names)

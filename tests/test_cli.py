@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -475,6 +477,8 @@ class TestTangentCommand:
 class TestGeometryGoldens:
     # exit code and sha256 of stdout and stderr, recorded at commit 0ec8350;
     # the bytes must not move when the polynomial arithmetic is reorganised.
+    # The singular point's stderr was re-recorded when the message stopped
+    # echoing the point.
     EMPTY = hashlib.sha256(b"").hexdigest()
     GOLDEN_SHA256 = {
         ("tangent", "--poly", "y^2*z - x^3 - x*z^2", "--point", "0:0:1"): (  # README cubic
@@ -484,7 +488,7 @@ class TestGeometryGoldens:
             0, "215df6b72a03db49028f851418a5ab00accaa99b4cbeeff51a673daa6b6f8a76", EMPTY
         ),
         ("tangent", "--poly", "x*y", "--point", "0:0:1"): (  # singular point
-            1, EMPTY, "454f84b8df33022fa255e9fdef2a45cdd8159caaab6b33673a178e7400433a39"
+            1, EMPTY, "c3356072931a42fa1e25630f1f726161648ddc5248ab10dbe068ea7db7410301"
         ),
         ("smooth-at", "--ideal", fixture("twisted_cubic"), "--point", "1:0:0:0"): (
             0, "66e963ad5adfd6d653658eae8a4973e92ec734677833b388810dfa77a7569e25", EMPTY
@@ -519,6 +523,145 @@ class TestDeterminism:
         second = run(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+def battery():
+    """84 commands as (group, argv): each fixture through invariants,
+    hilbert as CSV and JSON, and smooth-at at its first and last
+    coordinate point; then classify, region and tangent."""
+    for path in sorted(FIXTURES.glob("*.ideal")):
+        n = 3 if path.stem.startswith("plane") else 4
+        ideal = ("--ideal", str(path))
+        yield path.stem, ("invariants", *ideal)
+        yield path.stem, ("hilbert", *ideal)
+        yield path.stem, ("hilbert", *ideal, "--format", "json")
+        for i in (0, n - 1):
+            point = ":".join("1" if j == i else "0" for j in range(n))
+            yield path.stem, ("smooth-at", *ideal, "--point", point)
+    for argv in (("6", "4"), ("6", "4", "--json"), ("4", "2", "--json"), ("7", "6"), ("1000000000", "5", "--json")):
+        yield "classify", ("classify", *argv)
+    yield "region", ("region", "--dmax", "8")
+    yield "region", ("region", "--dmax", "6", "--format", "svg")
+    for argv in (
+        ("--poly", "y^2*z - x^3 - x*z^2", "--point", "0:0:1"),
+        ("--poly", "x^2 + y^2 - z^2", "--point", "3/5:4/5:1"),
+        ("--poly", "x^2 + y^2 - z^2", "--point=-3/5:4/5:1"),
+        ("--poly", "z*y^2 - x^3 + x*z^2 + z^3", "--point", "0:1:0"),
+        ("--poly", "a^2 - b*c", "--ring", "a b c", "--point", "0:1:0"),
+        ("--poly", "x*y", "--point", "0:0:1"),
+        ("--poly", "x*y", "--point", "1:1:1"),
+    ):
+        yield "tangent", ("tangent", *argv)
+
+
+def battery_digests(capsys):
+    """Per group: the exit codes, and the sha256 of the stdouts joined by NUL."""
+    codes, outs = {}, {}
+    for group, argv in battery():
+        code, out, _ = run(capsys, *argv)
+        codes.setdefault(group, []).append(code)
+        outs.setdefault(group, []).append(out)
+    return {
+        group: ("".join(map(str, codes[group])), hashlib.sha256("\0".join(outs[group]).encode()).hexdigest())
+        for group in codes
+    }
+
+
+class TestBattery:
+    # per group of battery(): the exit codes and the stdout sha256, recorded
+    # at commit 62c95cd; moving where the CLI writes its output must not
+    # move a byte of it
+    GOLDEN = {
+        'c0': ('00000', 'daad330c4f077ecd93bc70c32c490e7ed478adc2792d2693ea03128054519bc3'),
+        'ct_1': ('00010', 'e34092913cf4da0dc5ccb9289ce409d7e502a2eade223aa81f8b01d1d1b49dea'),
+        'ct_half': ('00010', '446c6f008620a4fa75226310aebd50068387f07c8be771c641cabefd9cc77ebb'),
+        'ct_neg2': ('00010', 'fe0b429087cdfa6dda749e4eac03663ad4a28f814746e32ae8a36323eb058533'),
+        'curve_E': ('00011', 'ff7c8982afc140d5c1e8f51d923180cc060ec357917e2bc51ffcfb6afbd769c8'),
+        'line_L': ('00000', '9f633a6b0d5de017ed74e2f3cf29d1e92f6bfc3ccb5ee636fc75a0e43106fa11'),
+        'plane_d1': ('00011', 'b9d32abd5eac0dee66c3c3422aca11968cabb38ffadfc267b75ed890548f994b'),
+        'plane_d2': ('00011', '1bb720b07a97b9f9e1418e53f709749672b92ef938bf08bc1bb06d029fb1e7c1'),
+        'plane_d3': ('00011', 'dd6ec92097a230b66efabe38266a62867a40c738c805c148d97a9b44edfc9c9a'),
+        'plane_d4': ('00011', '10597f53437f6222f11c5767d14ff96de92c951769286c90ddb592d9a93021d9'),
+        'plane_d5': ('00011', '3896f384a5d678cfc53467675786c7e8f2a9c5c44a27e2cf3d4041b075502ceb'),
+        'twisted_cubic': ('00000', 'd52de2da4409598eae929557872a33161dff344f97aec93dd78c992e39c3267c'),
+        'two_quadrics': ('00011', '7326ae3d5b52a34658ff87cc895abb851c394dd629cbf088435c79528d22f500'),
+        'zero4': ('00001', 'cb369c8705850916d2d34da8ab41cae8a07f94fdd5625dd5e854f759cf9846e9'),
+        'classify': ('00000', 'd1971ef8f712c8b16cbd60a54887f0806237cac24ea78184ef81a63186954dfb'),
+        'region': ('00', '939fdecbddde4e50e88f2a752c1a40f1b86f316393dbe8da8cfa3591201b9ca2'),
+        'tangent': ('0000011', 'dd76f4a32e8a0ba726da88e1c425260ef00ee6c2c5bb83f6baa343af32ae2015'),
+    }
+
+    def test_stdout_pinned(self, capsys):
+        assert battery_digests(capsys) == self.GOLDEN
+
+
+class TestBoundedRefusals:
+    """A refusal names what is wrong without echoing the input: each exits
+    1 with a stderr of at most 1 kB and no traceback."""
+
+    N = "7" * 4300  # a coordinate at the default int-string limit
+
+    def refuse(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err and len(err.encode()) <= 1000
+        return err
+
+    def test_unknown_long_variable(self, tmp_path, capsys):
+        path = tmp_path / "name.ideal"
+        path.write_text("ring x y z\nx - " + "t" * 100_000 + "\n")
+        err = self.refuse(capsys, "invariants", "--ideal", str(path))
+        assert err == f"halphen: error: line 2, col 5: unknown variable {'t' * 32!r}... (100000 characters)\n"
+
+    def test_long_bad_name_on_a_ring_line(self, tmp_path, capsys):
+        path = tmp_path / "ring.ideal"
+        path.write_text("ring x y 1" + "y" * 99_999 + "\nx\n")
+        err = self.refuse(capsys, "invariants", "--ideal", str(path))
+        assert err == f"halphen: error: line 1, col 1: bad variable name {'1' + 'y' * 31!r}... (100000 characters)\n"
+
+    def test_long_bad_name_in_ring_flag(self, capsys):
+        ring = "x y 1" + "y" * 99_999
+        err = self.refuse(capsys, "tangent", "--poly", "x*y", "--ring", ring, "--point", "0:0:1")
+        assert err == f"halphen: error: --ring: bad variable name {'1' + 'y' * 31!r}... (100000 characters)\n"
+
+    def test_long_point_off_the_variety(self, capsys):
+        point = f"{self.N}:{self.N}:{self.N}:1"
+        err = self.refuse(capsys, "smooth-at", "--ideal", fixture("twisted_cubic"), "--point", point)
+        assert err == "halphen: error: the point is not on the variety\n"
+
+    def test_long_point_off_the_curve(self, capsys):
+        err = self.refuse(capsys, "tangent", "--poly", "x^2 + y^2 - z^2", "--point", f"{self.N}:{self.N}:1")
+        assert err == "halphen: error: the point is not on the curve\n"
+
+    def test_long_singular_point(self, capsys):
+        err = self.refuse(capsys, "tangent", "--poly", "x*y", "--point", f"0:0:{self.N}")
+        assert err == "halphen: error: the gradient vanishes at the point: tangent line undefined\n"
+
+    # membership is checked before any Groebner work
+    def test_membership_before_buchberger(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise RuntimeError("hilbert_polynomial ran before the membership check")
+
+        monkeypatch.setattr(groebner, "hilbert_polynomial", unreachable)
+        err = self.refuse(capsys, "smooth-at", "--ideal", fixture("twisted_cubic"), "--point", "1:1:0:0")
+        assert err == "halphen: error: the point is not on the variety\n"
+
+
+def test_every_refusal_class_is_a_value_error():
+    """main exits 1 on ValueError alone, so an exception class of the
+    package that is not one would end a refusal in a traceback.  _Overflow
+    never leaves groebner: _widening catches it and starts again."""
+    import halphen
+
+    found = []
+    for info in pkgutil.iter_modules(halphen.__path__):
+        module = importlib.import_module(f"halphen.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                found.append(obj)
+    assert groebner.GroebnerBudgetExceeded in found and classifier.RegionBudgetExceeded in found
+    strays = [cls for cls in found if not issubclass(cls, ValueError)]
+    assert strays == [groebner._Overflow]
 
 
 class TestInputTooLarge:

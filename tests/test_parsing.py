@@ -51,6 +51,19 @@ class TestParsePolynomial:
         with pytest.raises(ParseError, match="unknown variable 't'"):
             parse_polynomial("y^2 - t*x", RING3)
 
+    # a name is quoted whole up to 32 characters, then cut with its length
+    @pytest.mark.parametrize(
+        "name, shown",
+        [("t" * 32, repr("t" * 32)), ("t" * 33, f"{'t' * 32!r}... (33 characters)")],
+    )
+    def test_long_names_are_cut(self, name, shown):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(f"y - {name}", RING3)
+        assert err.value.message == f"unknown variable {shown}"
+        with pytest.raises(ParseError) as err:
+            parse_ideal_file(f"ring x 1{name[1:]}\nx\n")
+        assert err.value.message == f"bad variable name {shown.replace('t', '1', 1)}"
+
     def test_negative_exponent(self):
         with pytest.raises(ParseError, match="negative exponent"):
             parse_polynomial("x^-2", RING3)
