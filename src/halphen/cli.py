@@ -22,14 +22,27 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
+# Longest refusal text, in characters, that stderr shows.  stderr writes a
+# character in at most 6 bytes (a byte of argv that is not UTF-8 arrives
+# as a lone surrogate, written as \udcxx), so with the usage line of exit
+# 2 a refusal stays under 1 kB.
+REFUSAL_LIMIT = 120
+
+
+def _bounded(text: str) -> str:
+    """A refusal as stderr shows it: cut after REFUSAL_LIMIT characters."""
+    if len(text) <= REFUSAL_LIMIT:
+        return text
+    return f"{text[:REFUSAL_LIMIT]}... ({len(text)} characters)"
+
 
 def _load_ideal(path: str):
-    from .parsing import parse_ideal_file
+    from .parsing import _quoted, parse_ideal_file
 
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {_quoted(path)}: {exc.strerror}") from None
     return parse_ideal_file(text, Path(path).stem)
 
 
@@ -171,8 +184,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    # add_subparsers makes every subcommand's parser of this class too
+    def error(self, message):
+        super().error(_bounded(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halphen",
         description="Exact Hilbert functions and degree/genus classification "
         "for projective curves.",
@@ -235,7 +254,7 @@ def main(argv=None) -> int:
         print("halphen: error: input too large: out of memory", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"halphen: error: {exc}", file=sys.stderr)
+        print(f"halphen: error: {_bounded(str(exc))}", file=sys.stderr)
         return 1
     return 0
 

@@ -58,8 +58,10 @@ give z*f_{i+1} in terms of rows v > z, while F5 still points at v < u;
 the two skips can then each lean on the other, and some tables come out
 too large.  Each block carries the set of u whose row is known to be
 redundant, the zero rows and the rows this rule skipped, up one degree
-as {u*x_j}, which on codes is u + weight_j.  Nothing here asks for a
-regular sequence or a saturated ideal, and the rank stays exact.
+as {u*x_j}, which on codes is u + weight_j, except those F5 skips: as
+x*LM(g) = LM(x*g), F5 skips their multiples one degree up anyway, so no
+skipped row changes.  Nothing here asks for a regular sequence or a
+saturated ideal, and the rank stays exact.
 
 Caveat: the value H(m) is computed for the ideal exactly as presented.
 For a non-saturated ideal the Hilbert *function* (though never the
@@ -164,8 +166,8 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
         ),
         key=itemgetter(0),
     )
-    # (i, k) -> the pivot columns of degree k after the blocks before
-    # block i; kept only while block i of a later degree still needs it
+    # (i, k) -> the codes of degree k that lead an element of blocks
+    # 0..i-1; kept only while block i of a later degree still needs them
     leading: dict[tuple[int, int], set[int]] = {}
     # i -> the codes u of the next degree whose row u*f_i is redundant
     redundant: dict[int, set[int]] = {}
@@ -175,22 +177,17 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
         index = {code: j for j, code in enumerate(basis)}
         pivots: Pivots = {}
         for i, (d, terms) in enumerate(gens):
+            if i and m + d <= m_max:
+                leading[i, m] = {basis[c] for c in pivots}
             if d <= m:
-                skip = leading.pop((i, m - d), ())
-                known = redundant.pop(i, set())
-                block = bases[m - d]
-                # smallest u first: block is degrevlex-descending
-                us = [
-                    block[j]
-                    for j in range(len(block) - 1, -1, -1)
-                    if j not in skip and block[j] not in known
-                ]
+                skip = leading.pop((i, m - d), set())
+                known = redundant.pop(i, set()) - skip
+                # smallest u first: bases are degrevlex-descending
+                us = [u for u in reversed(bases[m - d]) if u not in skip and u not in known]
                 zero: list[int] = []
                 exact_rank([{index[u + mono]: c for mono, c in terms} for u in us], pivots, zero)
                 if m < m_max:
                     known.update(us[t] for t in zero)
                     redundant[i] = {u + w for u in known for w in weights}
-            if i + 1 < len(gens) and m + gens[i + 1][0] <= m_max:
-                leading[i + 1, m] = set(pivots)
         values[m] = len(basis) - len(pivots)
     return HilbertFunctionTable(values)

@@ -58,9 +58,10 @@ def _quoted(name: str) -> str:
 def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
     """Tokens as (kind, value, col); kind in {num, name, op}.  Each match
     starts where the last one ended, since every non-space character is a
-    token or the start of one; only trailing whitespace is left unmatched."""
+    token or the start of one; only trailing whitespace is left unmatched,
+    and it is cut first: a failed match would rescan it from every position."""
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text.rstrip()):
         kind = m.lastindex
         col = m.start(kind) + 1
         if kind == 4:

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -66,8 +70,8 @@ class TestInvariantsCommand:
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "invariants", "--ideal", "no_such.ideal")
-        assert code == 1
-        assert "error" in err
+        assert (code, out) == (1, "")
+        assert err == "halphen: error: cannot read 'no_such.ideal': No such file or directory\n"
 
     def test_degree_over_budget_is_refused(self, tmp_path, capsys):
         huge = tmp_path / "huge.ideal"
@@ -597,7 +601,8 @@ class TestBattery:
 
 class TestBoundedRefusals:
     """A refusal names what is wrong without echoing the input: each exits
-    1 with a stderr of at most 1 kB and no traceback."""
+    1, or 2 for a usage error, with a stderr of at most 1 kB and no
+    traceback."""
 
     N = "7" * 4300  # a coordinate at the default int-string limit
 
@@ -606,6 +611,60 @@ class TestBoundedRefusals:
         assert (code, out) == (1, "")
         assert "Traceback" not in err and len(err.encode()) <= 1000
         return err
+
+    def usage(self, *argv):
+        # a StringIO, unlike capsys, takes the lone surrogate that a byte of
+        # argv that is not UTF-8 becomes; sys.stderr writes it as \udcxx
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        text = err.getvalue()
+        assert "Traceback" not in text and len(text.encode(errors="backslashreplace")) <= 1000
+        return text
+
+    def test_long_missing_path_is_shown_once(self, capsys):
+        err = self.refuse(capsys, "invariants", "--ideal", "a" * 100_000)
+        assert err.startswith(f"halphen: error: cannot read {'a' * 32!r}... (100000 characters): ")
+        assert err.count("a" * 32) == 1
+
+    # a budget refusal prints the numbers it compares; the text is cut
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (["region", "--dmax", "9" * 300], "region d_max = 999"),
+            (
+                ["hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "9" * 1000],
+                "graded piece m = 999",
+            ),
+        ],
+        ids=["region-dmax", "hilbert-max-degree"],
+    )
+    def test_long_budget_numbers(self, capsys, argv, head):
+        err = self.refuse(capsys, *argv)
+        assert err.startswith(f"halphen: error: {head}") and err.endswith(" characters)\n")
+
+    def test_long_exponent_over_the_degree_budget(self, tmp_path, capsys):
+        path = tmp_path / "exponent.ideal"
+        path.write_text("ring x y z\nx^" + "9" * 1000 + " - y\n")
+        err = self.refuse(capsys, "invariants", "--ideal", str(path))
+        assert err.startswith("halphen: error: line 2, col 3: a term of degree 999")
+
+    @pytest.mark.parametrize(
+        "argv, tail",
+        [
+            (["classify", "x" * 100_000, "1"], "argument d: invalid int value: 'xxx"),
+            (["hilbert", "--ideal", "i", "--format", "x" * 100_000], "argument --format: invalid choice: 'x"),
+            (["classify", "6", "4", "x" * 100_000], "unrecognized arguments: xxx"),
+            (["classify", "6", "4", "\udcff" * 1000], "unrecognized arguments: \udcff"),
+            (["x" * 100_000], "argument command: invalid choice: 'xxx"),
+            (["hilbert", "--ideal", "i", "--max-degree", "9" * 5000], "argument --max-degree: invalid int value"),
+        ],
+        ids=["classify-int", "format-choice", "unrecognized", "undecodable", "subcommand", "max-degree-int"],
+    )
+    def test_long_usage_errors(self, argv, tail):
+        err = self.usage(*argv)
+        assert f"error: {tail}" in err and err.endswith(" characters)\n")
 
     def test_unknown_long_variable(self, tmp_path, capsys):
         path = tmp_path / "name.ideal"
@@ -645,6 +704,78 @@ class TestBoundedRefusals:
         monkeypatch.setattr(groebner, "hilbert_polynomial", unreachable)
         err = self.refuse(capsys, "smooth-at", "--ideal", fixture("twisted_cubic"), "--point", "1:1:0:0")
         assert err == "halphen: error: the point is not on the variety\n"
+
+
+# The argument half of a CLI fuzz property: argv for every subcommand,
+# drawn from valid values, negative ints, digit strings past the
+# int-string limit, junk, fixture paths and missing or long paths.
+# Valid degrees stay small, so every example answers in milliseconds.
+JUNK = st.text(max_size=12) | st.builds(
+    lambda c, n: c * n, st.characters(), st.integers(200, 100_000)
+)
+DIGITS = st.builds(
+    lambda head, n: head + "9" * n, st.sampled_from("123456789"), st.integers(299, 5999)
+)
+
+
+def mostly(valid, *other):
+    """valid in three draws of four, one of the others in the rest."""
+    return st.sampled_from((valid,) * (3 * len(other)) + other).flatmap(lambda s: s)
+
+
+def numbers(valid_max):
+    return mostly(st.integers(0, valid_max).map(str), st.integers(-10**6, -1).map(str), DIGITS, JUNK)
+
+
+FIXTURE_PATHS = st.sampled_from(sorted(str(p) for p in FIXTURES.glob("*.ideal")))
+PATHS = mostly(FIXTURE_PATHS, st.just("no_such.ideal"), st.just("p" * 5000), JUNK)
+POINTS = mostly(
+    st.sampled_from(["1:0:0:0", "0:0:0:1", "0:0:1", "0:1:0", "1:0:1", "-1/2:0:1", "0:0:0"]), DIGITS, JUNK
+)
+POLYS = mostly(st.sampled_from(["x^2 + y^2 - z^2", "y^2*z - x^3", "x*y", "-x^3 + y^2*z"]), JUNK)
+COMMANDS = ["hilbert", "invariants", "classify", "region", "smooth-at", "tangent"]
+
+
+@st.composite
+def cli_argv(draw):
+    def opt(*argv):
+        return list(argv) if draw(st.booleans()) else []
+
+    command = draw(mostly(st.sampled_from(COMMANDS), JUNK))
+    if command == "hilbert":
+        formats = mostly(st.sampled_from(["csv", "json"]), JUNK)
+        argv = ["--ideal", draw(PATHS), *opt("--max-degree", draw(numbers(12)))]
+        argv += opt("--format", draw(formats))
+    elif command == "invariants":
+        argv = ["--ideal", draw(PATHS)]
+    elif command == "classify":
+        argv = [draw(numbers(60)), draw(numbers(60)), *opt("--json")]
+    elif command == "region":
+        formats = mostly(st.sampled_from(["csv", "svg"]), JUNK)
+        argv = ["--dmax", draw(numbers(30)), *opt("--format", draw(formats))]
+    elif command == "smooth-at":
+        argv = ["--ideal", draw(PATHS), f"--point={draw(POINTS)}"]
+    elif command == "tangent":
+        argv = [f"--poly={draw(POLYS)}", f"--point={draw(POINTS)}"]
+    else:
+        argv = []
+    # an argument no subcommand takes, in one draw of four
+    extra = draw(mostly(st.just([]), JUNK.map(lambda j: [j])))
+    return [command, *argv, *extra]
+
+
+@settings(max_examples=100, derandomize=True)
+@given(argv=cli_argv())
+def test_every_argv_answers_or_refuses_briefly(argv):
+    """Any exception but SystemExit fails the test with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and len(err.getvalue().encode()) <= 1000
 
 
 def test_every_refusal_class_is_a_value_error():

@@ -47,6 +47,14 @@ class TestParsePolynomial:
             "y^2 - z*x", RING4
         )
 
+    # a tail of whitespace is scanned once; rescanned from every position,
+    # these 20 000 characters took about 20 s on a 2-vCPU x86-64 host
+    def test_long_trailing_whitespace(self):
+        tail = " \t" * 10_000
+        assert parse_polynomial("x*y" + tail, RING3) == parse_polynomial("x*y", RING3)
+        with pytest.raises(ParseError, match="^line 1, col 20001: empty polynomial$"):
+            parse_polynomial(tail, RING3)
+
     def test_unknown_variable(self):
         with pytest.raises(ParseError, match="unknown variable 't'"):
             parse_polynomial("y^2 - t*x", RING3)
