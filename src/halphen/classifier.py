@@ -10,6 +10,12 @@ say that curve lies on no quadric, whatever the exists_off_quadric field
 is called).  A pair exists iff it falls in at least one regime.  A Verdict
 is the answer for one pair: its flag for each regime, their union, and
 one category; the bounds depend on d only and stay functions of d.
+
+The SVG overlays the parabolas G(d, s) without their correction term,
+s = 1, 2, 3, at d = n/q on a grid of step 1/q.  Each point is computed in
+integers as num/(2s q^2) and converted by int / int, which is correctly
+rounded, so it is the same float, and the SVG the same bytes, as the
+point computed with Fractions.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from itertools import groupby
 from math import comb, isqrt
 from operator import itemgetter
 from typing import NamedTuple
+
+from . import _decimal
 
 CATEGORY_NONEXISTENT = "nonexistent"
 CATEGORY_GP = "gp-region"
@@ -46,17 +54,28 @@ class Verdict(NamedTuple):
     category: str
 
 
+# one row: _make hands the tuple to tuple.__new__ and checks its length;
+# Verdict(...) also goes through type.__call__ and the generated __new__
+_new_verdict = Verdict._make
+
+
 def halphen_bound(d: int, s: int) -> int:
     """G(d, s) in integers: the numerator is divisible by 2s, so // is exact."""
     if d < 1 or s < 1:
         raise ValueError("degree and s must be positive")
     r = -d % s
-    return ((d + s * (s - 4)) * d + 2 * s - r * (s - r) * (s - 1)) // (2 * s)
+    return (_parabola_numerator(d, 1, s) - r * (s - r) * (s - 1)) // (2 * s)
+
+
+def _parabola_numerator(n: int, q: int, s: int) -> int:
+    """G(d, s) without its correction term is this over 2s q^2, at d = n/q."""
+    return (n + s * (s - 4) * q) * n + 2 * s * q * q
 
 
 def _parabola(d, s: int) -> Fraction:
     """G(d, s) without its correction term: a Fraction, for int or Fraction d."""
-    return Fraction((d + s * (s - 4)) * d + 2 * s, 2 * s)
+    q = d.denominator
+    return Fraction(_parabola_numerator(d.numerator, q, s), 2 * s * q * q)
 
 
 def plane_bound(d: int) -> int:
@@ -110,8 +129,8 @@ def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
         else CATEGORY_PLANE_ONLY if exists_plane
         else CATEGORY_NONEXISTENT
     )
-    return Verdict(
-        d, g, exists_plane, exists_on_quadric, exists_off_quadric, cat != CATEGORY_NONEXISTENT, cat
+    return _new_verdict(
+        (d, g, exists_plane, exists_on_quadric, exists_off_quadric, cat != CATEGORY_NONEXISTENT, cat)
     )
 
 
@@ -128,7 +147,8 @@ def _region_rows(d_max: int) -> Iterator[Verdict]:
     n_rows = comb(d_max, 3) + d_max
     if n_rows > REGION_BUDGET:
         raise RegionBudgetExceeded(
-            f"region d_max = {d_max} has {n_rows} rows; the budget is {REGION_BUDGET}"
+            f"region d_max = {_decimal(d_max)} has {_decimal(n_rows)} rows; "
+            f"the budget is {REGION_BUDGET}"
         )
     bounds = ((d, plane_bound(d), halphen_bound(d, 3)) for d in range(1, d_max + 1))
     return (
@@ -153,6 +173,8 @@ def region_chunks(d_max: int, fmt: str) -> Iterator[str]:
 
 
 def region_csv(d_max: int) -> str:
+    """Every row of region_table as one CSV line under a header: d, g, the
+    four existence flags as true/false, and the category."""
     return "".join(_csv_chunks(region_table(d_max)))
 
 
@@ -208,14 +230,19 @@ def _svg_chunks(rows: Iterable[Verdict], d_max: int) -> Iterator[str]:
         f'<text x="14" y="{height / 2:.1f}" text-anchor="middle" '
         'font-family="monospace" font-size="14">g</text>',
     ]
-    steps = 8 * d_max
+    # d = n/q runs from 1 to d_max in q = 8 d_max steps, q + 1 points even
+    # where they repeat (at d_max = 1 all are d = 1); int / int is correctly
+    # rounded, so n / q and num / den are the floats of those Fractions
+    q = 8 * d_max
+    grid = [q + i * (d_max - 1) for i in range(q + 1)]
     for s, color in ((1, "#c05621"), (2, "#2f855a"), (3, "#2b6cb0")):
+        den = 2 * s * q * q
+        top = (g_max + 1) * den
         points = []
-        for i in range(steps + 1):
-            d = Fraction(1) + Fraction(i * (d_max - 1), steps)
-            g = _parabola(d, s)
-            if 0 <= g <= g_max + 1:
-                points.append(f"{x(float(d)):.2f},{y(float(g)):.2f}")
+        for n in grid:
+            num = _parabola_numerator(n, q, s)
+            if 0 <= num <= top:
+                points.append(f"{x(n / q):.2f},{y(num / den):.2f}")
         if len(points) > 1:
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

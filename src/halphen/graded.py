@@ -74,6 +74,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter, mul
 
+from . import _decimal
 from .linalg import Pivots, exact_rank
 from .poly import IdealSpec, primitive, validate_ideal
 
@@ -107,8 +108,8 @@ def _check_budget(ideal: IdealSpec, m: int) -> None:
     cols = binom(m + n - 1, n - 1)
     if max(rows, cols) > PIECE_BUDGET:
         raise RankBudgetExceeded(
-            f"graded piece m = {m} has {rows} rows and {cols} columns; "
-            f"the budget is {PIECE_BUDGET}"
+            f"graded piece m = {_decimal(m)} has {_decimal(rows)} rows and "
+            f"{_decimal(cols)} columns; the budget is {PIECE_BUDGET}"
         )
 
 

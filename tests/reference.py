@@ -4,7 +4,8 @@ Each one is the direct definition, on exponent tuples where monomials
 appear, with no packing and no pivot recursion: monomial divisibility,
 the monomials of a degree, the Hilbert function read off a series
 numerator by expanding it over (1 - t)^n, the genus of a plane curve,
-and textbook division and the S-polynomial of every pair, over Fractions.
+the points of the region SVG's parabolas, and textbook division and the
+S-polynomial of every pair, over Fractions.
 Nothing in the package calls them.
 """
 
@@ -51,6 +52,30 @@ def enumerate_monomials(
 def plane_genus(d: int) -> int:
     """(d-1)(d-2)/2: the only genus a degree-d plane curve can have."""
     return (d - 1) * (d - 2) // 2
+
+
+def overlay_points(d_max: int) -> list[str]:
+    """The points attribute of each parabola d^2/(2s) + d(s-4)/2 + 1,
+    s = 1, 2, 3, that the region SVG draws: taken in Fractions at d = 1 +
+    i(d_max - 1)/(8 d_max), i = 0..8 d_max, kept where 0 <= G <= g_max + 1,
+    placed on 24-unit cells inside a 50-unit margin, and dropped if fewer
+    than two points remain."""
+    g_max = plane_genus(d_max)
+    height = 50.0 * 2 + 24.0 * (g_max + 1)
+    steps = 8 * d_max
+    out = []
+    for s in (1, 2, 3):
+        points = []
+        for i in range(steps + 1):
+            d = 1 + Fraction(i * (d_max - 1), steps)
+            g = d * d / (2 * s) + d * (s - 4) / 2 + 1
+            if 0 <= g <= g_max + 1:
+                x = 50.0 + 24.0 * (float(d) - 0.5)
+                y = height - 50.0 - 24.0 * (float(g) + 0.5)
+                points.append(f"{x:.2f},{y:.2f}")
+        if len(points) > 1:
+            out.append(" ".join(points))
+    return out
 
 
 def series_coefficients(num: HilbertSeriesNumerator, upto: int) -> list[int]:

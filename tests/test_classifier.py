@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 from math import comb, floor
 
@@ -31,7 +32,7 @@ from halphen.groebner import hilbert_polynomial
 from halphen.invariants import invariants_of
 
 from conftest import load_ideal
-from reference import plane_genus
+from reference import overlay_points, plane_genus
 
 
 class TestBounds:
@@ -239,6 +240,16 @@ class TestRegionTable:
             f"region d_max = 1000000 has {rows} rows; the budget is {REGION_BUDGET}"
         )
 
+    # a row count past the int-string limit is named by a power of ten
+    def test_budget_past_the_digit_limit(self):
+        d_max = int("9" * 2000)
+        with pytest.raises(RegionBudgetExceeded) as exc:
+            classifier._region_rows(d_max)
+        assert str(exc.value) == (
+            f"region d_max = {d_max} has at least 10^5998 rows; the budget is {REGION_BUDGET}"
+        )
+        assert 10**5998 <= comb(d_max, 3) + d_max
+
     def test_budget_boundary(self, monkeypatch):
         monkeypatch.setattr(classifier, "REGION_BUDGET", comb(10, 3) + 10)
         assert len(region_table(10)) == comb(10, 3) + 10
@@ -366,3 +377,28 @@ class TestEmitters:
             for text in (region_csv(d_max), region_svg(d_max))
         )
         assert digests == self.GOLDEN_SHA256[d_max]
+
+    # the parabolas are drawn in integers; the reference takes each point
+    # in Fractions.  They sit in the first SVG chunk, which region_svg
+    # joins with the rest, so the rows need not be rendered; 145 is the
+    # largest d_max the budget admits
+    @pytest.mark.parametrize("d_max", [*range(1, 65), 145])
+    def test_overlay_matches_fraction_reference(self, d_max):
+        preamble = next(region_chunks(d_max, "svg"))
+        assert re.findall(r'<polyline [^>]*points="([^"]*)"', preamble) == overlay_points(d_max)
+
+    # a traced benchmark run wraps region_table, region_csv and region_svg
+    # by module attribute and times the table inside each rendering: each
+    # renderer must reach region_table through the module, once, and
+    # return one str
+    @pytest.mark.parametrize("render", [region_csv, region_svg])
+    def test_renderers_call_region_table_once(self, monkeypatch, render):
+        calls = []
+
+        def counting(d_max):
+            calls.append(d_max)
+            return region_table(d_max)
+
+        monkeypatch.setattr(classifier, "region_table", counting)
+        assert type(render(7)) is str
+        assert calls == [7]

@@ -637,8 +637,15 @@ class TestBoundedRefusals:
                 ["hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "9" * 1000],
                 "graded piece m = 999",
             ),
+            # counts past the int-string limit: named by the budget's own
+            # message, not by Python's conversion error
+            (["region", "--dmax", "9" * 2000], "region d_max = 999"),
+            (
+                ["hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "9" * 4000],
+                "graded piece m = 999",
+            ),
         ],
-        ids=["region-dmax", "hilbert-max-degree"],
+        ids=["region-dmax", "hilbert-max-degree", "region-digit-limit", "hilbert-digit-limit"],
     )
     def test_long_budget_numbers(self, capsys, argv, head):
         err = self.refuse(capsys, *argv)
