@@ -11,6 +11,13 @@ is called).  A pair exists iff it falls in at least one regime.  A Verdict
 is the answer for one pair: its flag for each regime, their union, and
 one category; the bounds depend on d only and stay functions of d.
 
+Within one degree the flags change only at a few genera: at each quadric
+genus and the one after it, after G(d, 3), and at and after the plane
+bound.  The region table is made one run between two such genera at a
+time: _verdict, the code classify runs, classifies the run's first row,
+and the run's other rows repeat its flags; the CSV writes each run of
+equal flags as one join.
+
 The SVG overlays the parabolas G(d, s) without their correction term,
 s = 1, 2, 3, at d = n/q on a grid of step 1/q.  Each point is computed in
 integers as num/(2s q^2) and converted by int / int, which is correctly
@@ -22,7 +29,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import groupby
+from functools import partial
+from itertools import chain, groupby, repeat
 from math import comb, isqrt
 from operator import itemgetter
 from typing import NamedTuple
@@ -54,9 +62,10 @@ class Verdict(NamedTuple):
     category: str
 
 
-# one row: _make hands the tuple to tuple.__new__ and checks its length;
-# Verdict(...) also goes through type.__call__ and the generated __new__
-_new_verdict = Verdict._make
+# a Verdict from an iterable of its seven fields, made by tuple.__new__ in
+# C; Verdict(...) also goes through type.__call__ and the generated
+# __new__, and Verdict._make also checks the length
+_new_verdict = partial(tuple.__new__, Verdict)
 
 
 def halphen_bound(d: int, s: int) -> int:
@@ -137,10 +146,7 @@ def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
 def _region_rows(d_max: int) -> Iterator[Verdict]:
     """Every (d, g) with d <= d_max, g <= plane_bound(d), classified, in
     order of d and then g.  d_max and the budget are checked on the call,
-    before any row exists; the rows are made lazily, one degree at a time.
-
-    The plane bound and G(d, 3) are computed once per degree, and each row
-    is classified by _verdict, the same code classify runs."""
+    before any row exists; the rows are made lazily, one degree at a time."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     # sum over d of plane_bound(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
@@ -150,10 +156,23 @@ def _region_rows(d_max: int) -> Iterator[Verdict]:
             f"region d_max = {_decimal(d_max)} has {_decimal(n_rows)} rows; "
             f"the budget is {REGION_BUDGET}"
         )
-    bounds = ((d, plane_bound(d), halphen_bound(d, 3)) for d in range(1, d_max + 1))
-    return (
-        _verdict(d, g, plane, gp_floor) for d, plane, gp_floor in bounds for g in range(plane + 1)
-    )
+    return chain.from_iterable(map(_degree_rows, range(1, d_max + 1)))
+
+
+def _degree_rows(d: int) -> Iterator[Verdict]:
+    """The rows of degree d, one run of equal flags at a time.  A flag of
+    _verdict changes only where g reaches or passes a quadric genus, passes
+    G(d, 3), or reaches or passes the plane bound; _verdict classifies the
+    first row of each run between those genera, and map and zip repeat its
+    flags over the rest of the run in C."""
+    plane, gp_floor = plane_bound(d), halphen_bound(d, 3)
+    cuts = {0, plane, plane + 1, min(gp_floor, plane) + 1}
+    for q in quadric_genera(d):
+        cuts.update((q, q + 1))
+    cuts = sorted(cuts)
+    for start, stop in zip(cuts, cuts[1:]):
+        flags = _verdict(d, start, plane, gp_floor)[2:]
+        yield from map(_new_verdict, zip(repeat(d), range(start, stop), *map(repeat, flags)))
 
 
 def region_table(d_max: int) -> list[Verdict]:
@@ -179,15 +198,19 @@ def region_csv(d_max: int) -> str:
 
 
 def _csv_chunks(rows: Iterable[Verdict]) -> Iterator[str]:
-    """The header, then the lines of each degree's rows as one chunk."""
+    """The header, then the lines of each degree's rows as one chunk.  The
+    lines of a run of rows with equal flags differ only in g, so each run
+    is written as one join of its genera."""
     yield "d,g,exists_plane,exists_on_quadric,exists_off_quadric,exists_any,category\n"
     word = ("false", "true")
-    for _, degree in groupby(rows, itemgetter(0)):
-        yield "".join(
-            f"{d},{g},{word[plane]},{word[on_quadric]},"
-            f"{word[off_quadric]},{word[any_]},{cat}\n"
-            for d, g, plane, on_quadric, off_quadric, any_, cat in degree
-        )
+    flags = itemgetter(2, 3, 4, 5, 6)
+    for d, degree in groupby(rows, itemgetter(0)):
+        head = f"{d},"
+        runs = []
+        for (plane, on_quadric, off_quadric, any_, cat), run in groupby(degree, flags):
+            tail = f",{word[plane]},{word[on_quadric]},{word[off_quadric]},{word[any_]},{cat}\n"
+            runs.append(head + (tail + head).join([str(v[1]) for v in run]) + tail)
+        yield "".join(runs)
 
 
 _COLORS = {

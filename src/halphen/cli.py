@@ -3,8 +3,9 @@
 Subcommands: hilbert, invariants, classify, region, smooth-at, tangent.
 Exit codes: 0 success, 1 domain error (diagnostic on stderr), 2 usage.
 Subcommands return their output; `main` alone writes it, and maps every
-refusal, a `ValueError` in every layer (budgets and self-checks too), to
-exit 1.  Any other exception is a bug and keeps its traceback.
+refusal, a `ValueError` in every layer (budgets and self-checks too), and
+a failed write of the output (a closed pipe, a full disk) to exit 1.  Any
+other exception is a bug and keeps its traceback.
 All JSON output is exact: integers stay integers, rationals are "p/q"
 strings, and repeated runs produce byte-identical output.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +48,12 @@ def _load_ideal(path: str):
     return parse_ideal_file(text, Path(path).stem)
 
 
+def _too_long(what: str) -> ValueError:
+    """The refusal for a number over the interpreter's int-string limit."""
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"{what} is too long to print: over {limit} digits")
+
+
 def _rational(x: Fraction):
     return int(x) if x.denominator == 1 else str(x)
 
@@ -63,10 +71,7 @@ def _invariants_payload(spec) -> dict:
     try:
         text = str(data.polynomial)
     except ValueError:  # an int over the interpreter's int-string limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"a Hilbert polynomial coefficient is too long to print: over {limit} digits"
-        ) from None
+        raise _too_long("a Hilbert polynomial coefficient") from None
     payload = {
         "ideal": spec.label,
         "hilbert_polynomial": text,
@@ -106,23 +111,26 @@ def _cmd_classify(args) -> str:
     plane = classifier.plane_bound(v.d)
     castelnuovo = classifier.castelnuovo_bound(v.d)
     gp = classifier.gruson_peskine_bound(v.d)
-    if args.json:
-        bounds = {
-            "plane_bound": plane,
-            "castelnuovo_bound": castelnuovo,
-            "gruson_peskine_bound": _rational(gp),
-        }
-        return _dump({**v._asdict(), "bounds": bounds})
-    word = "exists" if v.exists_any else "does not exist"
-    return (
-        f"a smooth curve of degree {v.d} and genus {v.g} in P^3 {word}\n"
-        f"  plane curve:        {'yes' if v.exists_plane else 'no'}"
-        f" (g = {plane} required)\n"
-        f"  on a quadric:       {'yes' if v.exists_on_quadric else 'no'}"
-        f" (Castelnuovo bound {castelnuovo})\n"
-        f"  in the Gruson-Peskine range: {'yes' if v.exists_off_quadric else 'no'}"
-        f" (Gruson-Peskine bound {gp})\n"
-    )
+    try:
+        if args.json:
+            bounds = {
+                "plane_bound": plane,
+                "castelnuovo_bound": castelnuovo,
+                "gruson_peskine_bound": _rational(gp),
+            }
+            return _dump({**v._asdict(), "bounds": bounds})
+        word = "exists" if v.exists_any else "does not exist"
+        return (
+            f"a smooth curve of degree {v.d} and genus {v.g} in P^3 {word}\n"
+            f"  plane curve:        {'yes' if v.exists_plane else 'no'}"
+            f" (g = {plane} required)\n"
+            f"  on a quadric:       {'yes' if v.exists_on_quadric else 'no'}"
+            f" (Castelnuovo bound {castelnuovo})\n"
+            f"  in the Gruson-Peskine range: {'yes' if v.exists_off_quadric else 'no'}"
+            f" (Gruson-Peskine bound {gp})\n"
+        )
+    except ValueError:  # a bound, about d^2/2, over the int-string limit
+        raise _too_long("a bound") from None
 
 
 def _cmd_region(args):
@@ -238,15 +246,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(chunks) -> None:
+    """Writes the chunks to stdout and flushes it, so that a write that
+    fails, into a closed pipe or onto a full disk, is refused here."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again as it exits; what is left in
+        # the buffer then goes to the null device instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ValueError(f"cannot write output: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         output = args.func(args)
-        if isinstance(output, str):
-            sys.stdout.write(output)
-        else:  # region's chunks, each written as it is made
-            sys.stdout.writelines(output)
+        # a str, or region's chunks, each written as it is made
+        _write([output] if isinstance(output, str) else output)
     except RecursionError:
         print("halphen: error: input too large: recursion limit exceeded", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 import hashlib
 import re
 from fractions import Fraction
+from itertools import repeat, zip_longest
 from math import comb, floor
 
 import pytest
@@ -303,6 +304,29 @@ class TestRegionTable:
         ]
         for v in rows:
             assert v == classify(v.d, v.g)
+
+    # the rows of each degree are made one run of equal flags at a time;
+    # every row against classify, up to the budget's top degree and at
+    # larger degrees of each residue mod 3
+    @pytest.mark.parametrize("d", [*range(41, 146), 300, 1000, 2000])
+    def test_degree_rows_match_classify(self, d):
+        expected = map(classify, repeat(d), range(plane_bound(d) + 1))
+        pairs = zip_longest(classifier._degree_rows(d), expected)
+        assert next((pair for pair in pairs if pair[0] != pair[1]), None) is None
+
+    # _verdict classifies the first row of each run, not every row: a
+    # degree's runs start at 0, at each quadric genus and the one after
+    # it, after G(d, 3), and at and after the plane bound
+    def test_verdict_once_per_run(self, monkeypatch):
+        verdict, calls = classifier._verdict, []
+
+        def counting(*args):
+            calls.append(args)
+            return verdict(*args)
+
+        monkeypatch.setattr(classifier, "_verdict", counting)
+        assert len(region_table(60)) == comb(60, 3) + 60
+        assert len(calls) <= sum(2 * len(quadric_genera(d)) + 4 for d in range(1, 61))
 
 
 class TestEmitters:

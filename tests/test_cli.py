@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
@@ -40,6 +41,13 @@ def validate(payload, schema_name):
 
 def fixture(name):
     return str(FIXTURES / f"{name}.ideal")
+
+
+def child_env():
+    """The environment of a child interpreter that imports halphen from this
+    source tree."""
+    path = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 class TestInvariantsCommand:
@@ -327,15 +335,47 @@ class TestRegionCommand:
             "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
             "print(status, hwm)\n"
         )
-        path = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120
         )
         assert (result.returncode, result.stderr) == (0, "")
         status, kib = map(int, result.stdout.split())
         assert status == 0
         assert kib < 64 * 1024
+
+
+class TestWriteFailure:
+    """A write of the output that fails is refused like a domain error, by
+    a child interpreter: exit 1, one line of stderr and no traceback, from
+    the interpreter's last flush of stdout either."""
+
+    def child(self, *argv, stdout):
+        return subprocess.Popen(
+            [sys.executable, "-m", "halphen.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+
+    def assert_refused(self, proc, err, errno_):
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and len(err) <= 1000
+        assert err.decode() == f"halphen: error: cannot write output: {os.strerror(errno_)}\n"
+
+    # the table is 6 MB, more than a pipe holds, so the child is still
+    # writing when the reader closes its end
+    def test_closed_pipe(self):
+        with self.child("region", "--dmax", "100", stdout=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"d,g,exists_plane,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        self.assert_refused(proc, err, errno.EPIPE)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full, self.child("classify", "6", "4", stdout=full) as proc:
+            _, err = proc.communicate(timeout=120)
+        self.assert_refused(proc, err, errno.ENOSPC)
 
 
 class TestSmoothAtCommand:
@@ -651,6 +691,13 @@ class TestBoundedRefusals:
         err = self.refuse(capsys, *argv)
         assert err.startswith(f"halphen: error: {head}") and err.endswith(" characters)\n")
 
+    # G(d, 1) of a 2501-digit degree has 5001 digits
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_long_degree_bounds(self, capsys, fmt):
+        err = self.refuse(capsys, "classify", "7" * 2501, "0", *fmt)
+        limit = sys.get_int_max_str_digits()
+        assert err == f"halphen: error: a bound is too long to print: over {limit} digits\n"
+
     def test_long_exponent_over_the_degree_budget(self, tmp_path, capsys):
         path = tmp_path / "exponent.ideal"
         path.write_text("ring x y z\nx^" + "9" * 1000 + " - y\n")
@@ -916,10 +963,8 @@ def test_import_boundaries(statement, absent):
     modules that start with numpy or any of the absent prefixes."""
     prefixes = ("numpy", *absent)
     code = f"{statement}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
-    path = [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.splitlines()[-1] == "[]"
