@@ -10,19 +10,29 @@ convention C(a, b) = 0 for a < b.
 Each generator is made primitive over the integers (cleared of
 denominators, divided by its content) before any row is built, and every
 row of its multiples is built straight from those integers: scaling a
-row changes neither the rows' span nor the rank.  Columns are numbered
-in degrevlex-descending order, so `exact_rank` pivots on the largest
-monomial of each row; that order keeps the coefficients small on these
-matrices.
+row changes neither the rows' span nor the rank.
 
 Inside a table each monomial of degree <= m_max is one int, its exponent
-vector read as digits in base m_max + 1, x_0 the most significant: the
-monomial prod x_i^e_i has the code sum e_i * (m_max + 1)^(n - 1 - i).
-Every exponent of such a monomial is at most m_max, a digit, so the
-encoding is injective, and a product u*t of degree <= m_max is the sum of
-the codes: no digit carries.  Each generator's terms are packed once, and
-each degree's basis is generated as codes in degrevlex-descending order,
-so a column of u*f is found by one int addition and one dict lookup.
+vector read as digits in a base B > m_max, x_{n-1} the most significant:
+the monomial prod x_i^e_i has the code sum e_i * B^i.  Every exponent of
+such a monomial is at most m_max, a digit, so the encoding is injective,
+and a product u*t of degree <= m_max is the sum of the codes: no digit
+carries.  The code is the column.  Within one degree ascending codes are
+degrevlex-descending: the most significant digit where two codes differ
+is the last variable where the exponents differ, and the smaller
+exponent there is the bigger monomial in degrevlex.  So `exact_rank`,
+which pivots on the smallest column, pivots on the largest monomial of
+each row; that order keeps the coefficients small on these matrices.
+Each generator's terms are packed once, and a column of u*f is one int
+addition.
+
+B is the smallest base above m_max that is 2 mod 4, for the row dicts.
+CPython hashes a small int to itself, and a dict takes its first probe
+from the low bits.  The codes of one degree m are all congruent to m
+modulo B - 1: with B = m_max + 1 = 9 they would share their low three
+bits and crowd into an eighth of the slots.  With B = 2 mod 4, B - 1 is
+odd, and B^i has the single factor 2^i, so the digit of x_i reaches the
+low bits from bit i up.
 
 Rows known to lie in the span of earlier rows are never built (the F5
 criterion and the syzygy criterion, in the matrix form of Bardet,
@@ -116,15 +126,15 @@ def _check_budget(ideal: IdealSpec, m: int) -> None:
 def _packed_bases(n: int, m_max: int) -> tuple[list[int], list[list[int]]]:
     """The codes of the monomials of degree <= m_max in n variables: the
     code of each variable, x_0 first, and the basis of each degree m =
-    0..m_max as codes in degrevlex-descending order.
+    0..m_max in degrevlex-descending order, which is ascending code.
 
     In that order the monomials of degree m in x_0..x_j come first, and
     among them those in x_0..x_{j-1} precede the multiples of x_j, in the
     order of their quotients.  So degree m is x_j times each monomial of
     degree m - 1 in x_0..x_j, for j = 0..n-1 in turn; those are the first
     C(m - 1 + j, j) codes of degree m - 1."""
-    base = m_max + 1
-    weights = [base ** (n - 1 - i) for i in range(n)]
+    base = m_max + 1 + (1 - m_max) % 4
+    weights = [base**i for i in range(n)]
     bases = [[0]]
     for m in range(1, m_max + 1):
         prev = bases[-1]
@@ -174,21 +184,20 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     redundant: dict[int, set[int]] = {}
     values = {}
     for m in range(m_max + 1):
-        basis = bases[m]
-        index = {code: j for j, code in enumerate(basis)}
         pivots: Pivots = {}
         for i, (d, terms) in enumerate(gens):
             if i and m + d <= m_max:
-                leading[i, m] = {basis[c] for c in pivots}
+                leading[i, m] = set(pivots)
             if d <= m:
                 skip = leading.pop((i, m - d), set())
                 known = redundant.pop(i, set()) - skip
-                # smallest u first: bases are degrevlex-descending
+                # smallest u first: a basis ascends in code, so descends
+                # in degrevlex
                 us = [u for u in reversed(bases[m - d]) if u not in skip and u not in known]
                 zero: list[int] = []
-                exact_rank([{index[u + mono]: c for mono, c in terms} for u in us], pivots, zero)
+                exact_rank([{u + mono: c for mono, c in terms} for u in us], pivots, zero)
                 if m < m_max:
                     known.update(us[t] for t in zero)
                     redundant[i] = {u + w for u in known for w in weights}
-        values[m] = len(basis) - len(pivots)
+        values[m] = len(bases[m]) - len(pivots)
     return HilbertFunctionTable(values)

@@ -2,7 +2,8 @@
 
 Buchberger with the normal selection strategy and both classical pair
 criteria, producing a reduced basis.  Pairs wait in a heap keyed by the
-order key of their lcm, ties broken by (i, j).  Each basis element keeps
+degree of their lcm and then its order key, ties broken by (i, j): under
+lex too the pairs of lowest degree go first.  Each basis element keeps
 its leading monomial, leading coefficient and tail from the moment it
 enters.  One reduction kernel serves the pair loop, the interreduction,
 the final check and `normal_form`: it works in a mutable term dict with a
@@ -167,7 +168,7 @@ class _Packing:
     """The layout of packed monomials for a ring size, an order and a bound
     on the degrees they start from."""
 
-    __slots__ = ("order", "limit", "bits", "guard", "exponents", "flip", "ascend",
+    __slots__ = ("order", "limit", "bits", "guard", "exponents", "flip", "ascend", "every",
                  "units", "shifts", "field", "deg_shift")
 
     def __init__(self, n_vars: int, order: MonomialOrder, degree: int):
@@ -189,7 +190,7 @@ class _Packing:
         self.field = (1 << width) - 1
         self.exponents = sum(self.field << s for s in self.shifts)
         self.guard = sum(1 << (s + bits) for s in [*self.shifts, self.deg_shift])
-        every = (1 << width * (n_vars + 1)) - 1
+        self.every = every = (1 << width * (n_vars + 1)) - 1
         self.flip = self.field << self.deg_shift if order is MonomialOrder.degrevlex else every
         self.ascend = self.flip ^ every
 
@@ -374,15 +375,20 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
 
 
 def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
-    guard, ascend = packing.guard, packing.ascend
+    guard, ascend, field, every = packing.guard, packing.ascend, packing.field, packing.every
     basis = [_Element(_integer_terms(g, packing)[1], packing) for g in ideal.generators]
-    # normal selection: a heap of (order key of the lcm, i, j)
+    # normal selection, lowest degree first: a heap of (key, i, j), the key
+    # the degree of the lcm and then its order key.  A graded order's key
+    # leads with the degree already (lift 0 adds nothing); lex puts a copy
+    # of its degree field, the lowest, above every field
+    lift = every.bit_length() if packing.order is MonomialOrder.lex else 0
     pairs: list = []
 
     def add_pairs(new: int) -> None:
         lm = basis[new].lm
         for k in range(new):
-            heappush(pairs, (packing.lcm(basis[k].lm, lm) ^ ascend, k, new))
+            key = packing.lcm(basis[k].lm, lm) ^ ascend
+            heappush(pairs, (key | (key & field) << lift, k, new))
 
     for new in range(1, len(basis)):
         add_pairs(new)
@@ -393,7 +399,7 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
         if steps > PAIR_BUDGET:
             raise GroebnerBudgetExceeded("pair budget exceeded")
         key, i, j = heappop(pairs)
-        lcm_ij = key ^ ascend
+        lcm_ij = key & every ^ ascend
         done.add((i, j))
         f, g = basis[i], basis[j]
         # first Buchberger criterion: coprime leading monomials

@@ -9,7 +9,10 @@ and then stripped of its content, only when the pivot's leading entry
 does not divide its own.  Pivots are taken at the smallest column index,
 so callers choose the elimination order by how they number the columns.
 
-The echelon form is a dict column -> pivot row.  A caller may pass in the
+The echelon form is a dict column -> pivot, each pivot its leading entry
+and its tail: the dict the row was reduced in, with that entry popped,
+kept as it is.  A stored tail is only read, and the working row, a fresh
+copy of each input row, is never a stored tail.  A caller may pass in the
 dict left by earlier rows and have `exact_rank` extend it: the pivot
 columns are then the leading columns of the span of all the rows so far,
 and the return value counts only the pivots the new rows added.  A caller
@@ -25,8 +28,8 @@ from typing import Iterable, Mapping
 
 # column -> nonzero integer entry
 SparseRow = Mapping[int, int]
-# column -> (leading entry, the other entries as (column, value) pairs)
-Pivots = dict[int, tuple[int, list[tuple[int, int]]]]
+# column -> (leading entry, the other entries as a dict column -> value)
+Pivots = dict[int, tuple[int, dict[int, int]]]
 
 
 def exact_rank(
@@ -52,7 +55,7 @@ def exact_rank(
                 if g != 1:
                     row = {k: v // g for k, v in row.items()}
                 b = row.pop(c)
-                pivots[c] = (b, list(row.items()))
+                pivots[c] = (b, row)
                 break
             a = row.pop(c)
             b, tail = pivot
@@ -66,7 +69,7 @@ def exact_rank(
             elif b == -1:
                 a = -a
             get = row.get
-            for k, v in tail:
+            for k, v in tail.items():
                 nv = get(k, 0) - a * v
                 if nv:
                     row[k] = nv

@@ -380,6 +380,11 @@ def exact_rank_inputs(ideal, m_max, monkeypatch):
     return calls
 
 
+def code_base(m_max):
+    """The base of the packed codes: the smallest above m_max that is 2 mod 4."""
+    return next(b for b in range(m_max + 1, m_max + 5) if b % 4 == 2)
+
+
 def ci_34():
     rng = random.Random(7)
     return IdealSpec(RING4, (dense_form(rng, RING4, 3), dense_form(rng, RING4, 4)))
@@ -413,11 +418,25 @@ class TestPackedMonomials:
     def test_same_rows_as_tuple_columns(self, case, monkeypatch):
         make, m_max, digest = self.GOLDEN[case]
         ideal = make()
-        calls = exact_rank_inputs(ideal, m_max, monkeypatch)
         n = ideal.n_vars
+        # the code of each monomial of degree m, computed from its exponent
+        # tuple, -> its position in the degrevlex-descending enumerate_monomials
+        base = code_base(m_max)
+        position_of = {
+            m: {
+                sum(e * base**i for i, e in enumerate(mono)): j
+                for j, mono in enumerate(enumerate_monomials(n, m))
+            }
+            for m in range(m_max + 1)
+        }
         gens = sorted(ideal.generators, key=Polynomial.total_degree)
         blocks = [(m, f) for m in range(m_max + 1) for f in gens if f.total_degree() <= m]
-        assert len(calls) == len(blocks)
+        captured = exact_rank_inputs(ideal, m_max, monkeypatch)
+        assert len(captured) == len(blocks)
+        calls = [
+            [{position_of[m][code]: c for code, c in row.items()} for row in rows]
+            for rows, (m, _) in zip(captured, blocks)
+        ]
         for rows, (m, f) in zip(calls, blocks):
             # the Macaulay row of each u*f on tuple columns, by the position
             # of u in the degrevlex-descending enumerate_monomials
@@ -453,17 +472,20 @@ class TestPackedMonomials:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_codes_decode_to_enumerate_monomials(self, n):
         for m_max in range(8):
-            base = m_max + 1
+            base = code_base(m_max)
+            assert m_max < base <= m_max + 4 and base % 4 == 2
             weights, bases = graded._packed_bases(n, m_max)
-            assert weights == [base ** (n - 1 - i) for i in range(n)]
+            assert weights == [base**i for i in range(n)]
             assert len(bases) == m_max + 1
             for m, codes in enumerate(bases):
+                # degrevlex-descending is ascending code within a degree
+                assert all(a < b for a, b in zip(codes, codes[1:]))
                 decoded = []
                 for code in codes:
-                    digits = []
+                    digits = []  # x_0, the least significant digit, first
                     for _ in range(n):
                         code, e = divmod(code, base)
                         digits.append(e)
                     assert code == 0
-                    decoded.append(tuple(reversed(digits)))
+                    decoded.append(tuple(digits))
                 assert decoded == enumerate_monomials(n, m)

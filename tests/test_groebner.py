@@ -260,6 +260,22 @@ class TestBasisGoldens:
         assert all_pairs_groebner([g.terms for g in gb.elements], gb.order)
 
 
+def test_lex_takes_pairs_of_lowest_degree_first():
+    # Under lex, pairs taken by the order key of their lcm alone ran this
+    # P^4 ideal past PAIR_BUDGET; taken by degree first they give its
+    # 42-element reduced basis, which equals sympy's lex basis made monic.
+    ring = ("x0", "x1", "x2", "x3", "x4")
+    spec = IdealSpec(ring, tuple(parse_polynomial(f, ring) for f in (
+        "-x0^2 - 2*x0*x1 + 3*x1^2",
+        "-3*x0^2 - x1*x3 + 3*x4^2",
+        "-x1^2*x2 + 3*x0*x2*x3 - 3*x1*x3^2",
+        "3*x2^2*x3 - 2*x2^2*x4 - x3*x4^2",
+    )))
+    gb = buchberger(spec, MonomialOrder.lex)
+    assert len(gb.elements) == 42
+    assert basis_sha256(gb) == "d23891e102b7f2acf21bb6e9c98f085f1c8881b692abaf8af848839166ad39f2"
+
+
 def series_sha256(spec, order):
     """sha256 of the initial ideal of the reduced basis, its generators
     sorted, and of the numerator of its Hilbert series."""

@@ -196,6 +196,24 @@ def test_input_rows_are_not_modified():
     assert rows == before
 
 
+@settings(max_examples=100)
+@given(big_integer_matrices(), st.integers(1, 7), st.integers(-3, 3).filter(bool))
+def test_stored_pivots_are_never_modified(matrix, cut, s):
+    # a pivot's tail is the dict its row was reduced in: extending the echelon
+    # form, by fresh rows and by multiples of the rows already in it, which
+    # all reduce against the old pivots, must leave every old pivot as it was
+    rows, n_cols = matrix
+    first, rest = integer_rows(rows[:cut]), integer_rows(rows[cut:])
+    pivots = {}
+    exact_rank(first, pivots)
+    before = {c: (b, dict(tail)) for c, (b, tail) in pivots.items()}
+    zero = []
+    exact_rank(rest + [{k: s * v for k, v in row.items()} for row in first], pivots, zero)
+    assert {c: pivots[c] for c in before} == before
+    assert zero[-len(first):] == list(range(len(rest), len(rest) + len(first)))
+    assert len(pivots) == naive_rank(rows, n_cols)
+
+
 def test_modp_rejects_column_outside_matrix():
     with pytest.raises(ValueError, match="column 3"):
         modp_rank([{3: 1}], 3)
