@@ -81,12 +81,6 @@ def _parabola_numerator(n: int, q: int, s: int) -> int:
     return (n + s * (s - 4) * q) * n + 2 * s * q * q
 
 
-def _parabola(d, s: int) -> Fraction:
-    """G(d, s) without its correction term: a Fraction, for int or Fraction d."""
-    q = d.denominator
-    return Fraction(_parabola_numerator(d.numerator, q, s), 2 * s * q * q)
-
-
 def plane_bound(d: int) -> int:
     """Max genus of any degree-d curve in P^3: the plane value."""
     return halphen_bound(d, 1)
@@ -101,7 +95,7 @@ def gruson_peskine_bound(d: int) -> Fraction:
     """d^2/6 - d/2 + 1 as an exact rational; its floor is G(d, 3)."""
     if d < 1:
         raise ValueError("degree must be positive")
-    return _parabola(d, 3)
+    return Fraction(_parabola_numerator(d, 1, 3), 6)
 
 
 def quadric_genera(d: int) -> set[int]:

@@ -10,10 +10,11 @@ the final check and `normal_form`: it works in a mutable term dict with a
 heap of pending monomials and primitive integer coefficients, so no
 Fraction is built until the reduced basis is made monic.  The final check
 certifies the reduced basis from scratch: the S-polynomials of a pair set
-that generates the syzygies of its leading terms (the coprime and chain
-criteria, computed on the final basis alone) and every input generator
-reduce to zero.  It raises `GroebnerCheckFailed`, so it also runs under
-`python -O`.
+that generates the syzygies of its leading terms (Gebauer & Moeller's
+criteria M and F: for each element, one pair per minimal quotient of the
+lcm by its leading monomial, coprime pairs skipped, computed on the final
+basis alone) and every input generator reduce to zero.  It raises `GroebnerCheckFailed`, so it also
+runs under `python -O`.
 
 Inside all of this a monomial is one packed int (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import gcd
 from operator import mul
 
@@ -445,26 +446,20 @@ def _reduce_basis(
 
 def _syzygy_pairs(lms: list[int], packing: _Packing) -> list[tuple[int, int, int]]:
     """(i, j, lcm of lm_i and lm_j) for the pairs whose S-polynomials the
-    final check reduces: all but those with coprime leading monomials and
-    those where some lm_k divides lcm_ij with lcm_ik and lcm_jk both
-    properly dividing it.  Computed from the leading monomials alone."""
-    n, guard = len(lms), packing.guard
-    lcms = [[0] * n for _ in lms]
-    for i, j in combinations(range(n), 2):
-        lcms[i][j] = lcms[j][i] = packing.lcm(lms[i], lms[j])
+    final check reduces: for each j, one i < j for each quotient
+    lcm_ij / lm_j that no other such quotient divides, the first i with it
+    (Gebauer & Moeller's criteria M and F), unless lm_i and lm_j are
+    coprime.  Computed from the leading monomials alone."""
     kept = []
-    for i, j in combinations(range(n), 2):
-        m = lcms[i][j]
-        if m == lms[i] + lms[j]:
-            continue
-        # when lm_k divides m, so does lcm_ik, properly when it is not m;
-        # neither k = i nor k = j passes, since lcm_ji and lcm_ij are m
-        row_i, row_j = lcms[i], lcms[j]
-        if any(
-            1 for k, lk in enumerate(lms) if not (m - lk) & guard and row_i[k] != m != row_j[k]
-        ):
-            continue
-        kept.append((i, j, m))
+    for j, lj in enumerate(lms):
+        quotients: dict[int, int] = {}
+        for i in range(j):
+            quotients.setdefault(packing.lcm(lms[i], lj) - lj, i)
+        for q in _minimal(quotients, packing.guard):
+            i = quotients[q]
+            # q is lm_i exactly when lcm_ij is lm_i * lm_j
+            if q != lms[i]:
+                kept.append((i, j, q + lj))
     return kept
 
 
@@ -473,12 +468,16 @@ def _assert_groebner(gb: GroebnerBasis, ideal: IdealSpec) -> None:
     `GroebnerCheckFailed`, so that the check also runs under `python -O`.
 
     First, the S-polynomial of every pair of `_syzygy_pairs` reduces to
-    zero.  Those S-polynomials generate the syzygies of the leading terms:
-    a pair dropped by the chain test is a combination of two pairs whose
-    lcms divide its own properly, so induction on the lcm under divisibility
-    ends, and a coprime pair reduces to zero by the first criterion.  So the
-    basis is a Groebner basis of the ideal it generates (Cox, Little &
-    O'Shea, ch. 2 §10; Gebauer & Moeller, JSC 6, 1988).  Second, every
+    zero.  Write tau_ij for the syzygy of the leading terms of the pair
+    (i, j) and q_i for lcm_ij / lm_j.  Fix j.  For i, k < j, suppose q_k
+    divides q_i, or equals it.  Then tau_ij - (q_i / q_k) * tau_kj involves
+    only e_i and e_k, so it is a monomial multiple of tau_ik.  By induction
+    on j, every pair syzygy is generated by the kept ones together with the
+    coprime pairs, and a coprime pair's S-polynomial reduces to zero by
+    Buchberger's first criterion.  For any generating set of the syzygies,
+    every S-polynomial reducing to zero holds exactly when G is a Groebner
+    basis, so the basis is one of the ideal it generates (Cox, Little &
+    O'Shea, ch. 2 §9-10; Gebauer & Moeller, JSC 6, 1988).  Second, every
     generator of the ideal reduces to zero modulo the basis, so I is in <G>.
     That G is in I holds by construction: `buchberger` makes each element
     from the generators."""
@@ -500,7 +499,9 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """The leading monomials of the basis, each once and those that another
     one divides dropped, in ascending order of their packed ints: ascending
     under deglex and lex; under degrevlex, by rising degree and biggest
-    first within a degree."""
+    first within a degree.  The empty basis, of the zero ideal, has none."""
+    if not gb.elements:
+        return MonomialIdeal(())
     packing = _Packing(len(gb.elements[0].ring), gb.order, _max_degree(gb.elements))
     pack, ascend = packing.pack, packing.ascend
     lms = [max([pack(m) ^ ascend for m in g.terms]) ^ ascend for g in gb.elements]

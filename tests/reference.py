@@ -54,6 +54,13 @@ def plane_genus(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
+def parabola(d: int, s: int) -> Fraction:
+    """G(d, s) without its correction term, in its textbook form
+    d^2/(2s) + d(s - 4)/2 + 1."""
+    d = Fraction(d)
+    return d * d / (2 * s) + d * (s - 4) / 2 + 1
+
+
 def overlay_points(d_max: int) -> list[str]:
     """The points attribute of each parabola d^2/(2s) + d(s-4)/2 + 1,
     s = 1, 2, 3, that the region SVG draws: taken in Fractions at d = 1 +

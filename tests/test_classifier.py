@@ -19,7 +19,6 @@ from halphen.classifier import (
     Verdict,
     castelnuovo_bound,
     classify,
-    _parabola,
     gruson_peskine_bound,
     halphen_bound,
     plane_bound,
@@ -33,7 +32,7 @@ from halphen.groebner import hilbert_polynomial
 from halphen.invariants import invariants_of
 
 from conftest import load_ideal
-from reference import overlay_points, plane_genus
+from reference import overlay_points, parabola, plane_genus
 
 
 class TestBounds:
@@ -91,11 +90,11 @@ class TestHalphenBound:
         # // in halphen_bound never rounds
         for s in range(1, 31):
             for d in range(1, 2000):
-                assert halphen_bound(d, s) + self._correction(d, s) == _parabola(d, s), (d, s)
+                assert halphen_bound(d, s) + self._correction(d, s) == parabola(d, s), (d, s)
 
     @given(st.integers(1, 10**12), st.integers(1, 10**4))
     def test_floor_division_is_exact_hypothesis(self, d, s):
-        assert halphen_bound(d, s) + self._correction(d, s) == _parabola(d, s)
+        assert halphen_bound(d, s) + self._correction(d, s) == parabola(d, s)
 
     @given(st.integers(1, 10**6), st.integers(1, 3))
     def test_small_s_hypothesis(self, d, s):
@@ -109,9 +108,10 @@ class TestHalphenBound:
                 assert halphen_bound(s * t, s) == s * t * (s + t - 4) // 2 + 1, (s, t)
 
     def test_parabola_is_a_fraction(self):
-        assert type(_parabola(7, 3)) is Fraction
-        assert _parabola(7, 3) == gruson_peskine_bound(7) == Fraction(17, 3)
-        assert _parabola(Fraction(5, 2), 2) == Fraction(1, 16)
+        assert type(gruson_peskine_bound(7)) is Fraction
+        assert parabola(7, 3) == gruson_peskine_bound(7) == Fraction(17, 3)
+        for d in range(1, 500):
+            assert gruson_peskine_bound(d) == parabola(d, 3), d
 
     @pytest.mark.parametrize("d,s", [(0, 1), (-3, 2), (5, 0), (5, -1)])
     def test_invalid_inputs(self, d, s):
