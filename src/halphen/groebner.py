@@ -1,19 +1,21 @@
 """Groebner bases, initial ideals, and exact Hilbert series.
 
-Buchberger with the normal selection strategy and both classical pair
-criteria, producing a reduced basis.  Pairs wait in a heap keyed by the
-degree of their lcm and then its order key, ties broken by (i, j): under
-lex too the pairs of lowest degree go first.  Each basis element keeps
-its leading monomial, leading coefficient and tail from the moment it
-enters.  One reduction kernel serves the pair loop, the interreduction,
-the final check and `normal_form`: it works in a mutable term dict with a
-heap of pending monomials and primitive integer coefficients, so no
-Fraction is built until the reduced basis is made monic.  The final check
-certifies the reduced basis from scratch: the S-polynomials of a pair set
-that generates the syzygies of its leading terms (Gebauer & Moeller's
-criteria M and F: for each element, one pair per minimal quotient of the
-lcm by its leading monomial, coprime pairs skipped, computed on the final
-basis alone) and every input generator reduce to zero.  It raises `GroebnerCheckFailed`, so it also
+Buchberger with the normal selection strategy, producing a reduced basis.
+As each element enters, its pairs with the earlier elements are formed by
+Gebauer & Moeller's criteria M and F (for the new element, one pair per
+minimal quotient of the lcm by its leading monomial, coprime pairs
+skipped), and every pair formed is reduced.  They wait in a heap keyed by
+the degree of their lcm and then its order key, ties broken by (i, j):
+under lex too the pairs of lowest degree go first.  Each basis element
+keeps its leading monomial, leading coefficient and tail from the moment
+it enters.  One reduction kernel serves the pair loop, the
+interreduction, the final check and `normal_form`: it works in a mutable
+term dict with a heap of pending monomials and primitive integer
+coefficients, so no Fraction is built until the reduced basis is made
+monic.  The final check certifies the reduced basis from scratch: the
+S-polynomials of the pairs the same rule forms on the final basis alone,
+which generate the syzygies of its leading terms, and every input
+generator reduce to zero.  It raises `GroebnerCheckFailed`, so it also
 runs under `python -O`.
 
 Inside all of this a monomial is one packed int (Monagan & Pearce,
@@ -376,8 +378,16 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
 
 
 def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
-    guard, ascend, field, every = packing.guard, packing.ascend, packing.field, packing.every
-    basis = [_Element(_integer_terms(g, packing)[1], packing) for g in ideal.generators]
+    """A Groebner basis of the ideal, reduced.  As each element enters, its
+    pairs with the earlier ones are formed by `_new_pairs`, the rule of the
+    final check, and every pair formed is reduced.  The working basis only
+    grows, so the pairs formed are exactly `_syzygy_pairs` of the final
+    working basis, and each of them reduced to zero or to a remainder that
+    then joined the basis, modulo which it reduces to zero.  The argument in
+    `_assert_groebner` then makes the working basis a Groebner basis."""
+    ascend, field, every = packing.ascend, packing.field, packing.every
+    basis: list[_Element] = []
+    lms: list[int] = []
     # normal selection, lowest degree first: a heap of (key, i, j), the key
     # the degree of the lcm and then its order key.  A graded order's key
     # leads with the degree already (lift 0 adds nothing); lex puts a copy
@@ -385,41 +395,25 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
     lift = every.bit_length() if packing.order is MonomialOrder.lex else 0
     pairs: list = []
 
-    def add_pairs(new: int) -> None:
-        lm = basis[new].lm
-        for k in range(new):
-            key = packing.lcm(basis[k].lm, lm) ^ ascend
-            heappush(pairs, (key | (key & field) << lift, k, new))
-
-    for new in range(1, len(basis)):
-        add_pairs(new)
-    done: set[tuple[int, int]] = set()
-    steps = 0
-    while pairs:
-        steps += 1
-        if steps > PAIR_BUDGET:
+    def enter(terms: dict[int, int]) -> None:
+        j = len(basis)
+        # every pair formed counts, kept or not: C(j + 1, 2) with this element's
+        if j * (j + 1) // 2 > PAIR_BUDGET:
             raise GroebnerBudgetExceeded("pair budget exceeded")
+        basis.append(_Element(terms, packing))
+        lms.append(basis[j].lm)
+        for i, m in _new_pairs(lms, j, packing):
+            key = m ^ ascend
+            heappush(pairs, (key | (key & field) << lift, i, j))
+
+    for g in ideal.generators:
+        enter(_integer_terms(g, packing)[1])
+    while pairs:
         key, i, j = heappop(pairs)
-        lcm_ij = key & every ^ ascend
-        done.add((i, j))
-        f, g = basis[i], basis[j]
-        # first Buchberger criterion: coprime leading monomials
-        if lcm_ij == f.lm + g.lm:
-            continue
-        # chain criterion
-        if any(
-            not (lcm_ij - h.lm) & guard
-            and k != i
-            and k != j
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            for k, h in enumerate(basis)
-        ):
-            continue
-        remainder, _ = _reduce(_s_terms(f, g, lcm_ij, packing), basis, packing)
+        s_terms = _s_terms(basis[i], basis[j], key & every ^ ascend, packing)
+        remainder, _ = _reduce(s_terms, basis, packing)
         if remainder:
-            basis.append(_Element(primitive(remainder)[1], packing))
-            add_pairs(len(basis) - 1)
+            enter(primitive(remainder)[1])
     return _reduce_basis(basis, packing, ideal.ring_vars)
 
 
@@ -444,23 +438,28 @@ def _reduce_basis(
     return GroebnerBasis(packing.order, tuple(reduced))
 
 
+def _new_pairs(lms: list[int], j: int, packing: _Packing) -> list[tuple[int, int]]:
+    """(i, lcm of lm_i and lm_j) for the pairs i < j that are kept: one i
+    for each quotient lcm_ij / lm_j that no other such quotient divides,
+    the first i with it (Gebauer & Moeller's criteria M and F), unless lm_i
+    and lm_j are coprime."""
+    lj, lcm = lms[j], packing.lcm
+    # i runs down, so each quotient keeps its first i
+    quotients = {lcm(lms[i], lj) - lj: i for i in range(j - 1, -1, -1)}
+    kept = []
+    for q in _minimal(quotients, packing.guard):
+        i = quotients[q]
+        # q is lm_i exactly when lcm_ij is lm_i * lm_j
+        if q != lms[i]:
+            kept.append((i, q + lj))
+    return kept
+
+
 def _syzygy_pairs(lms: list[int], packing: _Packing) -> list[tuple[int, int, int]]:
     """(i, j, lcm of lm_i and lm_j) for the pairs whose S-polynomials the
-    final check reduces: for each j, one i < j for each quotient
-    lcm_ij / lm_j that no other such quotient divides, the first i with it
-    (Gebauer & Moeller's criteria M and F), unless lm_i and lm_j are
-    coprime.  Computed from the leading monomials alone."""
-    kept = []
-    for j, lj in enumerate(lms):
-        quotients: dict[int, int] = {}
-        for i in range(j):
-            quotients.setdefault(packing.lcm(lms[i], lj) - lj, i)
-        for q in _minimal(quotients, packing.guard):
-            i = quotients[q]
-            # q is lm_i exactly when lcm_ij is lm_i * lm_j
-            if q != lms[i]:
-                kept.append((i, j, q + lj))
-    return kept
+    final check reduces, `_new_pairs` for each j: computed from the leading
+    monomials alone, and the pairs the pair loop forms on the same basis."""
+    return [(i, j, m) for j in range(len(lms)) for i, m in _new_pairs(lms, j, packing)]
 
 
 def _assert_groebner(gb: GroebnerBasis, ideal: IdealSpec) -> None:

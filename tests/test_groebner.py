@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from halphen.groebner import (
     series_numerator,
     _assert_groebner,
 )
-from halphen.parsing import parse_polynomial
+from halphen.parsing import parse_ideal_file, parse_polynomial
 from halphen.poly import (
     DEFAULT_ORDER,
     IdealSpec,
@@ -59,6 +60,9 @@ from reference import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC.parent / "bench"))
+
+from workloads import random_form  # noqa: E402
 
 FIXTURE_NAMES = [
     "twisted_cubic",
@@ -687,6 +691,86 @@ class TestFinalCheck:
         assert proc.stderr == (
             f"halphen: error: {self.S_FAILED}\nhalphen: error: {self.GENERATOR_FAILED}\n"
         )
+
+
+def loop_run(spec, order=DEFAULT_ORDER):
+    """(reduced, lms, packing) of `buchberger(spec, order)`: the (i, j, lcm)
+    of each S-polynomial the pair loop reduced, in the order reduced, i and
+    j indexing the working basis that `_reduce_basis` was given, and that
+    basis's leading monomials and packing.  A run that `_widening` starts
+    again is recorded afresh."""
+    calls, final = [], {}
+    run, s_terms, reduce_basis = groebner._buchberger, groebner._s_terms, groebner._reduce_basis
+
+    def restart(*args):
+        calls.clear()
+        final.clear()
+        return run(*args)
+
+    def record_s_terms(f, g, m, packing):
+        # the final check reduces S-polynomials too, after the loop
+        if not final:
+            calls.append((f, g, m))
+        return s_terms(f, g, m, packing)
+
+    def record_basis(basis, packing, ring):
+        final.update(basis=list(basis), packing=packing)
+        return reduce_basis(basis, packing, ring)
+
+    with mock.patch.multiple(
+        groebner, _buchberger=restart, _s_terms=record_s_terms, _reduce_basis=record_basis
+    ):
+        buchberger(spec, order)
+    index = {id(g): k for k, g in enumerate(final["basis"])}
+    reduced = [(index[id(f)], index[id(g)], m) for f, g, m in calls]
+    return reduced, [g.lm for g in final["basis"]], final["packing"]
+
+
+def dense_ci(n, degrees):
+    """Dense forms of the degrees in P^n, coefficients in -3..3, as the
+    benchmark draws them, from `random.Random(f"{n}:{degrees}")`."""
+    names = [f"x{i}" for i in range(n + 1)]
+    rng = random.Random(f"{n}:{degrees}")
+    forms = [random_form(rng, d, names) for d in degrees]
+    return parse_ideal_file(f"ring {' '.join(names)}\n" + "\n".join(forms) + "\n")
+
+
+class TestPairLoop:
+    """The pair loop reduces the S-polynomials of exactly the pairs that the
+    final check takes on its working basis, and counts every pair i < j it
+    forms against `PAIR_BUDGET`."""
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @settings(max_examples=60, derandomize=True)
+    @given(gens=st.lists(FORMS, min_size=2, max_size=4))
+    def test_loop_reduces_the_certificate_pairs(self, order, gens):
+        reduced, lms, packing = loop_run(IdealSpec(RING3, tuple(gens)), order)
+        assert sorted(reduced) == sorted(groebner._syzygy_pairs(lms, packing))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rational_normal_curves_reduce_to_zero(self, n):
+        spec = rnc_minors(n)
+        reduced, lms, _ = loop_run(spec)
+        # no remainder joined: the working basis is the C(n, 2) generators
+        assert len(lms) == len(spec.generators) == comb(n, 2)
+        assert len(reduced) == 2 * comb(n, 3)
+
+    @pytest.mark.parametrize("degrees, most", [((3, 3, 3), 19), ((3, 3, 4), 21)])
+    def test_dense_complete_intersections_in_p4(self, degrees, most):
+        # the bounds are what a loop with the chain criterion reduces here
+        reduced, _, _ = loop_run(dense_ci(4, degrees))
+        assert len(reduced) <= most
+
+    @pytest.mark.parametrize("budget", [44, 45])
+    def test_budget_counts_every_pair_formed(self, monkeypatch, budget):
+        # the 10 minors of rnc(5) are a Groebner basis: 45 pairs, 20 reduced
+        monkeypatch.setattr(groebner, "PAIR_BUDGET", budget)
+        spec = rnc_minors(5)
+        if budget < comb(10, 2):
+            with pytest.raises(groebner.GroebnerBudgetExceeded, match="pair budget exceeded"):
+                buchberger(spec)
+        else:
+            assert len(buchberger(spec).elements) == 10
 
 
 class TestAllPairsReference:
