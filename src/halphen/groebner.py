@@ -6,29 +6,26 @@ Gebauer & Moeller's criteria M and F (for the new element, one pair per
 minimal quotient of the lcm by its leading monomial, coprime pairs
 skipped), and every pair formed is reduced.  They wait in a heap keyed by
 the degree of their lcm and then its order key, ties broken by (i, j):
-under lex too the pairs of lowest degree go first.  Each basis element
-keeps its leading monomial, leading coefficient and tail from the moment
-it enters.  One reduction kernel serves the pair loop, the
-interreduction, the final check and `normal_form`: it works in a mutable
-term dict with a heap of pending monomials and primitive integer
-coefficients, so no Fraction is built until the reduced basis is made
-monic.  The final check certifies the reduced basis from scratch: the
-S-polynomials of the pairs the same rule forms on the final basis alone,
-which generate the syzygies of its leading terms, and every input
-generator reduce to zero.  It raises `GroebnerCheckFailed`, so it also
-runs under `python -O`.
+under lex too the pairs of lowest degree go first.  One reduction kernel
+serves the pair loop, the interreduction, the final check and
+`normal_form`: a mutable term dict with a heap of pending monomials and
+primitive integer coefficients.  The generators are packed once for one
+run of the loop, the interreduction and the final check, and no Fraction
+is built until the certified basis is made monic.  The check certifies
+the primitive reduced basis from scratch: the S-polynomials of the pairs
+the same rule forms on that basis alone, which generate the syzygies of
+its leading terms, and every input generator reduce to zero.  It raises
+`GroebnerCheckFailed`, so it also runs under `python -O`.
 
 Inside all of this a monomial is one packed int (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007): fixed-width exponent fields and a degree field, each
-with a guard bit, laid out per order so that an int key gives the order.
-Products, quotients and divisibility tests are int arithmetic.  Monomials
-are packed where a polynomial enters the kernel (`_integer_terms`) and
-unpacked where a `Polynomial` leaves it; the public functions take and
-return exponent tuples.  `_Packing` chooses the field width from the
-input degrees; a monomial that would set a guard bit raises `_Overflow`,
-and `_widening` starts the computation again on wider fields, so the
-width never changes an answer.
+vectors", CASC 2007), laid out as the comment at `_Packing` says.
+Monomials are packed where a polynomial enters the kernel
+(`_integer_terms`) and unpacked where a `Polynomial` leaves it; the public
+functions take and return exponent tuples.  `_Packing` chooses the field
+width from the input degrees; a monomial that would set a guard bit
+raises `_Overflow`, and `_widening` starts the computation again on wider
+fields, so the width never changes an answer.
 
 The Hilbert series of R/I is read off the initial monomial ideal through
 the pivot recursion of Bayer & Stillman, "Computation of Hilbert
@@ -46,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd
@@ -238,8 +235,7 @@ def _widening(run, n_vars: int, order: MonomialOrder, degree: int):
 # Inside the algorithm a polynomial is a dict packed monomial -> int.
 # Basis elements and remainders keep their keys biggest first, so
 # `poly.primitive` makes an element coprime with a positive leading
-# coefficient.  Fractions and exponent tuples appear only where a
-# polynomial enters the kernel or a result leaves it.
+# coefficient.
 
 
 class _Element:
@@ -369,22 +365,16 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
     validate_ideal(ideal)
     if not ideal.generators:
         raise ValueError("empty generator list")
-    gb = _widening(
-        lambda packing: _buchberger(ideal, packing),
-        ideal.n_vars, order, _max_degree(ideal.generators),
-    )
-    _assert_groebner(gb, ideal)
-    return gb
+    return _widening(partial(_buchberger, ideal), ideal.n_vars, order, _max_degree(ideal.generators))
 
 
 def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
-    """A Groebner basis of the ideal, reduced.  As each element enters, its
-    pairs with the earlier ones are formed by `_new_pairs`, the rule of the
-    final check, and every pair formed is reduced.  The working basis only
-    grows, so the pairs formed are exactly `_syzygy_pairs` of the final
-    working basis, and each of them reduced to zero or to a remainder that
-    then joined the basis, modulo which it reduces to zero.  The argument in
-    `_assert_groebner` then makes the working basis a Groebner basis."""
+    """The reduced basis, certified by `_certify` before it is made monic;
+    the generators are packed once, for the loop and the check.  As each
+    element enters, its pairs with the earlier ones are formed by
+    `_new_pairs`, the check's rule, and all are reduced.  The basis only
+    grows, so these are `_syzygy_pairs` of the final working basis, each
+    reduced to zero or to a remainder that joined it; `_certify`'s proof applies."""
     ascend, field, every = packing.ascend, packing.field, packing.every
     basis: list[_Element] = []
     lms: list[int] = []
@@ -406,36 +396,37 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
             key = m ^ ascend
             heappush(pairs, (key | (key & field) << lift, i, j))
 
-    for g in ideal.generators:
-        enter(_integer_terms(g, packing)[1])
+    gens = [_integer_terms(g, packing)[1] for g in ideal.generators]
+    for terms in gens:
+        enter(terms)
     while pairs:
         key, i, j = heappop(pairs)
         s_terms = _s_terms(basis[i], basis[j], key & every ^ ascend, packing)
         remainder, _ = _reduce(s_terms, basis, packing)
         if remainder:
             enter(primitive(remainder)[1])
-    return _reduce_basis(basis, packing, ideal.ring_vars)
+    reduced = _reduce_basis(basis, packing)
+    _certify(reduced, gens, packing)
+    unpack, ring = packing.unpack, ideal.ring_vars
+    return GroebnerBasis(packing.order, tuple(
+        Polynomial._from_pairs([(unpack(m), Fraction(c, lc)) for m, c in terms.items()], ring)
+        for terms in reduced for lc in [next(iter(terms.values()))]
+    ))
 
 
-def _reduce_basis(
-    basis: list[_Element], packing: _Packing, ring: tuple[str, ...]
-) -> GroebnerBasis:
-    guard, ascend, unpack = packing.guard, packing.ascend, packing.unpack
+def _reduce_basis(basis: list[_Element], packing: _Packing) -> list[dict[int, int]]:
+    """Primitive term dicts, biggest first, ascending by leading monomial."""
+    guard, ascend = packing.guard, packing.ascend
     # minimal: keep one element per leading monomial kept by divisibility
     minimal: list[_Element] = []
     for g in sorted(basis, key=lambda g: g.lm ^ ascend):
         if all((g.lm - h.lm) & guard for h in minimal):
             minimal.append(g)
-    # interreduce: each element reduced against the others, then made monic;
-    # by minimality no other leading monomial divides its own
-    reduced = []
-    for i, g in enumerate(minimal):
-        work = dict([(g.lm, g.lc), *g.tail])
-        r, _ = _reduce(work, minimal[:i] + minimal[i + 1 :], packing)
-        lc = r[g.lm]
-        terms = [(unpack(m), Fraction(c, lc)) for m, c in r.items()]
-        reduced.append(Polynomial._from_pairs(terms, ring))
-    return GroebnerBasis(packing.order, tuple(reduced))
+    # interreduce: each element reduced against the others; by minimality no
+    # other leading monomial divides its own, which stays first
+    reduced = [_reduce(dict([(g.lm, g.lc), *g.tail]), minimal[:i] + minimal[i + 1 :], packing)[0]
+               for i, g in enumerate(minimal)]
+    return [primitive(r)[1] for r in reduced]
 
 
 def _new_pairs(lms: list[int], j: int, packing: _Packing) -> list[tuple[int, int]]:
@@ -463,8 +454,19 @@ def _syzygy_pairs(lms: list[int], packing: _Packing) -> list[tuple[int, int, int
 
 
 def _assert_groebner(gb: GroebnerBasis, ideal: IdealSpec) -> None:
-    """Certify that the basis is a Groebner basis of the ideal, or raise
-    `GroebnerCheckFailed`, so that the check also runs under `python -O`.
+    """`_certify`, the check `buchberger` runs, on the packed basis and generators."""
+
+    def run(packing: _Packing) -> None:
+        packed = [_integer_terms(g, packing)[1] for g in [*gb.elements, *ideal.generators]]
+        _certify(packed[: len(gb.elements)], packed[len(gb.elements) :], packing)
+
+    _widening(run, ideal.n_vars, gb.order, _max_degree([*gb.elements, *ideal.generators]))
+
+
+def _certify(reduced: list[dict], gens: list[dict], packing: _Packing) -> None:
+    """Certify that the packed basis is a Groebner basis of the ideal of the
+    packed generators, or raise `GroebnerCheckFailed`, so that the check
+    also runs under `python -O`.
 
     First, the S-polynomial of every pair of `_syzygy_pairs` reduces to
     zero.  Write tau_ij for the syzygy of the leading terms of the pair
@@ -479,19 +481,17 @@ def _assert_groebner(gb: GroebnerBasis, ideal: IdealSpec) -> None:
     O'Shea, ch. 2 §9-10; Gebauer & Moeller, JSC 6, 1988).  Second, every
     generator of the ideal reduces to zero modulo the basis, so I is in <G>.
     That G is in I holds by construction: `buchberger` makes each element
-    from the generators."""
-
-    def run(packing: _Packing) -> None:
-        basis = [_Element(_integer_terms(g, packing)[1], packing) for g in gb.elements]
-        for i, j, m in _syzygy_pairs([g.lm for g in basis], packing):
-            if _reduce(_s_terms(basis[i], basis[j], m, packing), basis, packing)[0]:
-                raise GroebnerCheckFailed("S-polynomial did not reduce to zero")
-        for g in ideal.generators:
-            if _reduce(_integer_terms(g, packing)[1], basis, packing)[0]:
-                raise GroebnerCheckFailed("input generator did not reduce to zero")
-
-    degree = _max_degree([*gb.elements, *ideal.generators])
-    _widening(run, ideal.n_vars, gb.order, degree)
+    from the generators.  Scaling an element by a nonzero rational scales
+    each S-polynomial and reduction step that uses it, so a primitive basis
+    and a monic one certify alike."""
+    basis = [_Element(terms, packing) for terms in reduced]
+    for i, j, m in _syzygy_pairs([g.lm for g in basis], packing):
+        if _reduce(_s_terms(basis[i], basis[j], m, packing), basis, packing)[0]:
+            raise GroebnerCheckFailed("S-polynomial did not reduce to zero")
+    for terms in gens:
+        # `_reduce` consumes its input
+        if _reduce(dict(terms), basis, packing)[0]:
+            raise GroebnerCheckFailed("input generator did not reduce to zero")
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:

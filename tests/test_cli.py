@@ -181,6 +181,12 @@ class TestHilbertCommand:
         assert "--max-degree: must be non-negative, got -3" in err
 
 
+def packed(gb):
+    """A stand-in for `groebner._reduce_basis` that hands the certificate
+    the given basis, packed by the run, instead of the loop's."""
+    return lambda basis, packing: [groebner._integer_terms(g, packing)[1] for g in gb.elements]
+
+
 class TestGroebnerCheckFailure:
     def test_failed_final_check_is_domain_error(self, tmp_path, capsys, monkeypatch):
         # the generators, their own ideal, given back as its basis: not a
@@ -188,14 +194,14 @@ class TestGroebnerCheckFailure:
         path = tmp_path / "non_basis.ideal"
         path.write_text("ring x y z\nx*y - z^2\nx^2 - y*z\n")
         bad = groebner.GroebnerBasis(DEFAULT_ORDER, parse_ideal_file(path.read_text()).generators)
-        monkeypatch.setattr(groebner, "_reduce_basis", lambda *args: bad)
+        monkeypatch.setattr(groebner, "_reduce_basis", packed(bad))
         code, out, err = run(capsys, "invariants", "--ideal", str(path))
         assert code == 1 and out == ""
         assert err == "halphen: error: S-polynomial did not reduce to zero\n"
 
     def test_basis_of_another_ideal_is_domain_error(self, capsys, monkeypatch):
         other = groebner.buchberger(parse_ideal_file((FIXTURES / "curve_E.ideal").read_text()))
-        monkeypatch.setattr(groebner, "_reduce_basis", lambda *args: other)
+        monkeypatch.setattr(groebner, "_reduce_basis", packed(other))
         code, out, err = run(capsys, "invariants", "--ideal", fixture("twisted_cubic"))
         assert code == 1 and out == ""
         assert err == "halphen: error: input generator did not reduce to zero\n"

@@ -531,7 +531,10 @@ for path, bad in cases:
         groebner._assert_groebner(bad, load(path))
     except groebner.GroebnerCheckFailed as exc:
         print("raised", exc)
-    groebner._reduce_basis = lambda *args: bad
+    # the loop's reduced basis replaced by the bad one, packed by the run
+    groebner._reduce_basis = lambda basis, packing: [
+        groebner._integer_terms(g, packing)[1] for g in bad.elements
+    ]
     print("exit", cli.main(["invariants", "--ideal", path]))
 print("optimize", sys.flags.optimize)
 """
@@ -618,6 +621,23 @@ class TestFinalCheck:
                 count += 1
         # 550 raised coefficients stay nonzero; 19 that were -1 drop out
         assert count == 569
+
+    def test_scaled_bases_certify_alike(self, twisted_cubic, curve_e):
+        """Every element times -3/2 leaves each verdict as it was, so a
+        primitive basis and a monic one certify alike: the reduced bases,
+        a few drop-one mutants of each, and a basis of another ideal."""
+        cases = []
+        for spec, gb in mutant_cases():
+            elements = gb.elements
+            cases += [(spec, elements, None)] + [
+                (spec, elements[:i] + elements[i + 1 :], self.S_FAILED)
+                for i in {0, len(elements) // 2, len(elements) - 1}
+            ]
+        cases.append((twisted_cubic, buchberger(curve_e).elements, self.GENERATOR_FAILED))
+        for spec, elements, message in cases:
+            scaled = tuple(g.scale(Fraction(-3, 2)) for g in elements)
+            assert check_message(GroebnerBasis(DEFAULT_ORDER, elements), spec) == message
+            assert check_message(GroebnerBasis(DEFAULT_ORDER, scaled), spec) == message
 
     def test_fields_hold_the_generators_degree(self, monkeypatch):
         # the basis {x} has degree 1, the generator x*y^20 degree 21
@@ -713,9 +733,9 @@ def loop_run(spec, order=DEFAULT_ORDER):
             calls.append((f, g, m))
         return s_terms(f, g, m, packing)
 
-    def record_basis(basis, packing, ring):
+    def record_basis(basis, packing):
         final.update(basis=list(basis), packing=packing)
-        return reduce_basis(basis, packing, ring)
+        return reduce_basis(basis, packing)
 
     with mock.patch.multiple(
         groebner, _buchberger=restart, _s_terms=record_s_terms, _reduce_basis=record_basis
@@ -727,7 +747,7 @@ def loop_run(spec, order=DEFAULT_ORDER):
 
 
 def dense_ci(n, degrees):
-    """Dense forms of the degrees in P^n, coefficients in -3..3, as the
+    """Dense forms of the degrees in P^n, coefficients in -5..5, as the
     benchmark draws them, from `random.Random(f"{n}:{degrees}")`."""
     names = [f"x{i}" for i in range(n + 1)]
     rng = random.Random(f"{n}:{degrees}")
@@ -909,6 +929,12 @@ class TestStandardMonomialCount:
 
 
 class TestHilbertPolynomial:
+    SPECS = {
+        "rnc_minors(6)": lambda: rnc_minors(6),
+        "ci(2,2,2)": lambda: series_instance("ci(2,2,2)"),
+        "twisted_cubic": lambda: load_ideal("twisted_cubic"),
+    }
+
     @pytest.mark.parametrize(
         "name,coeffs",
         [
@@ -942,6 +968,35 @@ class TestHilbertPolynomial:
             assert data.polynomial == HilbertPolynomial(
                 (Fraction(1 - (d - 1) * (d - 2) // 2), Fraction(d))
             )
+
+    @pytest.mark.parametrize("name", ["rnc_minors(6)", "ci(2,2,2)", "twisted_cubic"])
+    def test_each_stage_is_called_once_through_the_module(self, monkeypatch, name):
+        """The benchmark's tracer wraps `buchberger`, `initial_ideal` and
+        `series_numerator` as module attributes and summarizes their spans,
+        so each must be reached that way on every call."""
+        spec = self.SPECS[name]()
+        calls = []
+        for stage in ["buchberger", "initial_ideal", "series_numerator"]:
+            original = getattr(groebner, stage)
+            monkeypatch.setattr(
+                groebner, stage, lambda *args, f=original, n=stage: calls.append(n) or f(*args)
+            )
+        hilbert_polynomial(spec)
+        assert sorted(calls) == ["buchberger", "initial_ideal", "series_numerator"]
+
+    @pytest.mark.parametrize("name, packed", [("rnc_minors(6)", 15), ("ci(2,2,2)", 3)])
+    def test_generators_are_packed_once(self, monkeypatch, name, packed):
+        """One `_integer_terms` call per generator: the loop and the
+        certificate share the packed generators, and the reduced basis is
+        certified before it is made monic."""
+        calls = []
+        pack = groebner._integer_terms
+        monkeypatch.setattr(
+            groebner, "_integer_terms", lambda p, packing: calls.append(p) or pack(p, packing)
+        )
+        spec = self.SPECS[name]()
+        hilbert_polynomial(spec)
+        assert len(calls) == len(spec.generators) == packed
 
     def test_reorder_and_rescale_invariance(self, twisted_cubic):
         base = hilbert_polynomial(twisted_cubic).polynomial
