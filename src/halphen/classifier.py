@@ -15,8 +15,12 @@ Within one degree the flags change only at a few genera: at each quadric
 genus and the one after it, after G(d, 3), and at and after the plane
 bound.  The region table is made one run between two such genera at a
 time: _verdict, the code classify runs, classifies the run's first row,
-and the run's other rows repeat its flags; the CSV writes each run of
-equal flags as one join.
+and the run's other rows repeat its flags.  The renderers take the rows
+one degree at a time, the slices of region_table or the rows of each
+degree as they are made, and find the runs with groupby: the CSV writes
+each run of equal flags as one join of genus strings made once per
+table, and the SVG, whose circles show the category alone, adds each run
+of one category to its degree's list of pieces, joined once per degree.
 
 The SVG overlays the parabolas G(d, s) without their correction term,
 s = 1, 2, 3, at d = n/q on a grid of step 1/q.  Each point is computed in
@@ -30,9 +34,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from math import comb, isqrt
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import NamedTuple
 
 from . import _decimal
@@ -137,10 +141,10 @@ def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
     )
 
 
-def _region_rows(d_max: int) -> Iterator[Verdict]:
-    """Every (d, g) with d <= d_max, g <= plane_bound(d), classified, in
-    order of d and then g.  d_max and the budget are checked on the call,
-    before any row exists; the rows are made lazily, one degree at a time."""
+def _region_degrees(d_max: int) -> Iterator[Iterator[Verdict]]:
+    """The rows of each degree d <= d_max, classified, in order of d and
+    then g.  d_max and the budget are checked on the call, before any row
+    exists; the rows are made lazily, one degree at a time."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     # sum over d of plane_bound(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
@@ -150,7 +154,7 @@ def _region_rows(d_max: int) -> Iterator[Verdict]:
             f"region d_max = {_decimal(d_max)} has {_decimal(n_rows)} rows; "
             f"the budget is {REGION_BUDGET}"
         )
-    return chain.from_iterable(map(_degree_rows, range(1, d_max + 1)))
+    return map(_degree_rows, range(1, d_max + 1))
 
 
 def _degree_rows(d: int) -> Iterator[Verdict]:
@@ -170,40 +174,49 @@ def _degree_rows(d: int) -> Iterator[Verdict]:
 
 
 def region_table(d_max: int) -> list[Verdict]:
-    """The rows of _region_rows as a list.  Raises RegionBudgetExceeded
+    """Every row of _region_degrees in one list.  Raises RegionBudgetExceeded
     before any row is built if there would be more than REGION_BUDGET rows."""
-    return list(_region_rows(d_max))
+    return list(chain.from_iterable(_region_degrees(d_max)))
+
+
+def _degree_slices(rows: list[Verdict], d_max: int) -> Iterator[list[Verdict]]:
+    """region_table's rows cut into degrees: degree d starts after the
+    C(d-1, 3) + d - 1 rows of the degrees below it."""
+    starts = [comb(d - 1, 3) + d - 1 for d in range(1, d_max + 2)]
+    return map(rows.__getitem__, map(slice, starts, starts[1:]))
 
 
 def region_chunks(d_max: int, fmt: str) -> Iterator[str]:
-    """The region as CSV or SVG text, one chunk per degree, over rows made
-    lazily: memory stays flat in d_max.  d_max and the budget are checked
-    on the call, before any chunk exists."""
+    """The region as CSV or SVG text, one chunk per degree, each made from
+    that degree's rows alone: memory stays flat in d_max.  d_max and the
+    budget are checked on the call, before any chunk exists."""
     if fmt not in ("csv", "svg"):
         raise ValueError(f"unknown region format {fmt!r}")
-    rows = _region_rows(d_max)
-    return _svg_chunks(rows, d_max) if fmt == "svg" else _csv_chunks(rows)
+    degrees = _region_degrees(d_max)
+    return _svg_chunks(degrees, d_max) if fmt == "svg" else _csv_chunks(degrees, d_max)
 
 
 def region_csv(d_max: int) -> str:
     """Every row of region_table as one CSV line under a header: d, g, the
     four existence flags as true/false, and the category."""
-    return "".join(_csv_chunks(region_table(d_max)))
+    return "".join(_csv_chunks(_degree_slices(region_table(d_max), d_max), d_max))
 
 
-def _csv_chunks(rows: Iterable[Verdict]) -> Iterator[str]:
+def _csv_chunks(degrees: Iterable[Iterable[Verdict]], d_max: int) -> Iterator[str]:
     """The header, then the lines of each degree's rows as one chunk.  The
-    lines of a run of rows with equal flags differ only in g, so each run
-    is written as one join of its genera."""
+    rows of degree d are g = 0, 1, ... in order, and the lines of a run of
+    rows with equal flags differ only in g: each run is one join of the
+    run's next genus strings, made once for the table."""
     yield "d,g,exists_plane,exists_on_quadric,exists_off_quadric,exists_any,category\n"
     word = ("false", "true")
     flags = itemgetter(2, 3, 4, 5, 6)
-    for d, degree in groupby(rows, itemgetter(0)):
-        head = f"{d},"
-        runs = []
-        for (plane, on_quadric, off_quadric, any_, cat), run in groupby(degree, flags):
+    gs = list(map(str, range(plane_bound(d_max) + 1)))
+    for d, degree in enumerate(degrees, 1):
+        head, runs, genera = f"{d},", [], iter(gs)
+        for key, run in groupby(map(flags, degree)):
+            plane, on_quadric, off_quadric, any_, cat = key
             tail = f",{word[plane]},{word[on_quadric]},{word[off_quadric]},{word[any_]},{cat}\n"
-            runs.append(head + (tail + head).join([str(v[1]) for v in run]) + tail)
+            runs.append(head + (tail + head).join(islice(genera, countOf(run, key))) + tail)
         yield "".join(runs)
 
 
@@ -221,13 +234,15 @@ _CELL = 24.0
 def region_svg(d_max: int) -> str:
     """Deterministic scatter of (d, g) colored by category, with the
     plane, Castelnuovo, and Gruson-Peskine parabolas overlaid."""
-    return "".join(_svg_chunks(region_table(d_max), d_max))
+    return "".join(_svg_chunks(_degree_slices(region_table(d_max), d_max), d_max))
 
 
-def _svg_chunks(rows: Iterable[Verdict], d_max: int) -> Iterator[str]:
+def _svg_chunks(degrees: Iterable[Iterable[Verdict]], d_max: int) -> Iterator[str]:
     """The preamble with the parabolas, the circles of each degree's rows,
     the d-axis labels and the g-axis labels with the closing tag, each as
-    one chunk."""
+    one chunk.  A circle shows d, g and the category alone, so each run of
+    one category adds the pieces of its circles, cut around the coordinate
+    and genus strings made once for the table, to one list per degree."""
     g_max = plane_bound(d_max)
     width = _MARGIN * 2 + _CELL * d_max
     height = _MARGIN * 2 + _CELL * (g_max + 1)
@@ -268,12 +283,16 @@ def _svg_chunks(rows: Iterable[Verdict], d_max: int) -> Iterator[str]:
     yield "\n".join(out) + "\n"
     xs = [f"{x(d):.2f}" for d in range(d_max + 1)]
     ys = [f"{y(g):.2f}" for g in range(g_max + 1)]
-    for _, degree in groupby(rows, itemgetter(0)):
-        yield "".join(
-            f'<circle cx="{xs[d]}" cy="{ys[g]}" r="6" fill="{_COLORS[cat]}">'
-            f"<title>d={d} g={g} {cat}</title></circle>\n"
-            for d, g, _, _, _, _, cat in degree
-        )
+    gs = list(map(str, range(g_max + 1)))
+    for d, degree in enumerate(degrees, 1):
+        head, parts, ys_d, gs_d = f'<circle cx="{xs[d]}" cy="', [], iter(ys), iter(gs)
+        for cat, run in groupby(map(itemgetter(6), degree)):
+            # zip stops at the run's last head, before taking a y or a g more
+            mid = f'" r="6" fill="{_COLORS[cat]}"><title>d={d} g='
+            tail = f" {cat}</title></circle>\n"
+            circles = zip(repeat(head, countOf(run, cat)), ys_d, repeat(mid), gs_d, repeat(tail))
+            parts += chain.from_iterable(circles)
+        yield "".join(parts)
     yield "".join(
         f'<text x="{xs[d]}" y="{height - _MARGIN + 18:.1f}" text-anchor="middle" '
         f'font-family="monospace" font-size="11">{d}</text>\n'

@@ -17,7 +17,10 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
+
+from . import _decimal
 
 # Each subcommand imports the layers it runs, so `classify` and `region`
 # never load the Groebner or rank paths.
@@ -84,17 +87,39 @@ def _invariants_payload(spec) -> dict:
     return payload
 
 
+class OracleMismatch(ValueError):
+    """`hilbert` ran both oracles and a value of the rank path's table
+    differs from the series path's expansion at the same degree."""
+
+
+def _cross_check(values: dict[int, int], numerator) -> None:
+    """Each H(m) of the table against the expansion of the Hilbert series
+    sum_j h_j t^j / (1-t)^n: H(m) = sum over j <= m of h_j C(m - j + n - 1, n - 1)."""
+    n, coeffs = numerator.n_vars, numerator.coeffs
+    for m, h in values.items():
+        series = sum(c * comb(m - j + n - 1, n - 1) for j, c in enumerate(coeffs[: m + 1]))
+        if h != series:
+            raise OracleMismatch(
+                f"H({m}) is {_decimal(h)} by Macaulay rank "
+                f"but {_decimal(series)} by the Hilbert series"
+            )
+
+
 def _cmd_hilbert(args) -> str:
     from . import graded
 
     spec = _load_ideal(args.ideal)
     m_max = args.max_degree
+    data = None
     if m_max is None:
         from . import groebner
 
         data = groebner.hilbert_polynomial(spec)
         m_max = max(6, data.stabilizes_from + 2)
-    values = sorted(graded.hilbert_function_table(spec, m_max).values.items())
+    table = graded.hilbert_function_table(spec, m_max).values
+    if data is not None:
+        _cross_check(table, data.numerator)
+    values = sorted(table.items())
     if args.format == "json":
         return _dump({"ideal": spec.label, "values": {str(m): h for m, h in values}})
     return "m,hilbert_function\n" + "".join(f"{m},{h}\n" for m, h in values)

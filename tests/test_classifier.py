@@ -245,7 +245,7 @@ class TestRegionTable:
     def test_budget_past_the_digit_limit(self):
         d_max = int("9" * 2000)
         with pytest.raises(RegionBudgetExceeded) as exc:
-            classifier._region_rows(d_max)
+            classifier._region_degrees(d_max)
         assert str(exc.value) == (
             f"region d_max = {d_max} has at least 10^5998 rows; the budget is {REGION_BUDGET}"
         )
@@ -313,6 +313,17 @@ class TestRegionTable:
         expected = map(classify, repeat(d), range(plane_bound(d) + 1))
         pairs = zip_longest(classifier._degree_rows(d), expected)
         assert next((pair for pair in pairs if pair[0] != pair[1]), None) is None
+
+    # the renderers cut region_table at C(d-1, 3) + d - 1, the number of
+    # rows of the degrees below d
+    @pytest.mark.parametrize("d_max", range(1, 61))
+    def test_degree_slices(self, d_max):
+        rows = region_table(d_max)
+        slices = list(classifier._degree_slices(rows, d_max))
+        assert len(slices) == d_max
+        for d, degree in enumerate(slices, 1):
+            assert [(v.d, v.g) for v in degree] == [(d, g) for g in range(plane_bound(d) + 1)]
+        assert sum(map(len, slices)) == len(rows)
 
     # _verdict classifies the first row of each run, not every row: a
     # degree's runs start at 0, at each quadric genus and the one after
@@ -401,6 +412,25 @@ class TestEmitters:
             for text in (region_csv(d_max), region_svg(d_max))
         )
         assert digests == self.GOLDEN_SHA256[d_max]
+
+    # circle k is row k of the table, apart from the goldens: its title
+    # names the row, its fill is the category's color, and its centre is
+    # the row's column and genus coordinates
+    @pytest.mark.parametrize("d_max", [7, 30, 46])
+    def test_svg_circle_per_row(self, d_max):
+        circles = re.findall(
+            r'<circle cx="([^"]*)" cy="([^"]*)" r="6" fill="([^"]*)">'
+            r"<title>d=(\d+) g=(\d+) ([a-z-]+)</title></circle>\n",
+            region_svg(d_max),
+        )
+        rows = region_table(d_max)
+        assert len(circles) == len(rows)
+        height = 2 * 50 + 24 * (plane_bound(d_max) + 1)
+        for (cx, cy, fill, d, g, cat), v in zip(circles, rows):
+            assert (int(d), int(g), cat) == (v.d, v.g, v.category)
+            assert fill == classifier._COLORS[v.category]
+            assert cx == f"{50 + 24 * (v.d - 0.5):.2f}"
+            assert cy == f"{height - 50 - 24 * (v.g + 0.5):.2f}"
 
     # the parabolas are drawn in integers; the reference takes each point
     # in Fractions.  They sit in the first SVG chunk, which region_svg

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from halphen import classifier, graded, groebner
+from halphen import classifier, cli, graded, groebner
 from halphen.cli import main
 from halphen.parsing import (
     DEGREE_BUDGET,
@@ -172,6 +172,56 @@ class TestHilbertCommand:
         rows = out.strip().splitlines()[1:]
         assert len(rows) >= 7  # max(6, m0 + 2) + 1 values
 
+    # without --max-degree both oracles run, and every value of the rank
+    # table must equal the expansion of the series numerator
+    def test_rank_off_by_one_is_refused(self, capsys, monkeypatch):
+        table = graded.hilbert_function_table
+
+        def off_by_one(spec, m_max):
+            values = dict(table(spec, m_max).values)
+            values[3] += 1
+            return graded.HilbertFunctionTable(values)
+
+        monkeypatch.setattr(graded, "hilbert_function_table", off_by_one)
+        code, out, err = run(capsys, "hilbert", "--ideal", fixture("twisted_cubic"))
+        assert (code, out) == (1, "")
+        assert err == "halphen: error: H(3) is 11 by Macaulay rank but 10 by the Hilbert series\n"
+
+    def test_series_off_by_one_is_refused(self, capsys, monkeypatch):
+        series = groebner.hilbert_polynomial
+
+        def off_by_one(spec):
+            data = series(spec)
+            num = data.numerator
+            coeffs = (num.coeffs[0] + 1, *num.coeffs[1:])
+            shifted = groebner.HilbertSeriesNumerator(coeffs, num.n_vars)
+            return groebner.HilbertData(data.polynomial, data.stabilizes_from, shifted)
+
+        monkeypatch.setattr(groebner, "hilbert_polynomial", off_by_one)
+        code, out, err = run(capsys, "hilbert", "--ideal", fixture("twisted_cubic"))
+        assert (code, out) == (1, "")
+        assert err == "halphen: error: H(0) is 1 by Macaulay rank but 2 by the Hilbert series\n"
+
+    def test_mismatch_is_a_named_value_error(self):
+        # one variable: the series 1/(1-t) has H(m) = 1 for every m
+        num = groebner.HilbertSeriesNumerator((1,), 1)
+        cli._cross_check({0: 1, 1: 1, 2: 1}, num)
+        with pytest.raises(cli.OracleMismatch) as exc:
+            cli._cross_check({0: 1, 1: 2}, num)
+        assert isinstance(exc.value, ValueError)
+
+    # with --max-degree the series path does not run, so there is nothing
+    # to compare
+    def test_max_degree_runs_the_rank_path_alone(self, capsys, monkeypatch):
+        def never(spec):
+            raise AssertionError("the series path ran")
+
+        monkeypatch.setattr(groebner, "hilbert_polynomial", never)
+        code, out, _ = run(
+            capsys, "hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "2"
+        )
+        assert (code, out) == (0, "m,hilbert_function\n0,1\n1,4\n2,7\n")
+
     def test_negative_max_degree_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "-3"])
@@ -316,7 +366,9 @@ class TestRegionCommand:
         assert err == f"halphen: error: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
-    @pytest.mark.parametrize("d_max", [1, 2, 12, 40])
+    # the stream renders the rows of each degree as they are made, the
+    # library renders the slices of one table
+    @pytest.mark.parametrize("d_max", [1, 2, 3, 12, 30, 40, 60, 80])
     def test_stream_equals_library_string(self, capsys, fmt, d_max):
         render = classifier.region_svg if fmt == "svg" else classifier.region_csv
         code, out, err = run(capsys, "region", "--dmax", str(d_max), "--format", fmt)
