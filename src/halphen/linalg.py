@@ -1,13 +1,24 @@
 """Exact rank computations for sparse integer matrices.
 
 `exact_rank` is the authoritative path: fraction-free elimination over
-the integers (Bareiss-style cross-multiplication with gcd normalization),
-done in place on one mutable row dict at a time.  Rows come in as
+the integers (cross-multiplication by the leading entries over their
+gcd), done in place on one mutable row dict at a time.  Rows come in as
 nonzero ints; a caller with rational entries clears them first with
-`poly.primitive`.  The pivots are stored primitive, and a row is scaled,
-and then stripped of its content, only when the pivot's leading entry
+`poly.primitive`.  A row is scaled only when the pivot's leading entry
 does not divide its own.  Pivots are taken at the smallest column index,
 so callers choose the elimination order by how they number the columns.
+
+A row's content is removed once, when it becomes a pivot, and only if it
+needed a reduction step: a row that arrives with a fresh leading column
+is stored as it came.  Each step's result is, up to a nonzero scalar,
+the only combination of the current row and the pivot that is zero at
+the pivot's column, so the working row is at every step a multiple of
+the one a per-step strip would keep, and a stored pivot is that same
+primitive row up to sign.  A pivot is therefore primitive when its row
+arrived primitive or needed a reduction step; every caller here hands in
+primitive rows.  The working row keeps the factors a strip after each
+step would cancel, so its entries grow until it is stored or reaches
+zero; the stored pivots do not.
 
 The echelon form is a dict column -> pivot, each pivot its leading entry
 and its tail: the dict the row was reduced in, with that entry popped,
@@ -39,7 +50,13 @@ def exact_rank(
     column -> nonzero int.  Given the echelon form `pivots` of earlier
     rows, extends it in place and returns by how much these rows raise
     the rank.  Given a list `zero`, appends to it the index of each row
-    that reduced to zero.  The input rows are left unmodified."""
+    that reduced to zero.  The input rows are left unmodified.
+
+    A row that arrives with a fresh leading column is stored as it came;
+    one that needed a reduction step is divided by its content once, as
+    it becomes a pivot.  So every stored pivot is primitive when
+    every input row is, and equal up to sign to the pivot that stripping
+    the content after every step would store."""
     if pivots is None:
         pivots = {}
     before = len(pivots)
@@ -47,16 +64,19 @@ def exact_rank(
         # a copy, not the caller's dict: bench/tracing.py reads the rows
         # after the call (pinned by test_input_rows_are_not_modified)
         row = dict(raw)
+        reduced = False
         while row:
             c = min(row)
             pivot = pivots.get(c)
             if pivot is None:
-                g = gcd(*row.values())
-                if g != 1:
-                    row = {k: v // g for k, v in row.items()}
+                if reduced:
+                    g = gcd(*row.values())
+                    if g != 1:
+                        row = {k: v // g for k, v in row.items()}
                 b = row.pop(c)
                 pivots[c] = (b, row)
                 break
+            reduced = True
             a = row.pop(c)
             b, tail = pivot
             g = gcd(a, b)
@@ -75,11 +95,6 @@ def exact_rank(
                     row[k] = nv
                 else:
                     del row[k]
-            if scaled and row:
-                g = gcd(*row.values())
-                if g != 1:
-                    for k in row:
-                        row[k] //= g
         else:  # the row reduced to zero
             if zero is not None:
                 zero.append(t)

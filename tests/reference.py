@@ -4,8 +4,9 @@ Each one is the direct definition, on exponent tuples where monomials
 appear, with no packing and no pivot recursion: monomial divisibility,
 the monomials of a degree, the Hilbert function read off a series
 numerator by expanding it over (1 - t)^n, the genus of a plane curve,
-the points of the region SVG's parabolas, and textbook division and the
-S-polynomial of every pair, over Fractions.
+the points of the region SVG's parabolas, textbook division and the
+S-polynomial of every pair, over Fractions, and the echelon form of
+sparse rows by monic Fraction pivots, taken in order.
 Nothing in the package calls them.
 """
 
@@ -139,3 +140,26 @@ def all_pairs_groebner(basis: list[Terms], order: MonomialOrder) -> bool:
         if textbook_remainder({m: c for m, c in s.items() if c}, basis, order):
             return False
     return True
+
+
+def sequential_echelon(rows) -> dict[int, dict[int, Fraction]]:
+    """The echelon form `exact_rank` builds, over Fractions: each row in
+    order is reduced at its smallest column by the monic pivot there until
+    that column has none, and is then stored monic, as column -> the other
+    entries (the leading 1 dropped)."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for raw in rows:
+        row = {k: Fraction(v) for k, v in raw.items() if v}
+        while row:
+            c = min(row)
+            a = row.pop(c)
+            if c not in pivots:
+                pivots[c] = {k: v / a for k, v in row.items()}
+                break
+            for k, v in pivots[c].items():
+                nv = row.get(k, 0) - a * v
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+    return pivots

@@ -1,13 +1,24 @@
 import random
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halphen import graded, linalg
+from halphen.graded import hilbert_function_table
 from halphen.linalg import exact_rank
+from halphen.parsing import parse_ideal_file
 
 from conftest import integer_rows
+from reference import sequential_echelon
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import ci_text  # noqa: E402
 
 ACCELERATOR_PRIME = 2_147_483_629  # largest prime below 2^31
 
@@ -152,7 +163,8 @@ BIG = 2**80
 def big_integer_matrices(draw):
     """Integer rows with entries up to 2^80 that all share leading column 0,
     plus integer combinations of them: the pivots' leading entries are
-    rarely +-1, so elimination has to scale rows and strip their content."""
+    rarely +-1, so elimination has to scale rows, and a row that becomes
+    a pivot after a step mostly has content to remove."""
     n_cols = draw(st.integers(2, 7))
     entry = st.integers(-BIG, BIG)
     rows = draw(
@@ -217,3 +229,73 @@ def test_stored_pivots_are_never_modified(matrix, cut, s):
 def test_modp_rejects_column_outside_matrix():
     with pytest.raises(ValueError, match="column 3"):
         modp_rank([{3: 1}], 3)
+
+
+def monic(pivots):
+    """Each pivot (b, tail) of `exact_rank` divided by its leading entry."""
+    return {c: {k: Fraction(v, b) for k, v in tail.items()} for c, (b, tail) in pivots.items()}
+
+
+@settings(max_examples=100)
+@given(big_integer_matrices())
+def test_pivots_equal_the_sequential_reference_on_big_integer_rows(matrix):
+    # F5 reads the pivot columns; the pivots themselves are pinned here
+    rows, _ = matrix
+    pivots = {}
+    exact_rank(integer_rows(rows), pivots)
+    assert monic(pivots) == sequential_echelon(rows)
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(0, 10), st.integers(1, 10))
+def test_pivots_equal_the_sequential_reference_on_sparse_rows(rng, n_rows, n_cols):
+    rows = random_sparse_rows(rng, n_rows, n_cols)
+    pivots = {}
+    exact_rank(integer_rows(rows), pivots)
+    assert monic(pivots) == sequential_echelon(rows)
+
+
+def test_pivots_equal_the_sequential_reference_on_a_rank_table(monkeypatch):
+    # every row of a ci(3,3,3) table to degree 8, as `graded` hands them
+    # over, grouped by the echelon form of their degree
+    calls = []
+
+    def recording_rank(rows, pivots, zero):
+        calls.append((rows, pivots))
+        return exact_rank(rows, pivots, zero)
+
+    monkeypatch.setattr(graded, "exact_rank", recording_rank)
+    hilbert_function_table(parse_ideal_file(ci_text(random.Random(7), (3, 3, 3))), 8)
+    by_degree = {}
+    for rows, pivots in calls:
+        by_degree.setdefault(id(pivots), (pivots, []))[1].extend(rows)
+    assert len(by_degree) == 6  # degrees 3..8
+    for pivots, rows in by_degree.values():
+        assert monic(pivots) == sequential_echelon(rows)
+
+
+@settings(max_examples=150)
+@given(big_integer_matrices())
+def test_stored_pivots_are_primitive(matrix):
+    rows, _ = matrix
+    pivots = {}
+    exact_rank(integer_rows(rows), pivots)
+    assert all(gcd(b, *tail.values()) == 1 for b, tail in pivots.values())
+
+
+def test_a_row_with_a_fresh_leading_column_costs_no_gcd(monkeypatch):
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(linalg, "gcd", counting_gcd)
+    assert exact_rank([{0: 2, 1: 3}, {1: 5, 2: 7}]) == 2
+    assert calls == []
+
+
+def test_an_empty_row_reduces_to_zero():
+    zero = []
+    assert exact_rank([{0: 1}, {}, {0: 2}], None, zero) == 1
+    assert zero == [1, 2]
