@@ -74,7 +74,7 @@ def jacobian_rank_at(ideal: IdealSpec, p: ProjectivePoint) -> int:
         {j: v for j in range(ideal.n_vars) if (v := g.partial_derivative(j).evaluate(p.coords))}
         for g in ideal.generators
     )
-    return exact_rank(primitive(row)[1] for row in rows if row)
+    return exact_rank(primitive(row) for row in rows if row)
 
 
 def is_smooth_at(ideal: IdealSpec, p: ProjectivePoint, curve_codim: int) -> bool:

@@ -86,7 +86,7 @@ from operator import itemgetter, mul
 
 from . import _decimal
 from .linalg import Pivots, exact_rank
-from .poly import IdealSpec, primitive, validate_ideal
+from .poly import IdealSpec, primitive
 
 # Largest Macaulay matrix, in rows or in columns, that a Hilbert function
 # computation will build.
@@ -162,7 +162,6 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     elimination if the piece at m_max is larger than PIECE_BUDGET."""
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    validate_ideal(ideal)
     _check_budget(ideal, m_max)
     weights, bases = _packed_bases(ideal.n_vars, m_max)
     # (degree, primitive integer terms as (code, coefficient)), by degree
@@ -171,7 +170,7 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
         (
             (
                 f.total_degree(),
-                [(sum(map(mul, weights, mono)), c) for mono, c in primitive(f.terms)[1].items()],
+                [(sum(map(mul, weights, mono)), c) for mono, c in primitive(f.terms).items()],
             )
             for f in ideal.generators
         ),

@@ -36,7 +36,10 @@ generator degree.  The generators are minimalized once on entry, by a
 sort and guard-bit divisibility tests; the colon I : x subtracts the unit
 of x and is minimalized again, while the generators of I + <x> need no
 minimalizing.  The Hilbert polynomial is extracted from the series
-together with an exact stabilization threshold.
+together with an exact stabilization threshold.  An ideal with a
+constant generator gets the basis {1}, numerator 0 and P = 0; one
+with no generators gets the empty basis, numerator 1 and P(m) =
+C(m + n - 1, n - 1), as the rank path's tables give.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .poly import (
     monomial_div,
     monomial_lcm,
     primitive,
-    validate_ideal,
 )
 
 PAIR_BUDGET = 200_000
@@ -75,10 +77,6 @@ class GroebnerCheckFailed(ValueError):
     would not be a Groebner basis of the ideal.  A `ValueError`, because
     the CLI reports it like any other refusal; raised, not asserted, so
     the check still runs under `python -O`."""
-
-
-class EmptyProjectiveSet(ValueError):
-    """The ideal contains a nonzero constant; V(I) is empty and P = 0."""
 
 
 @dataclass(frozen=True)
@@ -250,9 +248,9 @@ class _Element:
         self.top = reduce(packing.field_max, [t for t, _ in self.tail], 0)
 
 
-def _integer_terms(p: Polynomial, packing: _Packing):
-    """(s, terms): p = s * terms with the monomials packed and the terms
-    primitive, biggest first."""
+def _integer_terms(p: Polynomial, packing: _Packing) -> dict[int, int]:
+    """The terms of p with the monomials packed, biggest first, made
+    primitive: p is a rational multiple of them."""
     flip, pack = packing.flip, packing.pack
     keyed = sorted((pack(m) ^ flip, c) for m, c in p.terms.items())
     return primitive({k ^ flip: c for k, c in keyed})
@@ -329,7 +327,7 @@ def leading_monomial(p: Polynomial, order: MonomialOrder) -> Monomial:
 
 
 def _max_degree(polys) -> int:
-    return max(g.total_degree() for g in polys)
+    return max((g.total_degree() for g in polys), default=0)
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -342,11 +340,13 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     basis = [g for g in basis if not g.is_zero]
 
     def run(packing: _Packing) -> Polynomial:
-        s, terms = _integer_terms(f, packing)
-        divisors = [_Element(_integer_terms(g, packing)[1], packing) for g in basis]
+        terms = _integer_terms(f, packing)
+        unpack = packing.unpack
+        m = next(iter(terms))
+        s = f.terms[unpack(m)] / terms[m]  # f = s * terms
+        divisors = [_Element(_integer_terms(g, packing), packing) for g in basis]
         remainder, scale = _reduce(terms, divisors, packing)
         s /= scale
-        unpack = packing.unpack
         return Polynomial._from_pairs([(unpack(m), s * c) for m, c in remainder.items()], f.ring)
 
     return _widening(run, len(f.ring), order, _max_degree([f, *basis]))
@@ -362,9 +362,6 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> GroebnerBasis:
-    validate_ideal(ideal)
-    if not ideal.generators:
-        raise ValueError("empty generator list")
     return _widening(partial(_buchberger, ideal), ideal.n_vars, order, _max_degree(ideal.generators))
 
 
@@ -396,7 +393,7 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
             key = m ^ ascend
             heappush(pairs, (key | (key & field) << lift, i, j))
 
-    gens = [_integer_terms(g, packing)[1] for g in ideal.generators]
+    gens = [_integer_terms(g, packing) for g in ideal.generators]
     for terms in gens:
         enter(terms)
     while pairs:
@@ -404,7 +401,7 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
         s_terms = _s_terms(basis[i], basis[j], key & every ^ ascend, packing)
         remainder, _ = _reduce(s_terms, basis, packing)
         if remainder:
-            enter(primitive(remainder)[1])
+            enter(primitive(remainder))
     reduced = _reduce_basis(basis, packing)
     _certify(reduced, gens, packing)
     unpack, ring = packing.unpack, ideal.ring_vars
@@ -426,7 +423,7 @@ def _reduce_basis(basis: list[_Element], packing: _Packing) -> list[dict[int, in
     # other leading monomial divides its own, which stays first
     reduced = [_reduce(dict([(g.lm, g.lc), *g.tail]), minimal[:i] + minimal[i + 1 :], packing)[0]
                for i, g in enumerate(minimal)]
-    return [primitive(r)[1] for r in reduced]
+    return [primitive(r) for r in reduced]
 
 
 def _new_pairs(lms: list[int], j: int, packing: _Packing) -> list[tuple[int, int]]:
@@ -457,7 +454,7 @@ def _assert_groebner(gb: GroebnerBasis, ideal: IdealSpec) -> None:
     """`_certify`, the check `buchberger` runs, on the packed basis and generators."""
 
     def run(packing: _Packing) -> None:
-        packed = [_integer_terms(g, packing)[1] for g in [*gb.elements, *ideal.generators]]
+        packed = [_integer_terms(g, packing) for g in [*gb.elements, *ideal.generators]]
         _certify(packed[: len(gb.elements)], packed[len(gb.elements) :], packing)
 
     _widening(run, ideal.n_vars, gb.order, _max_degree([*gb.elements, *ideal.generators]))
@@ -608,11 +605,6 @@ def _hilbert_polynomial_from_numerator(num: HilbertSeriesNumerator) -> HilbertDa
 
 
 def hilbert_polynomial(ideal: IdealSpec) -> HilbertData:
-    validate_ideal(ideal)
-    if any(g.total_degree() == 0 for g in ideal.generators):
-        raise EmptyProjectiveSet(
-            "ideal contains a nonzero constant; the projective set is empty"
-        )
     gb = buchberger(ideal)
     num = series_numerator(initial_ideal(gb), ideal.n_vars)
     return _hilbert_polynomial_from_numerator(num)

@@ -2,11 +2,13 @@
 
 `exact_rank` is the authoritative path: fraction-free elimination over
 the integers (cross-multiplication by the leading entries over their
-gcd), done in place on one mutable row dict at a time.  Rows come in as
-nonzero ints; a caller with rational entries clears them first with
-`poly.primitive`.  A row is scaled only when the pivot's leading entry
-does not divide its own.  Pivots are taken at the smallest column index,
-so callers choose the elimination order by how they number the columns.
+gcd, taken with the sign of the pivot's so that the row's multiplier is
+positive), done in place on one mutable row dict at a time.  Rows come
+in as nonzero ints; a caller with rational entries clears them first
+with `poly.primitive`.  A row is scaled only when the pivot's leading
+entry does not divide its own.  Pivots are taken at the smallest column
+index, so callers choose the elimination order by how they number the
+columns.
 
 A row's content is removed once, when it becomes a pivot, and only if it
 needed a reduction step: a row that arrives with a fresh leading column
@@ -79,15 +81,13 @@ def exact_rank(
             reduced = True
             a = row.pop(c)
             b, tail = pivot
-            g = gcd(a, b)
+            # g takes the sign of b, so b > 0 after the division
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
             a, b = a // g, b // g
-            # row <- b*row - a*pivot, with b = -1 folded into the sign of a
-            scaled = b != 1 and b != -1
-            if scaled:
+            # row <- b*row - a*pivot
+            if b != 1:
                 for k in row:
                     row[k] *= b
-            elif b == -1:
-                a = -a
             get = row.get
             for k, v in tail.items():
                 nv = get(k, 0) - a * v

@@ -5,6 +5,8 @@ Monomials are plain exponent tuples, one slot per ring variable.  All
 coefficient arithmetic is done with `fractions.Fraction`; there is no
 floating point anywhere in this module.  A `Polynomial` is kept in one
 normal form, like terms summed and no zero stored, made by `_like_terms`.
+An `IdealSpec` refuses a zero, inhomogeneous or foreign generator when it
+is made, so neither oracle checks its input again.
 """
 
 from __future__ import annotations
@@ -46,16 +48,16 @@ class MonomialOrder(Enum):
 DEFAULT_ORDER = MonomialOrder.degrevlex
 
 
-def primitive(coeffs: Mapping[Key, Rational]) -> tuple[Fraction, dict[Key, int]]:
-    """(s, ints) with coeffs = s * ints: the ints are coprime nonzero
-    integers, zero entries are dropped, and the first entry, in the
-    mapping's order, is positive.  Some entry must be nonzero."""
+def primitive(coeffs: Mapping[Key, Rational]) -> dict[Key, int]:
+    """The coefficients times the one rational that makes them coprime
+    nonzero integers whose first entry, in the mapping's order, is
+    positive; zero entries are dropped.  Some entry must be nonzero."""
     den = lcm(*(c.denominator for c in coeffs.values()))
     ints = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items() if c}
     g = gcd(*ints.values())
     if next(iter(ints.values())) < 0:
         g = -g
-    return Fraction(g, den), ints if g == 1 else {k: c // g for k, c in ints.items()}
+    return ints if g == 1 else {k: c // g for k, c in ints.items()}
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -266,11 +268,15 @@ def format_polynomial(p: Polynomial) -> str:
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """A homogeneous ideal presented by its generators."""
+    """A homogeneous ideal presented by its generators, checked by
+    `validate_ideal` when it is made: both oracles take it as it is."""
 
     ring_vars: tuple[str, ...]
     generators: tuple[Polynomial, ...]
     label: str | None = None
+
+    def __post_init__(self):
+        validate_ideal(self)
 
     @property
     def n_vars(self) -> int:

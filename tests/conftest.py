@@ -38,7 +38,7 @@ def integer_rows(rows):
     """Sparse rational rows as `exact_rank` takes them: each nonzero row
     cleared to primitive integers by `poly.primitive`, zero rows dropped.
     Clearing scales a row by a nonzero rational, so the rank is kept."""
-    return [primitive(row)[1] for row in rows if any(row.values())]
+    return [primitive(row) for row in rows if any(row.values())]
 
 
 @pytest.fixture

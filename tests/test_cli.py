@@ -76,6 +76,14 @@ class TestInvariantsCommand:
         assert (code, out) == (1, "")
         assert err == "halphen: error: zero Hilbert polynomial: empty projective set\n"
 
+    def test_constant_generator_is_empty(self, tmp_path, capsys):
+        # (3) is the unit ideal: its Hilbert polynomial is zero as well
+        path = tmp_path / "unit.ideal"
+        path.write_text("ring x y z\n3\n")
+        code, out, err = run(capsys, "invariants", "--ideal", str(path))
+        assert (code, out) == (1, "")
+        assert err == "halphen: error: zero Hilbert polynomial: empty projective set\n"
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "invariants", "--ideal", "no_such.ideal")
         assert (code, out) == (1, "")
@@ -222,6 +230,16 @@ class TestHilbertCommand:
         )
         assert (code, out) == (0, "m,hilbert_function\n0,1\n1,4\n2,7\n")
 
+    def test_constant_generator_has_zero_table(self, tmp_path, capsys):
+        """Both oracles answer the unit ideal: P = 0 from m = 0, so the
+        series path picks m_max = 6, the table the rank path prints alone."""
+        path = tmp_path / "unit.ideal"
+        path.write_text("ring x y z\n3\n")
+        code, out, err = run(capsys, "hilbert", "--ideal", str(path))
+        assert (code, err) == (0, "")
+        assert out == "m,hilbert_function\n" + "".join(f"{m},0\n" for m in range(7))
+        assert run(capsys, "hilbert", "--ideal", str(path), "--max-degree", "6") == (0, out, "")
+
     def test_negative_max_degree_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hilbert", "--ideal", fixture("twisted_cubic"), "--max-degree", "-3"])
@@ -234,7 +252,7 @@ class TestHilbertCommand:
 def packed(gb):
     """A stand-in for `groebner._reduce_basis` that hands the certificate
     the given basis, packed by the run, instead of the loop's."""
-    return lambda basis, packing: [groebner._integer_terms(g, packing)[1] for g in gb.elements]
+    return lambda basis, packing: [groebner._integer_terms(g, packing) for g in gb.elements]
 
 
 class TestGroebnerCheckFailure:

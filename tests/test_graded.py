@@ -441,7 +441,7 @@ class TestPackedMonomials:
             # the Macaulay row of each u*f on tuple columns, by the position
             # of u in the degrevlex-descending enumerate_monomials
             index = {mono: j for j, mono in enumerate(enumerate_monomials(n, m))}
-            terms = primitive(f.terms)[1]
+            terms = primitive(f.terms)
             position = {
                 frozenset((index[tuple(map(add, u, mono))], c) for mono, c in terms.items()): k
                 for k, u in enumerate(enumerate_monomials(n, m - f.total_degree()))

@@ -14,9 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halphen import groebner
-from halphen.graded import binom, hilbert_function
+from halphen.graded import binom, hilbert_function, hilbert_function_table
 from halphen.groebner import (
-    EmptyProjectiveSet,
     GroebnerBasis,
     GroebnerCheckFailed,
     HilbertPolynomial,
@@ -390,6 +389,12 @@ class TestNormalForm:
         f=polynomials(max_terms=6),
         basis=st.lists(polynomials(max_terms=3).filter(bool), min_size=1, max_size=3),
     )
+    # content 3/4, not a unit: the remainder's scalar is read off f's first
+    # term against its primitive integer terms
+    @example(
+        f=parse_polynomial("3/2*x^2 - 9/4*y*z", RING3),
+        basis=[parse_polynomial("y - z", RING3)],
+    )
     def test_exact_remainder_matches_textbook_division(self, order, f, basis):
         assert normal_form(f, basis, order) == _reference_normal_form(f, basis, order)
 
@@ -533,7 +538,7 @@ for path, bad in cases:
         print("raised", exc)
     # the loop's reduced basis replaced by the bad one, packed by the run
     groebner._reduce_basis = lambda basis, packing: [
-        groebner._integer_terms(g, packing)[1] for g in bad.elements
+        groebner._integer_terms(g, packing) for g in bad.elements
     ]
     print("exit", cli.main(["invariants", "--ideal", path]))
 print("optimize", sys.flags.optimize)
@@ -950,10 +955,34 @@ class TestHilbertPolynomial:
         data = hilbert_polynomial(load_ideal(name))
         assert data.polynomial == HilbertPolynomial(tuple(map(Fraction, coeffs)))
 
-    def test_constant_generator_rejected(self):
-        spec = IdealSpec(RING3, (parse_polynomial("5", RING3),))
-        with pytest.raises(EmptyProjectiveSet):
-            hilbert_polynomial(spec)
+    @pytest.mark.parametrize(
+        "gens", [("5",), ("x^2 - y*z", "-7/2")], ids=["5", "quadric_and_constant"]
+    )
+    def test_constant_generator_gives_zero_polynomial(self, gens):
+        """A nonzero constant generator makes the unit ideal: basis [1]
+        under every order, numerator 0 and P = 0 from degree 0, as the
+        rank path's all-zero table says."""
+        spec = IdealSpec(RING3, tuple(parse_polynomial(f, RING3) for f in gens))
+        for order in MonomialOrder:
+            assert buchberger(spec, order).elements == (Polynomial.constant(1, RING3),)
+        data = hilbert_polynomial(spec)
+        assert data.numerator.coeffs == (0,)
+        assert data.polynomial == HilbertPolynomial(())
+        assert data.stabilizes_from == 0
+        assert hilbert_function_table(spec, 6).values == dict.fromkeys(range(7), 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_zero_ideal_gives_the_whole_ring(self, n):
+        """No generators: the empty basis under every order, numerator 1
+        and P(m) = C(m + n - 1, n - 1), the rank path's table."""
+        spec = IdealSpec(tuple(f"x{i}" for i in range(n)), ())
+        for order in MonomialOrder:
+            assert buchberger(spec, order).elements == ()
+        data = hilbert_polynomial(spec)
+        assert data.numerator.coeffs == (1,)
+        table = hilbert_function_table(spec, 6).values
+        for m in range(7):
+            assert data.polynomial(m) == comb(m + n - 1, n - 1) == table[m]
 
     def test_integer_valued_on_window(self):
         for name in FIXTURE_NAMES:

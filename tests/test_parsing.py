@@ -327,8 +327,8 @@ class TestParsePoint:
 
 
 class TestValidateIdeal:
-    """Ideals built in code skip the file parser's checks; both oracles
-    refuse them before any work."""
+    """Ideals built in code skip the file parser's checks; `IdealSpec`
+    refuses them when it is made, so no oracle sees one."""
 
     @pytest.mark.parametrize(
         "generator,message",
@@ -342,10 +342,13 @@ class TestValidateIdeal:
         "oracle", [buchberger, lambda ideal: hilbert_function_table(ideal, 2)]
     )
     def test_refused(self, oracle, generator, message):
-        ideal = IdealSpec(RING3, (parse_polynomial("x", RING3), generator))
         with pytest.raises(ValueError) as err:
-            oracle(ideal)
+            oracle(IdealSpec(RING3, (parse_polynomial("x", RING3), generator)))
         assert str(err.value) == message
+        # raised while the spec was made, before the oracle was called
+        assert [entry.name for entry in err.traceback[1:]] == [
+            "__init__", "__post_init__", "validate_ideal"
+        ]
 
 
 class TestFormatPolynomial:

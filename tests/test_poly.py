@@ -228,14 +228,14 @@ class TestPrimitive:
         )
     )
     def test_content_times_coprime_integers(self, coeffs):
-        s, ints = primitive(coeffs)
+        ints = primitive(coeffs)
         nonzero = {m: c for m, c in coeffs.items() if c}
         assert list(ints) == list(nonzero)
         assert all(type(c) is int and c for c in ints.values())
-        assert {m: s * c for m, c in ints.items()} == nonzero
+        assert len({Fraction(c) / ints[m] for m, c in nonzero.items()}) == 1
         assert gcd(*ints.values()) == 1
         assert next(iter(ints.values())) > 0
 
     def test_leading_sign_and_denominators(self):
-        s, ints = primitive({(2, 0): Fraction(-3, 4), (1, 1): 0, (0, 2): Fraction(3, 2)})
-        assert (s, ints) == (Fraction(-3, 4), {(2, 0): 1, (0, 2): -2})
+        ints = primitive({(2, 0): Fraction(-3, 4), (1, 1): 0, (0, 2): Fraction(3, 2)})
+        assert ints == {(2, 0): 1, (0, 2): -2}

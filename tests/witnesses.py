@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from halphen.classifier import halphen_bound
 from halphen.graded import hilbert_function
-from halphen.groebner import EmptyProjectiveSet, hilbert_polynomial
+from halphen.groebner import hilbert_polynomial
 from halphen.parsing import parse_polynomial
 from halphen.poly import IdealSpec
 
@@ -62,10 +62,7 @@ def jacobian_minors(ideal: IdealSpec) -> IdealSpec:
 
 
 def _is_smooth(ideal: IdealSpec) -> bool:
-    try:
-        return hilbert_polynomial(jacobian_minors(ideal)).polynomial.coeffs == ()
-    except EmptyProjectiveSet:
-        return True
+    return hilbert_polynomial(jacobian_minors(ideal)).polynomial.coeffs == ()
 
 
 def certify(ideal: IdealSpec, s: int, t: int) -> Certificate:
