@@ -11,7 +11,7 @@ serves the pair loop, the interreduction, the final check and
 `normal_form`: a mutable term dict with a heap of pending monomials and
 primitive integer coefficients.  The generators are packed once for one
 run of the loop, the interreduction and the final check, and no Fraction
-is built until the certified basis is made monic.  The check certifies
+is built until `GroebnerBasis.elements` is read.  The check certifies
 the primitive reduced basis from scratch: the S-polynomials of the pairs
 the same rule forms on that basis alone, which generate the syzygies of
 its leading terms, and every input generator reduce to zero.  It raises
@@ -79,10 +79,25 @@ class GroebnerCheckFailed(ValueError):
     the check still runs under `python -O`."""
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    order: MonomialOrder
-    elements: tuple[Polynomial, ...]
+    """A reduced basis under `order`.  `buchberger` gives it `packed`:
+    (primitive packed term dicts, biggest term first, their `_Packing`, the
+    ring).  The monic `elements` are made when first read and kept;
+    `hilbert_polynomial` never reads them."""
+
+    __slots__ = ("order", "_elements", "packed")
+
+    def __init__(self, order: MonomialOrder, elements=None, packed=None):
+        self.order, self._elements, self.packed = order, elements, packed
+
+    @property
+    def elements(self) -> tuple[Polynomial, ...]:
+        if self._elements is None:
+            reduced, packing, ring = self.packed
+            self._elements = tuple(Polynomial._from_pairs(
+                [(packing.unpack(m), Fraction(c, lc)) for m, c in terms.items()], ring
+            ) for terms in reduced for lc in [next(iter(terms.values()))])
+        return self._elements
 
 
 @dataclass(frozen=True)
@@ -366,7 +381,7 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
 
 
 def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
-    """The reduced basis, certified by `_certify` before it is made monic;
+    """The reduced basis, certified by `_certify` and returned packed;
     the generators are packed once, for the loop and the check.  As each
     element enters, its pairs with the earlier ones are formed by
     `_new_pairs`, the check's rule, and all are reduced.  The basis only
@@ -404,11 +419,7 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
             enter(primitive(remainder))
     reduced = _reduce_basis(basis, packing)
     _certify(reduced, gens, packing)
-    unpack, ring = packing.unpack, ideal.ring_vars
-    return GroebnerBasis(packing.order, tuple(
-        Polynomial._from_pairs([(unpack(m), Fraction(c, lc)) for m, c in terms.items()], ring)
-        for terms in reduced for lc in [next(iter(terms.values()))]
-    ))
+    return GroebnerBasis(packing.order, packed=(reduced, packing, ideal.ring_vars))
 
 
 def _reduce_basis(basis: list[_Element], packing: _Packing) -> list[dict[int, int]]:
@@ -495,12 +506,17 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """The leading monomials of the basis, each once and those that another
     one divides dropped, in ascending order of their packed ints: ascending
     under deglex and lex; under degrevlex, by rising degree and biggest
-    first within a degree.  The empty basis, of the zero ideal, has none."""
-    if not gb.elements:
+    first within a degree.  The empty basis, of the zero ideal, has none.
+    A packed basis gives them as its first keys; its `elements` are not read."""
+    if gb.packed:
+        reduced, packing, _ = gb.packed
+        lms = [next(iter(terms)) for terms in reduced]
+    elif gb.elements:
+        packing = _Packing(len(gb.elements[0].ring), gb.order, _max_degree(gb.elements))
+        pack, ascend = packing.pack, packing.ascend
+        lms = [max([pack(m) ^ ascend for m in g.terms]) ^ ascend for g in gb.elements]
+    else:
         return MonomialIdeal(())
-    packing = _Packing(len(gb.elements[0].ring), gb.order, _max_degree(gb.elements))
-    pack, ascend = packing.pack, packing.ascend
-    lms = [max([pack(m) ^ ascend for m in g.terms]) ^ ascend for g in gb.elements]
     return MonomialIdeal(tuple(map(packing.unpack, _minimal(lms, packing.guard))))
 
 

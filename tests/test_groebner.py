@@ -834,6 +834,23 @@ class TestInitialIdeal:
                 if i != j:
                     assert not monomial_divides(a, b)
 
+    @pytest.mark.parametrize(
+        "name, order", [(name, order) for name in [*FIXTURE_NAMES, "zero", "constant"]
+                        for order in MonomialOrder],
+    )
+    def test_packed_basis_agrees_with_its_elements(self, name, order):
+        """`buchberger`'s basis gives its initial ideal from the packed terms;
+        a basis built by hand from its monic elements gives the same one."""
+        specs = {
+            "zero": IdealSpec(RING3, ()),
+            "constant": IdealSpec(RING3, (parse_polynomial("5", RING3),)),
+        }
+        spec = specs[name] if name in specs else load_ideal(name)
+        mi = initial_ideal(buchberger(spec, order))
+        assert mi == initial_ideal(GroebnerBasis(order, buchberger(spec, order).elements))
+        if name in specs:
+            assert mi.minimal_generators == {"zero": (), "constant": ((0, 0, 0),)}[name]
+
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_basis_is_the_zero_ideal(self, n):
         mi = initial_ideal(GroebnerBasis(DEFAULT_ORDER, ()))
@@ -1017,7 +1034,7 @@ class TestHilbertPolynomial:
     def test_generators_are_packed_once(self, monkeypatch, name, packed):
         """One `_integer_terms` call per generator: the loop and the
         certificate share the packed generators, and the reduced basis is
-        certified before it is made monic."""
+        certified packed."""
         calls = []
         pack = groebner._integer_terms
         monkeypatch.setattr(
@@ -1026,6 +1043,23 @@ class TestHilbertPolynomial:
         spec = self.SPECS[name]()
         hilbert_polynomial(spec)
         assert len(calls) == len(spec.generators) == packed
+
+    @pytest.mark.parametrize("name", ["rnc_minors(6)", "ci(2,2,2)"])
+    def test_series_path_builds_no_monic_basis(self, monkeypatch, name):
+        """`hilbert_polynomial` makes no `Polynomial`: the initial ideal is
+        read off the packed basis.  The monic elements are made when first
+        read, once."""
+        spec = self.SPECS[name]()
+        calls = []
+        make = groebner.Polynomial._from_pairs
+        monkeypatch.setattr(groebner.Polynomial, "_from_pairs", staticmethod(
+            lambda pairs, ring: calls.append(ring) or make(pairs, ring)
+        ))
+        hilbert_polynomial(spec)
+        assert calls == []
+        gb = buchberger(spec)
+        assert gb.elements is gb.elements
+        assert len(calls) == len(gb.elements) > 0
 
     def test_reorder_and_rescale_invariance(self, twisted_cubic):
         base = hilbert_polynomial(twisted_cubic).polynomial
