@@ -10,12 +10,14 @@ under lex too the pairs of lowest degree go first.  One reduction kernel
 serves the pair loop, the interreduction, the final check and
 `normal_form`: a mutable term dict with a heap of pending monomials and
 primitive integer coefficients.  The generators are packed once for one
-run of the loop, the interreduction and the final check, and no Fraction
-is built until `GroebnerBasis.elements` is read.  The check certifies
-the primitive reduced basis from scratch: the S-polynomials of the pairs
-the same rule forms on that basis alone, which generate the syzygies of
-its leading terms, and every input generator reduce to zero.  It raises
-`GroebnerCheckFailed`, so it also runs under `python -O`.
+run of the loop, the interreduction and the final check.  The check
+certifies the primitive reduced basis from scratch: the S-polynomials of
+the pairs the same rule forms on that basis alone, which generate the
+syzygies of its leading terms, and every input generator reduce to zero.
+It raises `GroebnerCheckFailed`, so it also runs under `python -O`.
+`buchberger` is the only maker of a `GroebnerBasis`, the certified basis
+kept packed: `initial_ideal` reads its leading monomials from there, and
+no Fraction is built until `GroebnerBasis.elements` is read.
 
 Inside all of this a monomial is one packed int (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -80,23 +82,24 @@ class GroebnerCheckFailed(ValueError):
 
 
 class GroebnerBasis:
-    """A reduced basis under `order`.  `buchberger` gives it `packed`:
-    (primitive packed term dicts, biggest term first, their `_Packing`, the
-    ring).  The monic `elements` are made when first read and kept;
-    `hilbert_polynomial` never reads them."""
+    """The reduced basis `buchberger` certified, under `packing.order`: its
+    primitive packed term dicts, biggest term first, as `_reduce_basis`
+    gives them, their `_Packing` and the ring.  The monic `elements` are
+    made when first read and kept; `hilbert_polynomial` never reads them."""
 
-    __slots__ = ("order", "_elements", "packed")
+    __slots__ = ("reduced", "packing", "ring", "order", "_elements")
 
-    def __init__(self, order: MonomialOrder, elements=None, packed=None):
-        self.order, self._elements, self.packed = order, elements, packed
+    def __init__(self, reduced: list[dict[int, int]], packing: _Packing, ring: tuple[str, ...]):
+        self.reduced, self.packing, self.ring = reduced, packing, ring
+        self.order, self._elements = packing.order, None
 
     @property
     def elements(self) -> tuple[Polynomial, ...]:
         if self._elements is None:
-            reduced, packing, ring = self.packed
+            unpack = self.packing.unpack
             self._elements = tuple(Polynomial._from_pairs(
-                [(packing.unpack(m), Fraction(c, lc)) for m, c in terms.items()], ring
-            ) for terms in reduced for lc in [next(iter(terms.values()))])
+                [(unpack(m), Fraction(c, lc)) for m, c in terms.items()], self.ring
+            ) for terms in self.reduced for lc in [next(iter(terms.values()))])
         return self._elements
 
 
@@ -419,7 +422,7 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
             enter(primitive(remainder))
     reduced = _reduce_basis(basis, packing)
     _certify(reduced, gens, packing)
-    return GroebnerBasis(packing.order, packed=(reduced, packing, ideal.ring_vars))
+    return GroebnerBasis(reduced, packing, ideal.ring_vars)
 
 
 def _reduce_basis(basis: list[_Element], packing: _Packing) -> list[dict[int, int]]:
@@ -461,16 +464,6 @@ def _syzygy_pairs(lms: list[int], packing: _Packing) -> list[tuple[int, int, int
     return [(i, j, m) for j in range(len(lms)) for i, m in _new_pairs(lms, j, packing)]
 
 
-def _assert_groebner(gb: GroebnerBasis, ideal: IdealSpec) -> None:
-    """`_certify`, the check `buchberger` runs, on the packed basis and generators."""
-
-    def run(packing: _Packing) -> None:
-        packed = [_integer_terms(g, packing) for g in [*gb.elements, *ideal.generators]]
-        _certify(packed[: len(gb.elements)], packed[len(gb.elements) :], packing)
-
-    _widening(run, ideal.n_vars, gb.order, _max_degree([*gb.elements, *ideal.generators]))
-
-
 def _certify(reduced: list[dict], gens: list[dict], packing: _Packing) -> None:
     """Certify that the packed basis is a Groebner basis of the ideal of the
     packed generators, or raise `GroebnerCheckFailed`, so that the check
@@ -503,20 +496,13 @@ def _certify(reduced: list[dict], gens: list[dict], packing: _Packing) -> None:
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
-    """The leading monomials of the basis, each once and those that another
-    one divides dropped, in ascending order of their packed ints: ascending
-    under deglex and lex; under degrevlex, by rising degree and biggest
-    first within a degree.  The empty basis, of the zero ideal, has none.
-    A packed basis gives them as its first keys; its `elements` are not read."""
-    if gb.packed:
-        reduced, packing, _ = gb.packed
-        lms = [next(iter(terms)) for terms in reduced]
-    elif gb.elements:
-        packing = _Packing(len(gb.elements[0].ring), gb.order, _max_degree(gb.elements))
-        pack, ascend = packing.pack, packing.ascend
-        lms = [max([pack(m) ^ ascend for m in g.terms]) ^ ascend for g in gb.elements]
-    else:
-        return MonomialIdeal(())
+    """The leading monomials of the basis, the first keys of its packed
+    term dicts, each once and those that another one divides dropped, in
+    ascending order of their packed ints: ascending under deglex and lex;
+    under degrevlex, by rising degree and biggest first within a degree.
+    The empty basis, of the zero ideal, has none.  `elements` is not read."""
+    packing = gb.packing
+    lms = [next(iter(terms)) for terms in gb.reduced]
     return MonomialIdeal(tuple(map(packing.unpack, _minimal(lms, packing.guard))))
 
 

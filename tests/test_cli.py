@@ -23,7 +23,6 @@ from halphen.parsing import (
     ParseError,
     parse_ideal_file,
 )
-from halphen.poly import DEFAULT_ORDER
 
 from conftest import FIXTURES, LONG_LITERALS, SCHEMAS
 
@@ -249,10 +248,10 @@ class TestHilbertCommand:
         assert "--max-degree: must be non-negative, got -3" in err
 
 
-def packed(gb):
+def packed(elements):
     """A stand-in for `groebner._reduce_basis` that hands the certificate
-    the given basis, packed by the run, instead of the loop's."""
-    return lambda basis, packing: [groebner._integer_terms(g, packing) for g in gb.elements]
+    the given polynomials, packed by the run, instead of the loop's basis."""
+    return lambda basis, packing: [groebner._integer_terms(g, packing) for g in elements]
 
 
 class TestGroebnerCheckFailure:
@@ -261,7 +260,7 @@ class TestGroebnerCheckFailure:
         # Groebner basis
         path = tmp_path / "non_basis.ideal"
         path.write_text("ring x y z\nx*y - z^2\nx^2 - y*z\n")
-        bad = groebner.GroebnerBasis(DEFAULT_ORDER, parse_ideal_file(path.read_text()).generators)
+        bad = parse_ideal_file(path.read_text()).generators
         monkeypatch.setattr(groebner, "_reduce_basis", packed(bad))
         code, out, err = run(capsys, "invariants", "--ideal", str(path))
         assert code == 1 and out == ""
@@ -269,7 +268,7 @@ class TestGroebnerCheckFailure:
 
     def test_basis_of_another_ideal_is_domain_error(self, capsys, monkeypatch):
         other = groebner.buchberger(parse_ideal_file((FIXTURES / "curve_E.ideal").read_text()))
-        monkeypatch.setattr(groebner, "_reduce_basis", packed(other))
+        monkeypatch.setattr(groebner, "_reduce_basis", packed(other.elements))
         code, out, err = run(capsys, "invariants", "--ideal", fixture("twisted_cubic"))
         assert code == 1 and out == ""
         assert err == "halphen: error: input generator did not reduce to zero\n"

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from halphen import groebner
 from halphen.graded import binom, hilbert_function, hilbert_function_table
 from halphen.groebner import (
-    GroebnerBasis,
     GroebnerCheckFailed,
     HilbertPolynomial,
     MonomialIdeal,
@@ -26,7 +25,6 @@ from halphen.groebner import (
     leading_monomial,
     normal_form,
     series_numerator,
-    _assert_groebner,
 )
 from halphen.parsing import parse_ideal_file, parse_polynomial
 from halphen.poly import (
@@ -518,7 +516,6 @@ CHECK_UNDER_O = """
 import sys
 from halphen import cli, groebner
 from halphen.parsing import parse_ideal_file
-from halphen.poly import DEFAULT_ORDER
 
 non_basis_path, cubic_path, curve_e_path = sys.argv[1:]
 
@@ -526,20 +523,19 @@ def load(path):
     with open(path) as f:
         return parse_ideal_file(f.read())
 
-non_basis = load(non_basis_path)
 cases = [
-    (non_basis_path, groebner.GroebnerBasis(DEFAULT_ORDER, non_basis.generators)),
-    (cubic_path, groebner.buchberger(load(curve_e_path))),
+    (non_basis_path, load(non_basis_path).generators),
+    (cubic_path, groebner.buchberger(load(curve_e_path)).elements),
 ]
 for path, bad in cases:
-    try:
-        groebner._assert_groebner(bad, load(path))
-    except groebner.GroebnerCheckFailed as exc:
-        print("raised", exc)
     # the loop's reduced basis replaced by the bad one, packed by the run
     groebner._reduce_basis = lambda basis, packing: [
-        groebner._integer_terms(g, packing) for g in bad.elements
+        groebner._integer_terms(g, packing) for g in bad
     ]
+    try:
+        groebner.buchberger(load(path))
+    except groebner.GroebnerCheckFailed as exc:
+        print("raised", exc)
     print("exit", cli.main(["invariants", "--ideal", path]))
 print("optimize", sys.flags.optimize)
 """
@@ -578,10 +574,19 @@ def tail_mutants(gb):
     return out
 
 
-def check_message(gb, ideal):
-    """The message of the final check on the basis, or None if it passes."""
+def check_message(elements, ideal, order=DEFAULT_ORDER):
+    """The message of the final check, `groebner._certify`, on the basis
+    and the ideal's generators, packed as `buchberger` packs its own, or
+    None if it passes."""
+
+    def run(packing):
+        basis = [groebner._integer_terms(g, packing) for g in elements]
+        gens = [groebner._integer_terms(g, packing) for g in ideal.generators]
+        groebner._certify(basis, gens, packing)
+
+    degree = groebner._max_degree([*elements, *ideal.generators])
     try:
-        _assert_groebner(gb, ideal)
+        groebner._widening(run, ideal.n_vars, order, degree)
     except GroebnerCheckFailed as exc:
         return str(exc)
     return None
@@ -593,15 +598,13 @@ class TestFinalCheck:
 
     def test_non_basis_is_rejected(self):
         gens = tuple(parse_polynomial(t, RING3) for t in NON_BASIS)
-        bad = GroebnerBasis(DEFAULT_ORDER, gens)
-        with pytest.raises(GroebnerCheckFailed, match=self.S_FAILED):
-            _assert_groebner(bad, IdealSpec(RING3, gens))
+        assert check_message(gens, IdealSpec(RING3, gens)) == self.S_FAILED
 
     def test_basis_of_another_ideal_fails_only_the_generator_half(self, twisted_cubic, curve_e):
         other = buchberger(curve_e)
         assert all_pairs_groebner([g.terms for g in other.elements], other.order)
-        assert check_message(other, curve_e) is None
-        assert check_message(other, twisted_cubic) == self.GENERATOR_FAILED
+        assert check_message(other.elements, curve_e) is None
+        assert check_message(other.elements, twisted_cubic) == self.GENERATOR_FAILED
 
     def test_drop_one_mutants_are_rejected(self):
         """Dropping any element leaves a set that is not a Groebner basis,
@@ -610,8 +613,7 @@ class TestFinalCheck:
         for spec, gb in mutant_cases():
             for i in range(len(gb.elements)):
                 elements = gb.elements[:i] + gb.elements[i + 1 :]
-                bad = GroebnerBasis(gb.order, elements)
-                assert check_message(bad, spec) == self.S_FAILED
+                assert check_message(elements, spec, gb.order) == self.S_FAILED
                 assert not all_pairs_groebner([g.terms for g in elements], gb.order)
                 count += 1
         assert count == 37
@@ -622,7 +624,7 @@ class TestFinalCheck:
         count = 0
         for spec, gb in mutant_cases():
             for elements in tail_mutants(gb):
-                assert check_message(GroebnerBasis(gb.order, elements), spec) == self.S_FAILED
+                assert check_message(elements, spec, gb.order) == self.S_FAILED
                 count += 1
         # 550 raised coefficients stay nonzero; 19 that were -1 drop out
         assert count == 569
@@ -641,15 +643,15 @@ class TestFinalCheck:
         cases.append((twisted_cubic, buchberger(curve_e).elements, self.GENERATOR_FAILED))
         for spec, elements, message in cases:
             scaled = tuple(g.scale(Fraction(-3, 2)) for g in elements)
-            assert check_message(GroebnerBasis(DEFAULT_ORDER, elements), spec) == message
-            assert check_message(GroebnerBasis(DEFAULT_ORDER, scaled), spec) == message
+            assert check_message(elements, spec) == message
+            assert check_message(scaled, spec) == message
 
     def test_fields_hold_the_generators_degree(self, monkeypatch):
         # the basis {x} has degree 1, the generator x*y^20 degree 21
         x, big = (parse_polynomial(t, RING3) for t in ["x", "x*y^20"])
         limits = TestFieldWidening.packing_limits(monkeypatch)
         ideal = IdealSpec(RING3, (x, big))
-        assert check_message(GroebnerBasis(DEFAULT_ORDER, (x,)), ideal) is None
+        assert check_message((x,), ideal) is None
         assert limits[0] > 21
 
     @pytest.mark.parametrize(
@@ -690,7 +692,7 @@ class TestFinalCheck:
         the test-side all-pairs check does, and then by its S-pair half:
         the pairs it skips never decide."""
         gens = tuple(gens)
-        message = check_message(GroebnerBasis(order, gens), IdealSpec(RING3, gens))
+        message = check_message(gens, IdealSpec(RING3, gens), order)
         if all_pairs_groebner([g.terms for g in gens], order):
             assert message is None
         else:
@@ -839,21 +841,33 @@ class TestInitialIdeal:
                         for order in MonomialOrder],
     )
     def test_packed_basis_agrees_with_its_elements(self, name, order):
-        """`buchberger`'s basis gives its initial ideal from the packed terms;
-        a basis built by hand from its monic elements gives the same one."""
+        """`buchberger`'s basis gives its initial ideal from the packed terms:
+        the minimal leading monomials of its monic elements, in the order the
+        docstring states, ascending under deglex and lex and, under
+        degrevlex, by rising degree and biggest first within a degree."""
         specs = {
             "zero": IdealSpec(RING3, ()),
             "constant": IdealSpec(RING3, (parse_polynomial("5", RING3),)),
         }
         spec = specs[name] if name in specs else load_ideal(name)
-        mi = initial_ideal(buchberger(spec, order))
-        assert mi == initial_ideal(GroebnerBasis(order, buchberger(spec, order).elements))
+        gb = buchberger(spec, order)
+        mi = initial_ideal(gb)
+        lms = {leading_monomial(g, order) for g in gb.elements}
+        minimal = [m for m in lms if not any(monomial_divides(a, m) for a in lms - {m})]
+        if order is MonomialOrder.degrevlex:
+            # biggest first, then a stable sort by degree
+            expected = sorted(sorted(minimal, key=order.key, reverse=True), key=sum)
+        else:
+            expected = sorted(minimal, key=order.key)
+        assert list(mi.minimal_generators) == expected
         if name in specs:
             assert mi.minimal_generators == {"zero": (), "constant": ((0, 0, 0),)}[name]
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_basis_is_the_zero_ideal(self, n):
-        mi = initial_ideal(GroebnerBasis(DEFAULT_ORDER, ()))
+        gb = buchberger(IdealSpec(tuple(f"x{i}" for i in range(n)), ()))
+        assert gb.elements == ()
+        mi = initial_ideal(gb)
         assert mi == MonomialIdeal(())
         assert series_numerator(mi, n).coeffs == (1,)
 
