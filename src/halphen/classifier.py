@@ -13,14 +13,18 @@ one category; the bounds depend on d only and stay functions of d.
 
 Within one degree the flags change only at a few genera: at each quadric
 genus and the one after it, after G(d, 3), and at and after the plane
-bound.  The region table is made one run between two such genera at a
-time: _verdict, the code classify runs, classifies the run's first row,
-and the run's other rows repeat its flags.  The renderers take the rows
-one degree at a time, the slices of region_table or the rows of each
-degree as they are made, and find the runs with groupby: the CSV writes
-each run of equal flags as one join of genus strings made once per
-table, and the SVG, whose circles show the category alone, adds each run
-of one category to its degree's list of pieces, joined once per degree.
+bound.  The region is kept as each degree's runs (start, stop, flags)
+between two such genera: _verdict, the code classify runs, classifies the
+run's first row, and the run's other rows repeat its flags.
+region_table returns a read-only sequence of Verdicts over those runs,
+which makes a Verdict only for a row that is read.  The renderers write
+each run at once and make no row: the CSV writes a run as one join of
+genus strings made once per table, the SVG, whose circles show the
+category alone, as one join of the coordinate and genus strings of its
+circles.  region_csv and region_svg take the runs from region_table, which
+they call through the module only so that a traced benchmark run, which
+wraps it, times the table and counts its rows; region_chunks renders each
+degree's runs as they are made.
 
 The SVG overlays the parabolas G(d, s) without their correction term,
 s = 1, 2, 3, at d = n/q on a grid of step 1/q.  Each point is computed in
@@ -31,12 +35,12 @@ point computed with Fractions.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby, islice, repeat
+from itertools import accumulate, repeat
 from math import comb, isqrt
-from operator import countOf, itemgetter
 from typing import NamedTuple
 
 from . import _decimal
@@ -66,9 +70,13 @@ class Verdict(NamedTuple):
     category: str
 
 
-# a Verdict from an iterable of its seven fields, made by tuple.__new__ in
-# C; Verdict(...) also goes through type.__call__ and the generated
-# __new__, and Verdict._make also checks the length
+# one degree's rows start to stop - 1, all with these five flags of a Verdict
+Run = tuple[int, int, tuple[bool, bool, bool, bool, str]]
+
+# a row of a RegionTable from an iterable of its seven fields, made by
+# tuple.__new__ in C; Verdict(...) also goes through type.__call__ and the
+# generated __new__, and Verdict._make also checks the length.  Only rows
+# that are read are made here; the renderers make none.
 _new_verdict = partial(tuple.__new__, Verdict)
 
 
@@ -136,15 +144,15 @@ def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
         else CATEGORY_PLANE_ONLY if exists_plane
         else CATEGORY_NONEXISTENT
     )
-    return _new_verdict(
-        (d, g, exists_plane, exists_on_quadric, exists_off_quadric, cat != CATEGORY_NONEXISTENT, cat)
+    return Verdict(
+        d, g, exists_plane, exists_on_quadric, exists_off_quadric, cat != CATEGORY_NONEXISTENT, cat
     )
 
 
-def _region_degrees(d_max: int) -> Iterator[Iterator[Verdict]]:
-    """The rows of each degree d <= d_max, classified, in order of d and
-    then g.  d_max and the budget are checked on the call, before any row
-    exists; the rows are made lazily, one degree at a time."""
+def _region_degrees(d_max: int) -> Iterator[list[Run]]:
+    """The runs of each degree d <= d_max, in order of d.  d_max and the
+    budget are checked on the call, before any run exists; the runs are
+    made lazily, one degree at a time."""
     if d_max < 1:
         raise ValueError("d_max must be positive")
     # sum over d of plane_bound(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
@@ -154,41 +162,71 @@ def _region_degrees(d_max: int) -> Iterator[Iterator[Verdict]]:
             f"region d_max = {_decimal(d_max)} has {_decimal(n_rows)} rows; "
             f"the budget is {REGION_BUDGET}"
         )
-    return map(_degree_rows, range(1, d_max + 1))
+    return map(_degree_runs, range(1, d_max + 1))
 
 
-def _degree_rows(d: int) -> Iterator[Verdict]:
-    """The rows of degree d, one run of equal flags at a time.  A flag of
-    _verdict changes only where g reaches or passes a quadric genus, passes
-    G(d, 3), or reaches or passes the plane bound; _verdict classifies the
-    first row of each run between those genera, and map and zip repeat its
-    flags over the rest of the run in C."""
+def _degree_runs(d: int) -> list[Run]:
+    """The rows g = 0 .. plane_bound(d) of degree d as runs (start, stop,
+    flags) of equal flags.  A flag of _verdict changes only where g reaches
+    or passes a quadric genus, passes G(d, 3), or reaches or passes the
+    plane bound; _verdict classifies the first row of each run between
+    those genera."""
     plane, gp_floor = plane_bound(d), halphen_bound(d, 3)
     cuts = {0, plane, plane + 1, min(gp_floor, plane) + 1}
     for q in quadric_genera(d):
         cuts.update((q, q + 1))
     cuts = sorted(cuts)
-    for start, stop in zip(cuts, cuts[1:]):
-        flags = _verdict(d, start, plane, gp_floor)[2:]
-        yield from map(_new_verdict, zip(repeat(d), range(start, stop), *map(repeat, flags)))
+    return [
+        (start, stop, _verdict(d, start, plane, gp_floor)[2:])
+        for start, stop in zip(cuts, cuts[1:])
+    ]
 
 
-def region_table(d_max: int) -> list[Verdict]:
-    """Every row of _region_degrees in one list.  Raises RegionBudgetExceeded
-    before any row is built if there would be more than REGION_BUDGET rows."""
-    return list(chain.from_iterable(_region_degrees(d_max)))
+class RegionTable(Sequence[Verdict]):
+    """The rows of region_table, read-only, kept as each degree's runs:
+    a Verdict is made only for a row that is read.  degrees[d - 1] holds
+    the runs of degree d, and the renderers read them directly."""
+
+    __slots__ = ("degrees", "_starts")
+
+    def __init__(self, degrees: list[list[Run]]):
+        self.degrees = degrees
+        # row index of each degree's g = 0, then the row count
+        self._starts = [0, *accumulate(runs[-1][1] for runs in degrees)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self) -> Iterator[Verdict]:
+        for d, runs in enumerate(self.degrees, 1):
+            for start, stop, flags in runs:
+                rows = zip(repeat(d), range(start, stop), *map(repeat, flags))
+                yield from map(_new_verdict, rows)
+
+    def __getitem__(self, k: int | slice) -> Verdict | list[Verdict]:
+        # range does the list's index arithmetic: negative indices, slices
+        # and the IndexError past the end
+        ks = range(len(self))[k]
+        return list(map(self._row, ks)) if isinstance(ks, range) else self._row(ks)
+
+    def _row(self, k: int) -> Verdict:
+        d = bisect_right(self._starts, k)
+        g = k - self._starts[d - 1]
+        flags = next(flags for _, stop, flags in self.degrees[d - 1] if g < stop)
+        return _new_verdict((d, g, *flags))
 
 
-def _degree_slices(rows: list[Verdict], d_max: int) -> Iterator[list[Verdict]]:
-    """region_table's rows cut into degrees: degree d starts after the
-    C(d-1, 3) + d - 1 rows of the degrees below it."""
-    starts = [comb(d - 1, 3) + d - 1 for d in range(1, d_max + 2)]
-    return map(rows.__getitem__, map(slice, starts, starts[1:]))
+def region_table(d_max: int) -> RegionTable:
+    """Every row of the region, d = 1 .. d_max and g = 0 .. plane_bound(d),
+    as a read-only sequence of Verdicts.  Raises RegionBudgetExceeded
+    before any row is classified if there would be more than REGION_BUDGET
+    rows."""
+    return RegionTable(list(_region_degrees(d_max)))
 
 
 def region_chunks(d_max: int, fmt: str) -> Iterator[str]:
     """The region as CSV or SVG text, one chunk per degree, each made from
-    that degree's rows alone: memory stays flat in d_max.  d_max and the
+    that degree's runs alone: memory stays flat in d_max.  d_max and the
     budget are checked on the call, before any chunk exists."""
     if fmt not in ("csv", "svg"):
         raise ValueError(f"unknown region format {fmt!r}")
@@ -199,25 +237,22 @@ def region_chunks(d_max: int, fmt: str) -> Iterator[str]:
 def region_csv(d_max: int) -> str:
     """Every row of region_table as one CSV line under a header: d, g, the
     four existence flags as true/false, and the category."""
-    return "".join(_csv_chunks(_degree_slices(region_table(d_max), d_max), d_max))
+    return "".join(_csv_chunks(region_table(d_max).degrees, d_max))
 
 
-def _csv_chunks(degrees: Iterable[Iterable[Verdict]], d_max: int) -> Iterator[str]:
-    """The header, then the lines of each degree's rows as one chunk.  The
-    rows of degree d are g = 0, 1, ... in order, and the lines of a run of
-    rows with equal flags differ only in g: each run is one join of the
-    run's next genus strings, made once for the table."""
+def _csv_chunks(degrees: Iterable[list[Run]], d_max: int) -> Iterator[str]:
+    """The header, then the lines of each degree's runs as one chunk.  The
+    lines of a run differ only in g: each run is one join of its genus
+    strings, made once for the table."""
     yield "d,g,exists_plane,exists_on_quadric,exists_off_quadric,exists_any,category\n"
     word = ("false", "true")
-    flags = itemgetter(2, 3, 4, 5, 6)
     gs = list(map(str, range(plane_bound(d_max) + 1)))
-    for d, degree in enumerate(degrees, 1):
-        head, runs, genera = f"{d},", [], iter(gs)
-        for key, run in groupby(map(flags, degree)):
-            plane, on_quadric, off_quadric, any_, cat = key
+    for d, runs in enumerate(degrees, 1):
+        head, lines = f"{d},", []
+        for start, stop, (plane, on_quadric, off_quadric, any_, cat) in runs:
             tail = f",{word[plane]},{word[on_quadric]},{word[off_quadric]},{word[any_]},{cat}\n"
-            runs.append(head + (tail + head).join(islice(genera, countOf(run, key))) + tail)
-        yield "".join(runs)
+            lines.append(head + (tail + head).join(gs[start:stop]) + tail)
+        yield "".join(lines)
 
 
 _COLORS = {
@@ -234,15 +269,15 @@ _CELL = 24.0
 def region_svg(d_max: int) -> str:
     """Deterministic scatter of (d, g) colored by category, with the
     plane, Castelnuovo, and Gruson-Peskine parabolas overlaid."""
-    return "".join(_svg_chunks(_degree_slices(region_table(d_max), d_max), d_max))
+    return "".join(_svg_chunks(region_table(d_max).degrees, d_max))
 
 
-def _svg_chunks(degrees: Iterable[Iterable[Verdict]], d_max: int) -> Iterator[str]:
+def _svg_chunks(degrees: Iterable[list[Run]], d_max: int) -> Iterator[str]:
     """The preamble with the parabolas, the circles of each degree's rows,
     the d-axis labels and the g-axis labels with the closing tag, each as
-    one chunk.  A circle shows d, g and the category alone, so each run of
-    one category adds the pieces of its circles, cut around the coordinate
-    and genus strings made once for the table, to one list per degree."""
+    one chunk.  A circle shows d, g and the category alone, so each run is
+    one join of its circles' coordinate and genus strings, made once for
+    the table."""
     g_max = plane_bound(d_max)
     width = _MARGIN * 2 + _CELL * d_max
     height = _MARGIN * 2 + _CELL * (g_max + 1)
@@ -284,15 +319,15 @@ def _svg_chunks(degrees: Iterable[Iterable[Verdict]], d_max: int) -> Iterator[st
     xs = [f"{x(d):.2f}" for d in range(d_max + 1)]
     ys = [f"{y(g):.2f}" for g in range(g_max + 1)]
     gs = list(map(str, range(g_max + 1)))
-    for d, degree in enumerate(degrees, 1):
-        head, parts, ys_d, gs_d = f'<circle cx="{xs[d]}" cy="', [], iter(ys), iter(gs)
-        for cat, run in groupby(map(itemgetter(6), degree)):
-            # zip stops at the run's last head, before taking a y or a g more
+    for d, runs in enumerate(degrees, 1):
+        head, circles = f'<circle cx="{xs[d]}" cy="', []
+        for start, stop, flags in runs:
+            cat = flags[-1]
             mid = f'" r="6" fill="{_COLORS[cat]}"><title>d={d} g='
             tail = f" {cat}</title></circle>\n"
-            circles = zip(repeat(head, countOf(run, cat)), ys_d, repeat(mid), gs_d, repeat(tail))
-            parts += chain.from_iterable(circles)
-        yield "".join(parts)
+            bodies = map(mid.join, zip(ys[start:stop], gs[start:stop]))
+            circles.append(head + (tail + head).join(bodies) + tail)
+        yield "".join(circles)
     yield "".join(
         f'<text x="{xs[d]}" y="{height - _MARGIN + 18:.1f}" text-anchor="middle" '
         f'font-family="monospace" font-size="11">{d}</text>\n'

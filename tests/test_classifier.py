@@ -305,25 +305,53 @@ class TestRegionTable:
         for v in rows:
             assert v == classify(v.d, v.g)
 
-    # the rows of each degree are made one run of equal flags at a time;
-    # every row against classify, up to the budget's top degree and at
+    # the rows of each degree are kept as runs of equal flags; every row
+    # of the runs against classify, up to the budget's top degree and at
     # larger degrees of each residue mod 3
     @pytest.mark.parametrize("d", [*range(41, 146), 300, 1000, 2000])
     def test_degree_rows_match_classify(self, d):
+        rows = (
+            Verdict(d, g, *flags)
+            for start, stop, flags in classifier._degree_runs(d)
+            for g in range(start, stop)
+        )
         expected = map(classify, repeat(d), range(plane_bound(d) + 1))
-        pairs = zip_longest(classifier._degree_rows(d), expected)
+        pairs = zip_longest(rows, expected)
         assert next((pair for pair in pairs if pair[0] != pair[1]), None) is None
 
-    # the renderers cut region_table at C(d-1, 3) + d - 1, the number of
-    # rows of the degrees below d
-    @pytest.mark.parametrize("d_max", range(1, 61))
-    def test_degree_slices(self, d_max):
+    # the runs of degree d tile g = 0 .. plane_bound(d), and each run's
+    # flags are those of classify at both of its ends
+    @pytest.mark.parametrize("d", [*range(1, 146), 300, 1000, 2000])
+    def test_degree_runs_tile_the_degree(self, d):
+        runs = classifier._degree_runs(d)
+        assert [start for start, _, _ in runs] == [0, *(stop for _, stop, _ in runs[:-1])]
+        assert runs[-1][1] == plane_bound(d) + 1
+        for start, stop, flags in runs:
+            assert start < stop
+            assert flags == classify(d, start)[2:] == classify(d, stop - 1)[2:], (d, start, stop)
+
+    # region_table's sequence answers as the list of every row would:
+    # length, iteration, indexing from either end, slices and the end
+    @pytest.mark.parametrize("d_max", [*range(1, 41), 80])
+    def test_table_reads_like_the_list_of_rows(self, d_max):
         rows = region_table(d_max)
-        slices = list(classifier._degree_slices(rows, d_max))
-        assert len(slices) == d_max
-        for d, degree in enumerate(slices, 1):
-            assert [(v.d, v.g) for v in degree] == [(d, g) for g in range(plane_bound(d) + 1)]
-        assert sum(map(len, slices)) == len(rows)
+        expected = [classify(d, g) for d in range(1, d_max + 1) for g in range(plane_bound(d) + 1)]
+        n = len(expected)
+        assert len(rows) == n == comb(d_max, 3) + d_max
+        listed = list(rows)
+        assert listed == expected
+        starts = [comb(d - 1, 3) + d - 1 for d in range(1, d_max + 1)]
+        mids = [start + plane_bound(d) // 2 for d, start in enumerate(starts, 1)]
+        for k in {0, n - 1, -1, -n, n // 2, *starts, *mids}:
+            assert rows[k] == expected[k], k
+            assert type(rows[k]) is Verdict
+        bounds = [(0, n), (0, 0), (1, -1), (-5, None), (None, 3), (n // 3, 2 * n // 3), (2, n + 7)]
+        for a, b in bounds:
+            assert rows[a:b] == listed[a:b] == expected[a:b], (a, b)
+        assert rows[::-3] == expected[::-3]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[k]
 
     # _verdict classifies the first row of each run, not every row: a
     # degree's runs start at 0, at each quadric genus and the one after
@@ -412,6 +440,21 @@ class TestEmitters:
             for text in (region_csv(d_max), region_svg(d_max))
         )
         assert digests == self.GOLDEN_SHA256[d_max]
+
+    # the renderers and the stream write each run of rows at once and make
+    # no row: with the maker of rows refusing, they still give the goldens
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_rendering_makes_no_row(self, monkeypatch, fmt):
+        def never(*args):
+            raise AssertionError("a row was made")
+
+        monkeypatch.setattr(classifier, "_new_verdict", never)
+        render = region_csv if fmt == "csv" else region_svg
+        golden = self.GOLDEN_SHA256[30][fmt == "svg"]
+        for text in (render(30), "".join(region_chunks(30, fmt))):
+            assert hashlib.sha256(text.encode()).hexdigest() == golden
+        with pytest.raises(AssertionError, match="a row was made"):
+            region_table(30)[0]
 
     # circle k is row k of the table, apart from the goldens: its title
     # names the row, its fill is the category's color, and its centre is
