@@ -16,15 +16,15 @@ genus and the one after it, after G(d, 3), and at and after the plane
 bound.  The region is kept as each degree's runs (start, stop, flags)
 between two such genera: _verdict, the code classify runs, classifies the
 run's first row, and the run's other rows repeat its flags.
-region_table returns a read-only sequence of Verdicts over those runs,
-which makes a Verdict only for a row that is read.  The renderers write
-each run at once and make no row: the CSV writes a run as one join of
-genus strings made once per table, the SVG, whose circles show the
-category alone, as one join of the coordinate and genus strings of its
-circles.  region_csv and region_svg take the runs from region_table, which
-they call through the module only so that a traced benchmark run, which
-wraps it, times the table and counts its rows; region_chunks renders each
-degree's runs as they are made.
+region_table makes those runs and returns a read-only sequence of
+Verdicts over them, which makes a Verdict only for a row that is read.
+region_chunks is the one renderer: it takes the runs from region_table,
+which it calls through the module (a traced benchmark run wraps it there),
+and writes each run as one chunk and makes no row.  A CSV run is one join
+of genus strings made once per table; an SVG run, whose circles show the
+category alone, one join of the coordinate and genus strings of its
+circles.  The CLI streams those chunks, and region_csv and region_svg
+are their join.
 
 The SVG overlays the parabolas G(d, s) without their correction term,
 s = 1, 2, 3, at d = n/q on a grid of step 1/q.  Each point is computed in
@@ -36,7 +36,7 @@ point computed with Fractions.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, repeat
@@ -50,9 +50,10 @@ CATEGORY_GP = "gp-region"
 CATEGORY_QUADRIC = "quadric"
 CATEGORY_PLANE_ONLY = "plane-only"
 
-# Largest (d, g) table, in rows, that region_table or region_chunks will
-# make.  The renderers work one degree at a time, so the budget bounds the
-# output's size and the time to make it, not memory.
+# Largest (d, g) table, in rows, that region_table will make.  It keeps
+# runs, not rows (10 710 at the largest d_max admitted), and the renderer
+# writes one run at a time, so the budget bounds the output's size and the
+# time to make it, not memory.
 REGION_BUDGET = 500_000
 
 
@@ -76,7 +77,7 @@ Run = tuple[int, int, tuple[bool, bool, bool, bool, str]]
 # a row of a RegionTable from an iterable of its seven fields, made by
 # tuple.__new__ in C; Verdict(...) also goes through type.__call__ and the
 # generated __new__, and Verdict._make also checks the length.  Only rows
-# that are read are made here; the renderers make none.
+# that are read are made here; region_chunks makes none.
 _new_verdict = partial(tuple.__new__, Verdict)
 
 
@@ -149,22 +150,6 @@ def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
     )
 
 
-def _region_degrees(d_max: int) -> Iterator[list[Run]]:
-    """The runs of each degree d <= d_max, in order of d.  d_max and the
-    budget are checked on the call, before any run exists; the runs are
-    made lazily, one degree at a time."""
-    if d_max < 1:
-        raise ValueError("d_max must be positive")
-    # sum over d of plane_bound(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
-    n_rows = comb(d_max, 3) + d_max
-    if n_rows > REGION_BUDGET:
-        raise RegionBudgetExceeded(
-            f"region d_max = {_decimal(d_max)} has {_decimal(n_rows)} rows; "
-            f"the budget is {REGION_BUDGET}"
-        )
-    return map(_degree_runs, range(1, d_max + 1))
-
-
 def _degree_runs(d: int) -> list[Run]:
     """The rows g = 0 .. plane_bound(d) of degree d as runs (start, stop,
     flags) of equal flags.  A flag of _verdict changes only where g reaches
@@ -185,7 +170,7 @@ def _degree_runs(d: int) -> list[Run]:
 class RegionTable(Sequence[Verdict]):
     """The rows of region_table, read-only, kept as each degree's runs:
     a Verdict is made only for a row that is read.  degrees[d - 1] holds
-    the runs of degree d, and the renderers read them directly."""
+    the runs of degree d, and region_chunks reads them directly."""
 
     __slots__ = ("degrees", "_starts")
 
@@ -219,40 +204,48 @@ class RegionTable(Sequence[Verdict]):
 def region_table(d_max: int) -> RegionTable:
     """Every row of the region, d = 1 .. d_max and g = 0 .. plane_bound(d),
     as a read-only sequence of Verdicts.  Raises RegionBudgetExceeded
-    before any row is classified if there would be more than REGION_BUDGET
+    before any run is made if there would be more than REGION_BUDGET
     rows."""
-    return RegionTable(list(_region_degrees(d_max)))
+    if d_max < 1:
+        raise ValueError("d_max must be positive")
+    # sum over d of plane_bound(d) + 1, since sum_{d <= n} C(d-1, 2) = C(n, 3)
+    n_rows = comb(d_max, 3) + d_max
+    if n_rows > REGION_BUDGET:
+        raise RegionBudgetExceeded(
+            f"region d_max = {_decimal(d_max)} has {_decimal(n_rows)} rows; "
+            f"the budget is {REGION_BUDGET}"
+        )
+    return RegionTable(list(map(_degree_runs, range(1, d_max + 1))))
 
 
 def region_chunks(d_max: int, fmt: str) -> Iterator[str]:
-    """The region as CSV or SVG text, one chunk per degree, each made from
-    that degree's runs alone: memory stays flat in d_max.  d_max and the
-    budget are checked on the call, before any chunk exists."""
+    """The runs of region_table(d_max) as CSV or SVG text, one chunk per
+    run between the header or preamble and the axis labels.  fmt, d_max
+    and the budget are checked on the call, before any chunk exists."""
     if fmt not in ("csv", "svg"):
         raise ValueError(f"unknown region format {fmt!r}")
-    degrees = _region_degrees(d_max)
+    degrees = region_table(d_max).degrees
     return _svg_chunks(degrees, d_max) if fmt == "svg" else _csv_chunks(degrees, d_max)
 
 
 def region_csv(d_max: int) -> str:
     """Every row of region_table as one CSV line under a header: d, g, the
     four existence flags as true/false, and the category."""
-    return "".join(_csv_chunks(region_table(d_max).degrees, d_max))
+    return "".join(region_chunks(d_max, "csv"))
 
 
-def _csv_chunks(degrees: Iterable[list[Run]], d_max: int) -> Iterator[str]:
-    """The header, then the lines of each degree's runs as one chunk.  The
-    lines of a run differ only in g: each run is one join of its genus
-    strings, made once for the table."""
+def _csv_chunks(degrees: list[list[Run]], d_max: int) -> Iterator[str]:
+    """The header, then the lines of each run as one chunk.  The lines of
+    a run differ only in g: each run is one join of its genus strings,
+    made once for the table."""
     yield "d,g,exists_plane,exists_on_quadric,exists_off_quadric,exists_any,category\n"
     word = ("false", "true")
     gs = list(map(str, range(plane_bound(d_max) + 1)))
     for d, runs in enumerate(degrees, 1):
-        head, lines = f"{d},", []
+        head = f"{d},"
         for start, stop, (plane, on_quadric, off_quadric, any_, cat) in runs:
             tail = f",{word[plane]},{word[on_quadric]},{word[off_quadric]},{word[any_]},{cat}\n"
-            lines.append(head + (tail + head).join(gs[start:stop]) + tail)
-        yield "".join(lines)
+            yield head + (tail + head).join(gs[start:stop]) + tail
 
 
 _COLORS = {
@@ -269,15 +262,15 @@ _CELL = 24.0
 def region_svg(d_max: int) -> str:
     """Deterministic scatter of (d, g) colored by category, with the
     plane, Castelnuovo, and Gruson-Peskine parabolas overlaid."""
-    return "".join(_svg_chunks(region_table(d_max).degrees, d_max))
+    return "".join(region_chunks(d_max, "svg"))
 
 
-def _svg_chunks(degrees: Iterable[list[Run]], d_max: int) -> Iterator[str]:
-    """The preamble with the parabolas, the circles of each degree's rows,
-    the d-axis labels and the g-axis labels with the closing tag, each as
-    one chunk.  A circle shows d, g and the category alone, so each run is
-    one join of its circles' coordinate and genus strings, made once for
-    the table."""
+def _svg_chunks(degrees: list[list[Run]], d_max: int) -> Iterator[str]:
+    """The preamble with the parabolas, the circles of each run, the
+    d-axis labels and the g-axis labels with the closing tag, each as one
+    chunk.  A circle shows d, g and the category alone, so each run is one
+    join of its circles' coordinate and genus strings, made once for the
+    table."""
     g_max = plane_bound(d_max)
     width = _MARGIN * 2 + _CELL * d_max
     height = _MARGIN * 2 + _CELL * (g_max + 1)
@@ -320,14 +313,13 @@ def _svg_chunks(degrees: Iterable[list[Run]], d_max: int) -> Iterator[str]:
     ys = [f"{y(g):.2f}" for g in range(g_max + 1)]
     gs = list(map(str, range(g_max + 1)))
     for d, runs in enumerate(degrees, 1):
-        head, circles = f'<circle cx="{xs[d]}" cy="', []
+        head = f'<circle cx="{xs[d]}" cy="'
         for start, stop, flags in runs:
             cat = flags[-1]
             mid = f'" r="6" fill="{_COLORS[cat]}"><title>d={d} g='
             tail = f" {cat}</title></circle>\n"
             bodies = map(mid.join, zip(ys[start:stop], gs[start:stop]))
-            circles.append(head + (tail + head).join(bodies) + tail)
-        yield "".join(circles)
+            yield head + (tail + head).join(bodies) + tail
     yield "".join(
         f'<text x="{xs[d]}" y="{height - _MARGIN + 18:.1f}" text-anchor="middle" '
         f'font-family="monospace" font-size="11">{d}</text>\n'

@@ -161,7 +161,7 @@ def _cmd_classify(args) -> str:
 def _cmd_region(args):
     from . import classifier
 
-    # one chunk per degree, made as it is written: memory stays flat in dmax
+    # one chunk per run of the table, made as it is written
     return classifier.region_chunks(args.dmax, args.format)
 
 

@@ -190,9 +190,7 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
@@ -200,8 +198,6 @@ class Polynomial:
             (monomial_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()
         )
         return Polynomial._from_pairs(pairs, self.ring)
-
-    __rmul__ = __mul__  # only reached with a scalar on the left
 
     def scale(self, c: Rational) -> "Polynomial":
         c = Fraction(c)

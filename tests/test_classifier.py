@@ -245,7 +245,7 @@ class TestRegionTable:
     def test_budget_past_the_digit_limit(self):
         d_max = int("9" * 2000)
         with pytest.raises(RegionBudgetExceeded) as exc:
-            classifier._region_degrees(d_max)
+            region_table(d_max)
         assert str(exc.value) == (
             f"region d_max = {d_max} has at least 10^5998 rows; the budget is {REGION_BUDGET}"
         )
@@ -267,12 +267,12 @@ class TestRegionTable:
         with pytest.raises(error):
             region_chunks(d_max, fmt)
 
-    # one chunk per degree, plus the CSV header, or the SVG preamble and
-    # its two axis-label chunks
+    # one chunk per run of the table, plus the CSV header, or the SVG
+    # preamble and its two axis-label chunks
     @pytest.mark.parametrize("fmt, render, extra", [("csv", region_csv, 1), ("svg", region_svg, 3)])
-    def test_chunks_one_per_degree(self, fmt, render, extra):
+    def test_chunks_one_per_run(self, fmt, render, extra):
         chunks = list(region_chunks(9, fmt))
-        assert len(chunks) == 9 + extra
+        assert len(chunks) == sum(map(len, region_table(9).degrees)) + extra
         assert "".join(chunks) == render(9)
 
     def test_category_matches_verdict(self):
@@ -486,9 +486,17 @@ class TestEmitters:
 
     # a traced benchmark run wraps region_table, region_csv and region_svg
     # by module attribute and times the table inside each rendering: each
-    # renderer must reach region_table through the module, once, and
-    # return one str
-    @pytest.mark.parametrize("render", [region_csv, region_svg])
+    # renderer, the CLI's stream too, must reach region_table through the
+    # module, once, and give one str
+    @pytest.mark.parametrize(
+        "render",
+        [
+            region_csv,
+            region_svg,
+            pytest.param(lambda d_max: "".join(region_chunks(d_max, "csv")), id="chunks-csv"),
+            pytest.param(lambda d_max: "".join(region_chunks(d_max, "svg")), id="chunks-svg"),
+        ],
+    )
     def test_renderers_call_region_table_once(self, monkeypatch, render):
         calls = []
 

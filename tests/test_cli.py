@@ -383,8 +383,7 @@ class TestRegionCommand:
         assert err == f"halphen: error: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
-    # the stream renders each degree's runs as they are made, the library
-    # the runs of one table
+    # the library string is the join of the stream's chunks
     @pytest.mark.parametrize("d_max", [1, 2, 3, 12, 30, 40, 60, 80])
     def test_stream_equals_library_string(self, capsys, fmt, d_max):
         render = classifier.region_svg if fmt == "svg" else classifier.region_csv
@@ -395,7 +394,7 @@ class TestRegionCommand:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     def test_memory_flat_in_dmax(self):
         # a fresh child writes the dmax-120 SVG (29 MB) to /dev/null and
-        # reports the peak RSS of its own address space: about 19 MB when
+        # reports the peak RSS of its own address space: about 18 MB when
         # the CLI streams, 157 MB when it held the whole table and text.
         # VmHWM, not ru_maxrss: Linux carries the RSS of the spawning
         # process (this test runner) across exec into the child's ru_maxrss.
