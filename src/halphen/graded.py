@@ -8,9 +8,11 @@ Groebner path.  Monomials are counted by `binom`, the one place of the
 convention C(a, b) = 0 for a < b.
 
 Each generator is made primitive over the integers (cleared of
-denominators, divided by its content) before any row is built, and every
-row of its multiples is built straight from those integers: scaling a
-row changes neither the rows' span nor the rank.
+denominators, divided by its content) before any row is built, and in the
+generator's own degree its row is built straight from those integers:
+scaling a row changes neither the rows' span nor the rank.  Every later
+row is a shift of a stored pivot, which `exact_rank` keeps primitive, so
+every row it is handed is primitive.
 
 Inside a table each monomial of degree <= m_max is one int, its exponent
 vector read as digits in a base B > m_max, x_{n-1} the most significant:
@@ -73,6 +75,27 @@ x*LM(g) = LM(x*g), F5 skips their multiples one degree up anyway, so no
 skipped row changes.  Nothing here asks for a regular sequence or a
 saturated ideal, and the rank stays exact.
 
+Only a block's rows in the first degree of its generator are the rows
+u*f_{i+1}; each later degree reuses the previous one's elimination (the
+"Simplify" of Faugere's F4, and again Bardet, Faugere and Salvy).  Write
+u = x_j*v with x_j the last variable of u, the most significant digit of
+its code.  The row handed over for u is x_j times the full row, leading
+entry and tail, that v*f_{i+1} left in the echelon form of degree m - 1:
+on codes, every column plus weight_j.  That row was reduced against the
+rows before it, so it is c*v*f_{i+1}, with c a nonzero integer, plus an
+element of (f_1..f_i)_{m-1} plus rows v'*f_{i+1} with v' < v; times x_j,
+
+    c*u*f_{i+1} + x_j*r + sum over v' < v of c_v' * (x_j*v')*f_{i+1},
+
+and x_j*v' < u, as the order is multiplicative.  This is the same shape
+as the rows the two skips lean on, so by the same induction the span
+after each row, and with it every pivot column, zero row, skip set and
+table, is the one the rows u*f_{i+1} give.  Such a v was always built
+and kept a pivot: had its row been skipped or reduced to zero, u would
+be skipped too.  The table finds that pivot through `exact_rank`
+appending each new pivot to the echelon form in row order: block i's
+added keys, read back, are the columns of its nonzero rows.
+
 Caveat: the value H(m) is computed for the ideal exactly as presented.
 For a non-saturated ideal the Hilbert *function* (though never the
 Hilbert polynomial) can differ from that of its saturation.
@@ -80,7 +103,9 @@ Hilbert polynomial) can differ from that of its saturation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from operator import itemgetter, mul
 
@@ -181,6 +206,10 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     leading: dict[tuple[int, int], set[int]] = {}
     # i -> the codes u of the next degree whose row u*f_i is redundant
     redundant: dict[int, set[int]] = {}
+    # the previous degree's echelon form, and i -> u -> the pivot column
+    # that the row of u*f_i took in it
+    previous: Pivots = {}
+    column: dict[int, dict[int, int]] = {}
     values = {}
     for m in range(m_max + 1):
         pivots: Pivots = {}
@@ -193,10 +222,31 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                 # smallest u first: a basis ascends in code, so descends
                 # in degrevlex
                 us = [u for u in reversed(bases[m - d]) if u not in skip and u not in known]
+                if d == m:
+                    rows = [{u + mono: c for mono, c in terms} for u in us]
+                else:
+                    # x_j times the stored row of (u/x_j)*f_i, x_j the
+                    # last variable of u
+                    rows = []
+                    col = column[i]
+                    for u in us:
+                        w = weights[bisect_right(weights, u) - 1]
+                        p = col[u - w]
+                        b, tail = previous[p]
+                        row = {p + w: b}
+                        for k, c in tail.items():
+                            row[k + w] = c
+                        rows.append(row)
                 zero: list[int] = []
-                exact_rank([{u + mono: c for mono, c in terms} for u in us], pivots, zero)
+                added = exact_rank(rows, pivots, zero)
                 if m < m_max:
                     known.update(us[t] for t in zero)
                     redundant[i] = {u + w for u in known for w in weights}
+                    # each nonzero row added one key, at the end, in row
+                    # order: read the last `added` keys back to front
+                    if zero:
+                        us = [u for u in us if u not in known]
+                    column[i] = dict(zip(reversed(us), islice(reversed(pivots), added)))
+        previous = pivots
         values[m] = len(bases[m]) - len(pivots)
     return HilbertFunctionTable(values)

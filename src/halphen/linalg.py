@@ -28,10 +28,13 @@ kept as it is.  A stored tail is only read, and the working row, a fresh
 copy of each input row, is never a stored tail.  A caller may pass in the
 dict left by earlier rows and have `exact_rank` extend it: the pivot
 columns are then the leading columns of the span of all the rows so far,
-and the return value counts only the pivots the new rows added.  A caller
-that also passes a list has the index, within this call, of each row that
-added no pivot appended to it: the rows that reduced to zero against the
-pivots before them, i.e. lie in the span of the earlier rows.
+and the return value counts only the pivots the new rows added.  Each
+row that does not reduce to zero adds exactly one key, at the end of the
+dict, so the keys a call added are, in insertion order, the pivot columns
+of its nonzero rows in row order.  A caller that also passes a list has
+the index, within this call, of each row that added no pivot appended to
+it: the rows that reduced to zero against the pivots before them, i.e.
+lie in the span of the earlier rows.
 """
 
 from __future__ import annotations
@@ -51,8 +54,10 @@ def exact_rank(
     """Rank over the rationals of the matrix whose rows are sparse maps
     column -> nonzero int.  Given the echelon form `pivots` of earlier
     rows, extends it in place and returns by how much these rows raise
-    the rank.  Given a list `zero`, appends to it the index of each row
-    that reduced to zero.  The input rows are left unmodified.
+    the rank; each nonzero row adds its pivot as one new key at the end
+    of `pivots`, in row order.  Given a list `zero`, appends to it the
+    index of each row that reduced to zero.  The input rows are left
+    unmodified.
 
     A row that arrives with a fresh leading column is stored as it came;
     one that needed a reduction step is divided by its content once, as

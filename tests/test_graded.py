@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import add
 
 import pytest
@@ -145,6 +146,22 @@ class TestClosedForms:
         ideal = random_rnc(random.Random(100 * seed + n), n)
         table = hilbert_function_table(ideal, 5)
         assert table.values == {m: n * m + 1 for m in range(6)}
+
+    # the tables the rank benchmark times, past stabilization
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("degrees,m_max", [((3, 4), 10), ((4, 4), 12), ((3, 3, 3), 8)])
+    def test_complete_intersection_at_benchmark_sizes(self, degrees, m_max, seed):
+        rng = random.Random(1000 * seed + sum(degrees))
+        ideal = IdealSpec(RING4, tuple(dense_form(rng, RING4, d) for d in degrees))
+        table = hilbert_function_table(ideal, m_max)
+        assert table.values == {m: koszul_hilbert(degrees, m) for m in range(m_max + 1)}
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_rational_normal_curve_at_benchmark_sizes(self, n, seed):
+        ideal = random_rnc(random.Random(100 * seed + n), n)
+        table = hilbert_function_table(ideal, 6)
+        assert table.values == {m: n * m + 1 for m in range(7)}
 
 
 def macaulay_hilbert(ideal, m):
@@ -367,16 +384,24 @@ class TestPieceBudget:
             hilbert_function_table(IdealSpec(RING3, (x,) * 16), 1)
 
 
-def exact_rank_inputs(ideal, m_max, monkeypatch):
-    """The rows of every `exact_rank` call a table makes, in call order."""
+def recorded_calls(ideal, m_max):
+    """Every `exact_rank` call a table makes, in call order, as (rows,
+    pivots, zero, added): the rows handed over, the echelon form they
+    extended, the indices of the rows that reduced to zero, and the keys
+    the call added to the echelon form, in the order it added them."""
     calls = []
 
-    def recording_rank(rows, *args):
-        calls.append(rows)
-        return exact_rank(rows, *args)
+    def recording_rank(rows, pivots, zero):
+        before = list(pivots)
+        rank = exact_rank(rows, pivots, zero)
+        keys = list(pivots)
+        assert keys[: len(before)] == before
+        calls.append((rows, pivots, zero, keys[len(before) :]))
+        return rank
 
-    monkeypatch.setattr(graded, "exact_rank", recording_rank)
-    hilbert_function_table(ideal, m_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded, "exact_rank", recording_rank)
+        hilbert_function_table(ideal, m_max)
     return calls
 
 
@@ -385,71 +410,166 @@ def code_base(m_max):
     return next(b for b in range(m_max + 1, m_max + 5) if b % 4 == 2)
 
 
+def decode(code, base, n):
+    """The exponent tuple of a packed code, x_0 the least significant digit."""
+    digits = []
+    for _ in range(n):
+        code, e = divmod(code, base)
+        digits.append(e)
+    assert code == 0
+    return tuple(digits)
+
+
+def tuple_blocks(ideal, m_max):
+    """The blocks of a table on exponent tuples, each row checked against
+    the rule that built it, as (m, f, us, rows, zero, added): the degree,
+    the generator, the monomial u of each row, the rows as dicts exponent
+    tuple -> coefficient with their entries in the order they were built,
+    the indices of the rows that reduced to zero, and the pivot columns the
+    block added, as exponent tuples.
+
+    In the first degree of f the row of u is the Macaulay row of u*f, with
+    f's primitive integer coefficients.  In every later degree it is x_j
+    times the full stored row (leading entry and tail) that (u/x_j)*f left
+    in the previous degree's echelon form, x_j the last variable of u.  The
+    stored row of each nonzero row is the one at the key its block added
+    for it: the added keys come in the order of the nonzero rows."""
+    n = ideal.n_vars
+    base = code_base(m_max)
+    gens = sorted(ideal.generators, key=Polynomial.total_degree)
+    blocks = [(m, i) for m in range(m_max + 1) for i, f in enumerate(gens) if f.total_degree() <= m]
+    calls = recorded_calls(ideal, m_max)
+    assert len(calls) == len(blocks)
+    stored = {}  # i -> u -> the full stored row of u*f_i, previous degree
+    out = []
+    for (m, i), (rows, pivots, zero, added) in zip(blocks, calls):
+        f = gens[i]
+        d = f.total_degree()
+        monos = enumerate_monomials(n, m - d)  # degrevlex-descending
+        if m == d:
+            terms = primitive(f.terms)
+            expect = {u: {tuple(map(add, u, mono)): c for mono, c in terms.items()} for u in monos}
+        else:
+            expect = {}
+            for u in monos:
+                j = max(k for k, e in enumerate(u) if e)
+                v = u[:j] + (u[j] - 1,) + u[j + 1 :]
+                if v in stored[i]:
+                    expect[u] = {
+                        mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c
+                        for mono, c in stored[i][v].items()
+                    }
+        found = {frozenset(row.items()): u for u, row in expect.items()}
+        rows = [{decode(code, base, n): c for code, c in row.items()} for row in rows]
+        us = [found.get(frozenset(row.items())) for row in rows]
+        assert None not in us
+        # u increases within the block
+        position = {u: k for k, u in enumerate(monos)}
+        assert all(position[a] > position[b] for a, b in zip(us, us[1:]))
+        nonzero = [u for t, u in enumerate(us) if t not in zero]
+        assert len(nonzero) == len(added)
+        stored[i] = {}
+        for u, p in zip(nonzero, added):
+            b, tail = pivots[p]
+            stored[i][u] = {decode(p, base, n): b} | {decode(k, base, n): c for k, c in tail.items()}
+        out.append((m, f, us, rows, zero, [decode(p, base, n) for p in added]))
+    return out
+
+
 def ci_34():
     rng = random.Random(7)
     return IdealSpec(RING4, (dense_form(rng, RING4, 3), dense_form(rng, RING4, 4)))
 
 
+class TestRowReuse:
+    """Rows after a block's first degree are x_j times the rows the previous
+    degree stored: the rows kept, the zero rows and the pivots stay those
+    the Macaulay rows u*f give."""
+
+    # sha256 of (number of rows, indices of the zero rows) per exact_rank
+    # call; recorded when every row was built from its generator
+    BLOCKS = {
+        "twisted_cubic": "fc7d61c83ebc940c8b12a13c91d578a9c80bfbe8f176564c8c89e1c4f1c1b0fd",
+        "ci(3,4)": "235afd9a79b5bb138955893f18687f42cb3dcb03ab0760335ac8f9f8b1003fb1",
+        "rnc(6)": "482e2350bd2fbca8956b7cf6d6203f998efcab011019f88bf3bd1c6007375586",
+    }
+
+    @pytest.mark.parametrize("case", BLOCKS)
+    def test_blocks_and_zero_rows_as_built_from_the_generators(self, case):
+        make, m_max, _ = TestPackedMonomials.GOLDEN[case]
+        calls = recorded_calls(make(), m_max)
+        text = repr([(len(rows), zero) for rows, _, zero, _ in calls])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BLOCKS[case]
+        # every row handed over is primitive
+        assert all(gcd(*row.values()) == 1 for rows, _, _, _ in calls for row in rows)
+
+    @pytest.mark.parametrize(
+        "family", [with_repeated_generator, with_monomial_multiple, not_saturated, with_syzygies]
+    )
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_zero_rows_and_pivots_of_the_macaulay_rows(self, family, data):
+        # the Macaulay rows u*f of the same u, block after block into one
+        # echelon form per degree, reduce to zero at the same indices and
+        # add the same pivot columns
+        ideal = data.draw(family())
+        n = ideal.n_vars
+        echelon = {}
+        for m, f, us, rows, zero, added in tuple_blocks(ideal, 5 if n == 3 else 4):
+            assert all(gcd(*row.values()) == 1 for row in rows)
+            basis = enumerate_monomials(n, m)
+            index = {mono: j for j, mono in enumerate(basis)}
+            terms = primitive(f.terms)
+            pivots = echelon.setdefault(m, {})
+            before = len(pivots)
+            want_zero = []
+            exact_rank(
+                [{index[tuple(map(add, u, mono))]: c for mono, c in terms.items()} for u in us],
+                pivots,
+                want_zero,
+            )
+            assert zero == want_zero
+            assert [index[p] for p in added] == list(pivots)[before:]
+
+
 class TestPackedMonomials:
     """The packed encoding inside `hilbert_function_table` against tuples."""
 
-    # sha256 of the rows handed to exact_rank, in call order, each row with
-    # its entries in the order they were built; recorded when the blocks
-    # first came in increasing u, with the multiples of zero rows skipped
+    # sha256 of the rows handed to exact_rank, in call order, each row on
+    # the positions of enumerate_monomials with its entries in the order
+    # they were built; recorded when the rows after a block's first degree
+    # became x_j times the rows the previous degree stored
     GOLDEN = {
         "twisted_cubic": (
             lambda: load_ideal("twisted_cubic"),
             6,
-            "e8db3bc1b7d8ded65dae1be1cd5d5a245aee94fa8ff92423984f3a36c863f29d",
+            "7b6cf3e5ee0b596e9bf1fd3a7d1e6ff24fdefce9153b488b65601fcf8a701920",
         ),
         "ci(3,4)": (
             ci_34,
             10,
-            "02d8270d4ceb4192e6f0d953a45e780b66dc1ab926d1276ddb37a622b04e33c8",
+            "40810b1973dede65e1cf5e0dd7f545b7e0ad9277ae00dcba84a8e3817d96417f",
         ),
         "rnc(6)": (
             lambda: random_rnc(random.Random(7), 6),
             6,
-            "7d7c7e36d82e9d14f399ce452bd4ef636c49d918580bbc8b89f3d86503ae4e18",
+            "eb02e67acda31751a24fef1029d28cba68879f57f78e1fffc33642ad68b3ee9f",
         ),
     }
 
     @pytest.mark.parametrize("case", GOLDEN)
-    def test_same_rows_as_tuple_columns(self, case, monkeypatch):
+    def test_same_rows_as_tuple_columns(self, case):
         make, m_max, digest = self.GOLDEN[case]
         ideal = make()
         n = ideal.n_vars
-        # the code of each monomial of degree m, computed from its exponent
-        # tuple, -> its position in the degrevlex-descending enumerate_monomials
-        base = code_base(m_max)
-        position_of = {
-            m: {
-                sum(e * base**i for i, e in enumerate(mono)): j
-                for j, mono in enumerate(enumerate_monomials(n, m))
-            }
+        index = {
+            m: {mono: j for j, mono in enumerate(enumerate_monomials(n, m))}
             for m in range(m_max + 1)
         }
-        gens = sorted(ideal.generators, key=Polynomial.total_degree)
-        blocks = [(m, f) for m in range(m_max + 1) for f in gens if f.total_degree() <= m]
-        captured = exact_rank_inputs(ideal, m_max, monkeypatch)
-        assert len(captured) == len(blocks)
         calls = [
-            [{position_of[m][code]: c for code, c in row.items()} for row in rows]
-            for rows, (m, _) in zip(captured, blocks)
+            [{index[m][mono]: c for mono, c in row.items()} for row in rows]
+            for m, _, _, rows, _, _ in tuple_blocks(ideal, m_max)
         ]
-        for rows, (m, f) in zip(calls, blocks):
-            # the Macaulay row of each u*f on tuple columns, by the position
-            # of u in the degrevlex-descending enumerate_monomials
-            index = {mono: j for j, mono in enumerate(enumerate_monomials(n, m))}
-            terms = primitive(f.terms)
-            position = {
-                frozenset((index[tuple(map(add, u, mono))], c) for mono, c in terms.items()): k
-                for k, u in enumerate(enumerate_monomials(n, m - f.total_degree()))
-            }
-            found = [position.get(frozenset(row.items())) for row in rows]
-            assert None not in found
-            # u increases within the block
-            assert all(a > b for a, b in zip(found, found[1:]))
         assert hashlib.sha256("\n".join(map(repr, calls)).encode()).hexdigest() == digest
 
     def test_pure_powers_of_degree_m_max(self):
@@ -480,12 +600,4 @@ class TestPackedMonomials:
             for m, codes in enumerate(bases):
                 # degrevlex-descending is ascending code within a degree
                 assert all(a < b for a, b in zip(codes, codes[1:]))
-                decoded = []
-                for code in codes:
-                    digits = []  # x_0, the least significant digit, first
-                    for _ in range(n):
-                        code, e = divmod(code, base)
-                        digits.append(e)
-                    assert code == 0
-                    decoded.append(tuple(digits))
-                assert decoded == enumerate_monomials(n, m)
+                assert [decode(code, base, n) for code in codes] == enumerate_monomials(n, m)

@@ -149,6 +149,36 @@ def test_extending_an_echelon_form_adds_the_rank_increase(rows, cut):
     assert first + rest == naive_rank(rows, 7) == len(pivots)
 
 
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 6), st.integers(-20, 20), max_size=7),
+        max_size=8,
+    ),
+    st.integers(0, 8),
+)
+def test_each_nonzero_row_adds_one_key_at_the_end_in_row_order(rows, cut):
+    # graded reads the pivot column each row took off the order of the keys
+    rows = integer_rows(rows)
+    pivots = {}
+    exact_rank(rows[:cut], pivots)
+    # the reference: one row per call, on a copy of the echelon form
+    one_by_one = dict(pivots)
+    added, expect_zero = [], []
+    for t, row in enumerate(rows[cut:]):
+        before = set(one_by_one)
+        if exact_rank([row], one_by_one):
+            (key,) = set(one_by_one) - before
+            added.append(key)
+        else:
+            expect_zero.append(t)
+    keys = list(pivots)
+    zero = []
+    exact_rank(rows[cut:], pivots, zero)
+    assert list(pivots) == keys + added
+    assert zero == expect_zero
+
+
 def test_row_scaling_invariance():
     rng = random.Random(5)
     rows = integer_rows(random_sparse_rows(rng, 6, 6))
