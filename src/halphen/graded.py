@@ -25,8 +25,10 @@ is the last variable where the exponents differ, and the smaller
 exponent there is the bigger monomial in degrevlex.  So `exact_rank`,
 which pivots on the smallest column, pivots on the largest monomial of
 each row; that order keeps the coefficients small on these matrices.
-Each generator's terms are packed once, and a column of u*f is one int
-addition.
+Each generator's terms are packed once, into one dict code -> coefficient,
+and the row of u*f is that dict handed to `exact_rank` with shift u: a
+column of u*f is one int addition, which `exact_rank` makes as it reads
+the row, and no row dict is built here.
 
 B is the smallest base above m_max that is 2 mod 4, for the row dicts.
 CPython hashes a small int to itself, and a dict takes its first probe
@@ -79,11 +81,13 @@ Only a block's rows in the first degree of its generator are the rows
 u*f_{i+1}; each later degree reuses the previous one's elimination (the
 "Simplify" of Faugere's F4, and again Bardet, Faugere and Salvy).  Write
 u = x_j*v with x_j the last variable of u, the most significant digit of
-its code.  The row handed over for u is x_j times the full row, leading
-entry and tail, that v*f_{i+1} left in the echelon form of degree m - 1:
-on codes, every column plus weight_j.  That row was reduced against the
-rows before it, so it is c*v*f_{i+1}, with c a nonzero integer, plus an
-element of (f_1..f_i)_{m-1} plus rows v'*f_{i+1} with v' < v; times x_j,
+its code.  The row handed over for u is x_j times the full row that
+v*f_{i+1} left in the echelon form of degree m - 1: on codes, every
+column plus weight_j, so the stored (row, shift) is handed over as the
+same dict with its shift raised by weight_j.  That row was reduced
+against the rows before it, so it is c*v*f_{i+1}, with c a nonzero
+integer, plus an element of (f_1..f_i)_{m-1} plus rows v'*f_{i+1} with
+v' < v; times x_j,
 
     c*u*f_{i+1} + x_j*r + sum over v' < v of c_v' * (x_j*v')*f_{i+1},
 
@@ -189,13 +193,13 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
         raise ValueError("m_max must be non-negative")
     _check_budget(ideal, m_max)
     weights, bases = _packed_bases(ideal.n_vars, m_max)
-    # (degree, primitive integer terms as (code, coefficient)), by degree
-    # and then input order
+    # (degree, primitive integer terms as a dict code -> coefficient), by
+    # degree and then input order
     gens = sorted(
         (
             (
                 f.total_degree(),
-                [(sum(map(mul, weights, mono)), c) for mono, c in primitive(f.terms).items()],
+                {sum(map(mul, weights, mono)): c for mono, c in primitive(f.terms).items()},
             )
             for f in ideal.generators
         ),
@@ -223,22 +227,21 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                 # in degrevlex
                 us = [u for u in reversed(bases[m - d]) if u not in skip and u not in known]
                 if d == m:
-                    rows = [{u + mono: c for mono, c in terms} for u in us]
+                    # u*f_i is f_i's terms shifted by u
+                    rows = [terms] * len(us)
+                    shifts = us
                 else:
                     # x_j times the stored row of (u/x_j)*f_i, x_j the
-                    # last variable of u
-                    rows = []
+                    # last variable of u: that row shifted by weight_j more
+                    rows, shifts = [], []
                     col = column[i]
                     for u in us:
                         w = weights[bisect_right(weights, u) - 1]
-                        p = col[u - w]
-                        b, tail = previous[p]
-                        row = {p + w: b}
-                        for k, c in tail.items():
-                            row[k + w] = c
+                        row, s = previous[col[u - w]]
                         rows.append(row)
+                        shifts.append(s + w)
                 zero: list[int] = []
-                added = exact_rank(rows, pivots, zero)
+                added = exact_rank(rows, pivots, zero, shifts)
                 if m < m_max:
                     known.update(us[t] for t in zero)
                     redundant[i] = {u + w for u in known for w in weights}

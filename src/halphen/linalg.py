@@ -10,97 +10,122 @@ entry does not divide its own.  Pivots are taken at the smallest column
 index, so callers choose the elimination order by how they number the
 columns.
 
-A row's content is removed once, when it becomes a pivot, and only if it
-needed a reduction step: a row that arrives with a fresh leading column
-is stored as it came.  Each step's result is, up to a nonzero scalar,
-the only combination of the current row and the pivot that is zero at
-the pivot's column, so the working row is at every step a multiple of
-the one a per-step strip would keep, and a stored pivot is that same
-primitive row up to sign.  A pivot is therefore primitive when its row
-arrived primitive or needed a reduction step; every caller here hands in
+A row is a dict plus an integer shift: it stands for the map k + shift
+-> v over the dict's items.  A shift adds the same amount to every
+column, so it keeps their order, and the leading column is the dict's
+smallest key plus the shift; a caller that reuses one row in several
+places hands over the same dict with different shifts.
+
+The echelon form is a dict column -> pivot, each pivot a pair (row,
+shift) in the same form, the row in full, so that its leading entry is
+row[column - shift].  A row whose leading column is not yet a pivot is
+stored as it came, by reference, with its shift: nothing is copied.
+Only a row that needs a reduction step is copied, once, into a fresh
+dict of its shifted columns, which is reduced in place against each
+pivot's row at the pivot's shift and, if it becomes a pivot, divided by
+its content once and stored with shift 0.  No row handed over or stored
+is ever modified, and a caller must not change one while the echelon
+form is in use.  Each step's result is, up to a nonzero scalar, the only
+combination of the current row and the pivot that is zero at the pivot's
+column, so the working row is at every step a multiple of the one a
+per-step strip would keep, and a stored pivot is that same primitive row
+up to sign.  A pivot is therefore primitive when its row arrived
+primitive or needed a reduction step; every caller here hands in
 primitive rows.  The working row keeps the factors a strip after each
 step would cancel, so its entries grow until it is stored or reaches
 zero; the stored pivots do not.
 
-The echelon form is a dict column -> pivot, each pivot its leading entry
-and its tail: the dict the row was reduced in, with that entry popped,
-kept as it is.  A stored tail is only read, and the working row, a fresh
-copy of each input row, is never a stored tail.  A caller may pass in the
-dict left by earlier rows and have `exact_rank` extend it: the pivot
-columns are then the leading columns of the span of all the rows so far,
-and the return value counts only the pivots the new rows added.  Each
-row that does not reduce to zero adds exactly one key, at the end of the
-dict, so the keys a call added are, in insertion order, the pivot columns
-of its nonzero rows in row order.  A caller that also passes a list has
-the index, within this call, of each row that added no pivot appended to
-it: the rows that reduced to zero against the pivots before them, i.e.
-lie in the span of the earlier rows.
+A caller may pass in the dict left by earlier rows and have `exact_rank`
+extend it: the pivot columns are then the leading columns of the span of
+all the rows so far, and the return value counts only the pivots the new
+rows added.  Each row that does not reduce to zero adds exactly one key,
+at the end of the dict, so the keys a call added are, in insertion
+order, the pivot columns of its nonzero rows in row order.  A caller
+that also passes a list has the index, within this call, of each row
+that added no pivot appended to it: the rows that reduced to zero
+against the pivots before them, i.e. lie in the span of the earlier
+rows.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 from typing import Iterable, Mapping
 
 # column -> nonzero integer entry
 SparseRow = Mapping[int, int]
-# column -> (leading entry, the other entries as a dict column -> value)
-Pivots = dict[int, tuple[int, dict[int, int]]]
+# column -> (the full row, leading entry included, and its shift): the
+# row's entry at column k is row[k - shift]
+Pivots = dict[int, tuple[SparseRow, int]]
 
 
 def exact_rank(
-    rows: Iterable[SparseRow], pivots: Pivots | None = None, zero: list[int] | None = None
+    rows: Iterable[SparseRow],
+    pivots: Pivots | None = None,
+    zero: list[int] | None = None,
+    shifts: Iterable[int] | None = None,
 ) -> int:
     """Rank over the rationals of the matrix whose rows are sparse maps
-    column -> nonzero int.  Given the echelon form `pivots` of earlier
-    rows, extends it in place and returns by how much these rows raise
-    the rank; each nonzero row adds its pivot as one new key at the end
-    of `pivots`, in row order.  Given a list `zero`, appends to it the
-    index of each row that reduced to zero.  The input rows are left
-    unmodified.
+    column -> nonzero int, row t shifted by shifts[t]: it stands for
+    {k + shifts[t]: v}.  No shifts means every shift is 0.  Given the
+    echelon form `pivots` of earlier rows, extends it in place and returns
+    by how much these rows raise the rank; each nonzero row adds its pivot
+    (row, shift) as one new key at the end of `pivots`, in row order.
+    Given a list `zero`, appends to it the index of each row that reduced
+    to zero.
 
-    A row that arrives with a fresh leading column is stored as it came;
-    one that needed a reduction step is divided by its content once, as
-    it becomes a pivot.  So every stored pivot is primitive when
-    every input row is, and equal up to sign to the pivot that stripping
-    the content after every step would store."""
+    The input rows are never modified, but a row that arrives with a
+    fresh leading column is stored in `pivots` as it came, by reference,
+    with its shift; so a caller must not change a row after the call.  A
+    row that needed a reduction step is copied once, divided by its
+    content as it becomes a pivot and stored with shift 0.  So every
+    stored pivot is primitive when every input row is, and equal up to
+    sign to the pivot that stripping the content after every step would
+    store."""
     if pivots is None:
         pivots = {}
+    if shifts is None:
+        shifts = repeat(0)
     before = len(pivots)
-    for t, raw in enumerate(rows):
-        # a copy, not the caller's dict: bench/tracing.py reads the rows
-        # after the call (pinned by test_input_rows_are_not_modified)
-        row = dict(raw)
-        reduced = False
-        while row:
-            c = min(row)
+    for t, (raw, s) in enumerate(zip(rows, shifts)):
+        if raw:
+            c = min(raw) + s
             pivot = pivots.get(c)
             if pivot is None:
-                if reduced:
-                    g = gcd(*row.values())
-                    if g != 1:
-                        row = {k: v // g for k, v in row.items()}
-                b = row.pop(c)
-                pivots[c] = (b, row)
-                break
-            reduced = True
-            a = row.pop(c)
-            b, tail = pivot
-            # g takes the sign of b, so b > 0 after the division
-            g = gcd(a, b) if b > 0 else -gcd(a, b)
-            a, b = a // g, b // g
-            # row <- b*row - a*pivot
-            if b != 1:
-                for k in row:
-                    row[k] *= b
-            get = row.get
-            for k, v in tail.items():
-                nv = get(k, 0) - a * v
-                if nv:
-                    row[k] = nv
-                else:
-                    del row[k]
-        else:  # the row reduced to zero
-            if zero is not None:
-                zero.append(t)
+                pivots[c] = (raw, s)
+                continue
+            row = {k + s: v for k, v in raw.items()}
+            while pivot is not None:
+                a = row[c]
+                prow, ps = pivot
+                b = prow[c - ps]
+                # g takes the sign of b, so b > 0 after the division
+                g = gcd(a, b) if b > 0 else -gcd(a, b)
+                a, b = a // g, b // g
+                # row <- b*row - a*pivot, which cancels the entry at c
+                if b != 1:
+                    for k in row:
+                        row[k] *= b
+                get = row.get
+                for k, v in prow.items():
+                    k += ps
+                    nv = get(k, 0) - a * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+                if not row:
+                    break
+                c = min(row)
+                pivot = pivots.get(c)
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {k: v // g for k, v in row.items()}
+                pivots[c] = (row, 0)
+                continue
+        # the row is empty or reduced to zero
+        if zero is not None:
+            zero.append(t)
     return len(pivots) - before

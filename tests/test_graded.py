@@ -163,6 +163,12 @@ class TestClosedForms:
         table = hilbert_function_table(ideal, 6)
         assert table.values == {m: n * m + 1 for m in range(7)}
 
+    def test_twisted_cubic_to_high_degree(self, twisted_cubic):
+        # binomial rows, each degree a shift of the previous one's pivots,
+        # at a degree `halphen hilbert --max-degree 40` reaches
+        table = hilbert_function_table(twisted_cubic, 40)
+        assert table.values == {m: 3 * m + 1 for m in range(41)}
+
 
 def macaulay_hilbert(ideal, m):
     """H(m) from the rank of the full Macaulay matrix: every multiple u*f of
@@ -386,17 +392,18 @@ class TestPieceBudget:
 
 def recorded_calls(ideal, m_max):
     """Every `exact_rank` call a table makes, in call order, as (rows,
-    pivots, zero, added): the rows handed over, the echelon form they
-    extended, the indices of the rows that reduced to zero, and the keys
-    the call added to the echelon form, in the order it added them."""
+    shifts, pivots, zero, added): the rows handed over and their shifts,
+    the echelon form they extended, the indices of the rows that reduced
+    to zero, and the keys the call added to the echelon form, in the order
+    it added them."""
     calls = []
 
-    def recording_rank(rows, pivots, zero):
+    def recording_rank(rows, pivots, zero, shifts):
         before = list(pivots)
-        rank = exact_rank(rows, pivots, zero)
+        rank = exact_rank(rows, pivots, zero, shifts)
         keys = list(pivots)
         assert keys[: len(before)] == before
-        calls.append((rows, pivots, zero, keys[len(before) :]))
+        calls.append((rows, shifts, pivots, zero, keys[len(before) :]))
         return rank
 
     with pytest.MonkeyPatch.context() as patch:
@@ -420,18 +427,30 @@ def decode(code, base, n):
     return tuple(digits)
 
 
+def shifted(row, shift, leading_first):
+    """The row {k + shift: v}, in the order of `row`, or with its leading
+    entry moved to the front."""
+    out = {k + shift: v for k, v in row.items()}
+    if leading_first:
+        c = min(out)
+        out = {c: out.pop(c)} | out
+    return out
+
+
 def tuple_blocks(ideal, m_max):
     """The blocks of a table on exponent tuples, each row checked against
     the rule that built it, as (m, f, us, rows, zero, added): the degree,
     the generator, the monomial u of each row, the rows as dicts exponent
-    tuple -> coefficient with their entries in the order they were built,
-    the indices of the rows that reduced to zero, and the pivot columns the
-    block added, as exponent tuples.
+    tuple -> coefficient, the indices of the rows that reduced to zero, and
+    the pivot columns the block added, as exponent tuples.  Each row is the
+    dict handed over with its shift added to every code, its entries in the
+    dict's order; after a block's first degree its leading entry comes
+    first, as when such a row was built as a leading entry and a tail.
 
     In the first degree of f the row of u is the Macaulay row of u*f, with
     f's primitive integer coefficients.  In every later degree it is x_j
-    times the full stored row (leading entry and tail) that (u/x_j)*f left
-    in the previous degree's echelon form, x_j the last variable of u.  The
+    times the full stored row (row and shift) that (u/x_j)*f left in the
+    previous degree's echelon form, x_j the last variable of u.  The
     stored row of each nonzero row is the one at the key its block added
     for it: the added keys come in the order of the nonzero rows."""
     n = ideal.n_vars
@@ -442,7 +461,7 @@ def tuple_blocks(ideal, m_max):
     assert len(calls) == len(blocks)
     stored = {}  # i -> u -> the full stored row of u*f_i, previous degree
     out = []
-    for (m, i), (rows, pivots, zero, added) in zip(blocks, calls):
+    for (m, i), (rows, shifts, pivots, zero, added) in zip(blocks, calls):
         f = gens[i]
         d = f.total_degree()
         monos = enumerate_monomials(n, m - d)  # degrevlex-descending
@@ -460,6 +479,7 @@ def tuple_blocks(ideal, m_max):
                         for mono, c in stored[i][v].items()
                     }
         found = {frozenset(row.items()): u for u, row in expect.items()}
+        rows = [shifted(row, s, m > d) for row, s in zip(rows, shifts)]
         rows = [{decode(code, base, n): c for code, c in row.items()} for row in rows]
         us = [found.get(frozenset(row.items())) for row in rows]
         assert None not in us
@@ -470,8 +490,8 @@ def tuple_blocks(ideal, m_max):
         assert len(nonzero) == len(added)
         stored[i] = {}
         for u, p in zip(nonzero, added):
-            b, tail = pivots[p]
-            stored[i][u] = {decode(p, base, n): b} | {decode(k, base, n): c for k, c in tail.items()}
+            row = shifted(*pivots[p], True)
+            stored[i][u] = {decode(k, base, n): c for k, c in row.items()}
         out.append((m, f, us, rows, zero, [decode(p, base, n) for p in added]))
     return out
 
@@ -498,10 +518,10 @@ class TestRowReuse:
     def test_blocks_and_zero_rows_as_built_from_the_generators(self, case):
         make, m_max, _ = TestPackedMonomials.GOLDEN[case]
         calls = recorded_calls(make(), m_max)
-        text = repr([(len(rows), zero) for rows, _, zero, _ in calls])
+        text = repr([(len(rows), zero) for rows, _, _, zero, _ in calls])
         assert hashlib.sha256(text.encode()).hexdigest() == self.BLOCKS[case]
         # every row handed over is primitive
-        assert all(gcd(*row.values()) == 1 for rows, _, _, _ in calls for row in rows)
+        assert all(gcd(*row.values()) == 1 for rows, *_ in calls for row in rows)
 
     @pytest.mark.parametrize(
         "family", [with_repeated_generator, with_monomial_multiple, not_saturated, with_syzygies]

@@ -241,17 +241,18 @@ def test_input_rows_are_not_modified():
 @settings(max_examples=100)
 @given(big_integer_matrices(), st.integers(1, 7), st.integers(-3, 3).filter(bool))
 def test_stored_pivots_are_never_modified(matrix, cut, s):
-    # a pivot's tail is the dict its row was reduced in: extending the echelon
-    # form, by fresh rows and by multiples of the rows already in it, which
-    # all reduce against the old pivots, must leave every old pivot as it was
+    # a pivot keeps the dict its row was stored or reduced in: extending the
+    # echelon form, by fresh rows and by multiples of the rows already in
+    # it, which all reduce against the old pivots, must leave every old
+    # pivot as it was
     rows, n_cols = matrix
     first, rest = integer_rows(rows[:cut]), integer_rows(rows[cut:])
     pivots = {}
     exact_rank(first, pivots)
-    before = {c: (b, dict(tail)) for c, (b, tail) in pivots.items()}
+    before = {c: pivot_entries(pivots, c) for c in pivots}
     zero = []
     exact_rank(rest + [{k: s * v for k, v in row.items()} for row in first], pivots, zero)
-    assert {c: pivots[c] for c in before} == before
+    assert {c: pivot_entries(pivots, c) for c in before} == before
     assert zero[-len(first):] == list(range(len(rest), len(rest) + len(first)))
     assert len(pivots) == naive_rank(rows, n_cols)
 
@@ -261,9 +262,27 @@ def test_modp_rejects_column_outside_matrix():
         modp_rank([{3: 1}], 3)
 
 
+def materialised(rows, shifts):
+    """Each row with its shift added to every column."""
+    return [{k + s: v for k, v in row.items()} for row, s in zip(rows, shifts)]
+
+
+def pivot_entries(pivots, c):
+    """The pivot at column c as (b, tail): its row in its own column's
+    coordinates, the leading entry b at c and the other entries as a dict."""
+    row, shift = pivots[c]
+    tail = {k + shift: v for k, v in row.items()}
+    return tail.pop(c), tail
+
+
 def monic(pivots):
-    """Each pivot (b, tail) of `exact_rank` divided by its leading entry."""
-    return {c: {k: Fraction(v, b) for k, v in tail.items()} for c, (b, tail) in pivots.items()}
+    """Each pivot of `exact_rank` divided by its leading entry, as column ->
+    the other entries."""
+    out = {}
+    for c in pivots:
+        b, tail = pivot_entries(pivots, c)
+        out[c] = {k: Fraction(v, b) for k, v in tail.items()}
+    return out
 
 
 @settings(max_examples=100)
@@ -290,9 +309,9 @@ def test_pivots_equal_the_sequential_reference_on_a_rank_table(monkeypatch):
     # over, grouped by the echelon form of their degree
     calls = []
 
-    def recording_rank(rows, pivots, zero):
-        calls.append((rows, pivots))
-        return exact_rank(rows, pivots, zero)
+    def recording_rank(rows, pivots, zero, shifts):
+        calls.append((materialised(rows, shifts), pivots))
+        return exact_rank(rows, pivots, zero, shifts)
 
     monkeypatch.setattr(graded, "exact_rank", recording_rank)
     hilbert_function_table(parse_ideal_file(ci_text(random.Random(7), (3, 3, 3))), 8)
@@ -310,7 +329,9 @@ def test_stored_pivots_are_primitive(matrix):
     rows, _ = matrix
     pivots = {}
     exact_rank(integer_rows(rows), pivots)
-    assert all(gcd(b, *tail.values()) == 1 for b, tail in pivots.values())
+    for c in pivots:
+        b, tail = pivot_entries(pivots, c)
+        assert gcd(b, *tail.values()) == 1
 
 
 def test_a_row_with_a_fresh_leading_column_costs_no_gcd(monkeypatch):
@@ -329,3 +350,50 @@ def test_an_empty_row_reduces_to_zero():
     zero = []
     assert exact_rank([{0: 1}, {}, {0: 2}], None, zero) == 1
     assert zero == [1, 2]
+
+
+@st.composite
+def shifted_rows(draw):
+    """Sparse integer rows, some empty, each a dict from a small pool, so
+    that one dict comes back with several shifts, as `graded` hands its
+    stored rows over; and a non-negative shift per row."""
+    pool = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, 5), st.integers(-20, 20).filter(bool), max_size=5),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
+    shifts = draw(st.lists(st.integers(0, 4), min_size=len(picks), max_size=len(picks)))
+    return [pool[k] for k in picks], shifts
+
+
+@settings(max_examples=150)
+@given(shifted_rows(), shifted_rows())
+def test_shifted_rows_give_the_echelon_form_of_their_materialised_rows(first, more):
+    rows, shifts = first
+    flat = materialised(rows, shifts)
+    pivots, zero = {}, []
+    flat_pivots, flat_zero = {}, []
+    rank = exact_rank(rows, pivots, zero, shifts)
+    assert rank == exact_rank(flat, flat_pivots, flat_zero)
+    assert zero == flat_zero
+    assert list(pivots) == list(flat_pivots)
+    assert {c: pivot_entries(pivots, c) for c in pivots} == {
+        c: pivot_entries(flat_pivots, c) for c in flat_pivots
+    }
+    assert monic(pivots) == sequential_echelon(flat)
+    # extending the echelon form leaves every stored row, and the rows
+    # handed over, as they were
+    rows2, shifts2 = more
+    flat2 = materialised(rows2, shifts2)
+    stored = {c: (row, dict(row), shift) for c, (row, shift) in pivots.items()}
+    inputs = [dict(row) for row in rows + rows2]
+    exact_rank(rows2, pivots, None, shifts2)
+    exact_rank(flat2, flat_pivots)
+    assert list(pivots) == list(flat_pivots)
+    for c, (row, copy, shift) in stored.items():
+        assert pivots[c][0] is row and row == copy and pivots[c][1] == shift
+    assert rows + rows2 == inputs
+    assert monic(pivots) == sequential_echelon(flat + flat2)
