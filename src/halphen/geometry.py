@@ -78,7 +78,15 @@ def jacobian_rank_at(ideal: IdealSpec, p: ProjectivePoint) -> int:
 
 
 def is_smooth_at(ideal: IdealSpec, p: ProjectivePoint, curve_codim: int) -> bool:
-    """Smooth iff the Jacobian at p has rank equal to the codimension."""
+    """Whether the Jacobian at p has rank equal to curve_codim.
+
+    The Jacobian criterion proves p a regular point only when curve_codim
+    is the codimension of the scheme at p, its local one.  The caller
+    passes the global codimension, read off the Hilbert polynomial, so at
+    a point where the local dimension differs this is no proof of
+    regularity: (y, xz, xw^2) is a line plus a length-2 point at
+    (1:0:0:0), whose local ring k[w]/(w^2) is not regular, yet there the
+    rank is 2, the global codimension, and the answer is True."""
     return jacobian_rank_at(ideal, p) == curve_codim
 
 

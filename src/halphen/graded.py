@@ -28,7 +28,11 @@ each row; that order keeps the coefficients small on these matrices.
 Each generator's terms are packed once, into one dict code -> coefficient,
 and the row of u*f is that dict handed to `exact_rank` with shift u: a
 column of u*f is one int addition, which `exact_rank` makes as it reads
-the row, and no row dict is built here.
+the row, and no row dict is built here.  Each row's leading column is
+handed over with it, so that `exact_rank` need not take the `min` of the
+row: in a block's first degree it is u plus the smallest code of f, found
+once per generator, and in each later degree it is the pivot column of
+the stored row plus weight_j (below), which the table looks up anyway.
 
 B is the smallest base above m_max that is 2 mod 4, for the row dicts.
 CPython hashes a small int to itself, and a dict takes its first probe
@@ -230,18 +234,23 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                     # u*f_i is f_i's terms shifted by u
                     rows = [terms] * len(us)
                     shifts = us
+                    lead = min(terms)
+                    leads = [lead + u for u in us]
                 else:
                     # x_j times the stored row of (u/x_j)*f_i, x_j the
-                    # last variable of u: that row shifted by weight_j more
-                    rows, shifts = [], []
+                    # last variable of u: that row shifted by weight_j
+                    # more, led by its pivot column plus weight_j
+                    rows, shifts, leads = [], [], []
                     col = column[i]
                     for u in us:
                         w = weights[bisect_right(weights, u) - 1]
-                        row, s = previous[col[u - w]]
+                        c = col[u - w]
+                        row, s = previous[c]
                         rows.append(row)
                         shifts.append(s + w)
+                        leads.append(c + w)
                 zero: list[int] = []
-                added = exact_rank(rows, pivots, zero, shifts)
+                added = exact_rank(rows, pivots, zero, shifts, leads)
                 if m < m_max:
                     known.update(us[t] for t in zero)
                     redundant[i] = {u + w for u in known for w in weights}

@@ -14,7 +14,13 @@ A row is a dict plus an integer shift: it stands for the map k + shift
 -> v over the dict's items.  A shift adds the same amount to every
 column, so it keeps their order, and the leading column is the dict's
 smallest key plus the shift; a caller that reuses one row in several
-places hands over the same dict with different shifts.
+places hands over the same dict with different shifts.  A caller that
+already knows a row's leading column may hand it over as the row's lead,
+which spares the `min` over the row; a given lead must equal min(row) +
+shift.  That is not checked here, since the check would cost the very
+`min` the lead saves: the tests check it for every caller that passes
+leads.  A row that needs a reduction step finds each later leading
+column with `min` over the working row.
 
 The echelon form is a dict column -> pivot, each pivot a pair (row,
 shift) in the same form, the row in full, so that its leading entry is
@@ -65,15 +71,20 @@ def exact_rank(
     pivots: Pivots | None = None,
     zero: list[int] | None = None,
     shifts: Iterable[int] | None = None,
+    leads: Iterable[int | None] | None = None,
 ) -> int:
     """Rank over the rationals of the matrix whose rows are sparse maps
     column -> nonzero int, row t shifted by shifts[t]: it stands for
-    {k + shifts[t]: v}.  No shifts means every shift is 0.  Given the
-    echelon form `pivots` of earlier rows, extends it in place and returns
-    by how much these rows raise the rank; each nonzero row adds its pivot
-    (row, shift) as one new key at the end of `pivots`, in row order.
-    Given a list `zero`, appends to it the index of each row that reduced
-    to zero.
+    {k + shifts[t]: v}.  No shifts means every shift is 0.  A lead
+    leads[t] that is not None is taken as row t's leading column, so it
+    must equal min(rows[t]) + shifts[t]; it is not checked, and it is
+    ignored on an empty row.  No leads, or None, means compute it.  Rows,
+    shifts and leads are each read once, so each may be a one-shot
+    iterator.  Given the echelon form `pivots` of earlier rows, extends it
+    in place and returns by how much these rows raise the rank; each
+    nonzero row adds its pivot (row, shift) as one new key at the end of
+    `pivots`, in row order.  Given a list `zero`, appends to it the index
+    of each row that reduced to zero.
 
     The input rows are never modified, but a row that arrives with a
     fresh leading column is stored in `pivots` as it came, by reference,
@@ -87,10 +98,13 @@ def exact_rank(
         pivots = {}
     if shifts is None:
         shifts = repeat(0)
+    if leads is None:
+        leads = repeat(None)
     before = len(pivots)
-    for t, (raw, s) in enumerate(zip(rows, shifts)):
+    for t, (raw, s, c) in enumerate(zip(rows, shifts, leads)):
         if raw:
-            c = min(raw) + s
+            if c is None:
+                c = min(raw) + s
             pivot = pivots.get(c)
             if pivot is None:
                 pivots[c] = (raw, s)

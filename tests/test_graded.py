@@ -1,9 +1,11 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,21 @@ from halphen.linalg import exact_rank
 from halphen.parsing import parse_ideal_file, parse_polynomial
 from halphen.poly import IdealSpec, Polynomial, primitive
 
-from conftest import RING3, RING4, dense_form, integer_rows, load_ideal, nonzero_rationals, random_rnc
+from conftest import (
+    FIXTURES,
+    RING3,
+    RING4,
+    dense_form,
+    integer_rows,
+    load_ideal,
+    nonzero_rationals,
+    random_rnc,
+)
 from reference import enumerate_monomials
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from workloads import Rank  # noqa: E402
 
 
 def principal(f_text, ring):
@@ -395,12 +410,14 @@ def recorded_calls(ideal, m_max):
     shifts, pivots, zero, added): the rows handed over and their shifts,
     the echelon form they extended, the indices of the rows that reduced
     to zero, and the keys the call added to the echelon form, in the order
-    it added them."""
+    it added them.  Asserts that every lead handed over is its row's
+    leading column."""
     calls = []
 
-    def recording_rank(rows, pivots, zero, shifts):
+    def recording_rank(rows, pivots, zero, shifts, leads):
+        assert leads == [min(row) + s for row, s in zip(rows, shifts)]
         before = list(pivots)
-        rank = exact_rank(rows, pivots, zero, shifts)
+        rank = exact_rank(rows, pivots, zero, shifts, leads)
         keys = list(pivots)
         assert keys[: len(before)] == before
         calls.append((rows, shifts, pivots, zero, keys[len(before) :]))
@@ -621,3 +638,30 @@ class TestPackedMonomials:
                 # degrevlex-descending is ascending code within a degree
                 assert all(a < b for a, b in zip(codes, codes[1:]))
                 assert [decode(code, base, n) for code in codes] == enumerate_monomials(n, m)
+
+
+def traced_tables():
+    """Each fixture's table to degree 6, and each table of the rank
+    benchmark's seed-1 round 0, as a call."""
+    for path in sorted(FIXTURES.glob("*.ideal")):
+        ideal = parse_ideal_file(path.read_text())
+        yield pytest.param(lambda ideal=ideal: hilbert_function_table(ideal, 6), id=path.stem)
+    for op in Rank(1).round_ops(0):
+        yield pytest.param(op.call, id=op.family)
+
+
+@pytest.mark.parametrize("table", traced_tables())
+def test_exact_rank_calls_as_the_benchmark_tracer_reads_them(table, monkeypatch):
+    # bench/tracing.py counts the rows of each call as len(args[0])
+    calls = []
+
+    def recording_rank(rows, pivots, zero, shifts, leads):
+        calls.append((rows, list(shifts), list(leads)))
+        return exact_rank(rows, pivots, zero, shifts, leads)
+
+    monkeypatch.setattr(graded, "exact_rank", recording_rank)
+    table()
+    assert calls
+    for rows, shifts, leads in calls:
+        assert type(rows) is list
+        assert leads == [min(row) + s for row, s in zip(rows, shifts)]

@@ -309,9 +309,9 @@ def test_pivots_equal_the_sequential_reference_on_a_rank_table(monkeypatch):
     # over, grouped by the echelon form of their degree
     calls = []
 
-    def recording_rank(rows, pivots, zero, shifts):
+    def recording_rank(rows, pivots, zero, shifts, leads):
         calls.append((materialised(rows, shifts), pivots))
-        return exact_rank(rows, pivots, zero, shifts)
+        return exact_rank(rows, pivots, zero, shifts, leads)
 
     monkeypatch.setattr(graded, "exact_rank", recording_rank)
     hilbert_function_table(parse_ideal_file(ci_text(random.Random(7), (3, 3, 3))), 8)
@@ -397,3 +397,44 @@ def test_shifted_rows_give_the_echelon_form_of_their_materialised_rows(first, mo
         assert pivots[c][0] is row and row == copy and pivots[c][1] == shift
     assert rows + rows2 == inputs
     assert monic(pivots) == sequential_echelon(flat + flat2)
+
+
+def stored(pivots, rows):
+    """The echelon form as (column, shift, the index of the first input
+    row that is the stored row itself, or None and the row's items for a
+    row stored as a copy)."""
+    out = []
+    for c, (row, shift) in pivots.items():
+        t = next((t for t, raw in enumerate(rows) if raw is row), None)
+        out.append((c, shift, t, None if t is not None else sorted(row.items())))
+    return out
+
+
+@settings(max_examples=150)
+@given(shifted_rows(), shifted_rows(), st.data())
+def test_given_leads_change_nothing(first, more, data):
+    # the second rows extend the first rows' echelon form, so that a lead
+    # may also start a reduction
+    rows, shifts = first
+    base = {}
+    exact_rank(rows, base, None, shifts)
+    rows2, shifts2 = more
+    leads = [
+        data.draw(st.sampled_from([min(row) + s, None])) if row else data.draw(st.integers(-9, 9))
+        for row, s in zip(rows2, shifts2)
+    ]
+    pivots, zero = dict(base), []
+    rank = exact_rank(rows2, pivots, zero, shifts2)
+    given_pivots, given_zero = dict(base), []
+    assert exact_rank(rows2, given_pivots, given_zero, shifts2, leads) == rank
+    assert given_zero == zero
+    assert list(given_pivots) == list(pivots)
+    inputs = rows + rows2
+    assert stored(given_pivots, inputs) == stored(pivots, inputs)
+    # rows, shifts and leads as one-shot iterators, read once each, with
+    # and without leads
+    for once_leads in (iter(leads), None):
+        once_pivots, once_zero = dict(base), []
+        assert exact_rank(iter(rows2), once_pivots, once_zero, iter(shifts2), once_leads) == rank
+        assert once_zero == zero
+        assert stored(once_pivots, inputs) == stored(pivots, inputs)
