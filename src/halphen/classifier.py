@@ -14,10 +14,11 @@ one category; the bounds depend on d only and stay functions of d.
 Within one degree the flags change only at a few genera: at each quadric
 genus and the one after it, after G(d, 3), and at and after the plane
 bound.  The region is kept as each degree's runs (start, stop, flags)
-between two such genera: _verdict, the code classify runs, classifies the
-run's first row, and the run's other rows repeat its flags.
-region_table makes those runs and returns a read-only sequence of
-Verdicts over them, which makes a Verdict only for a row that is read.
+between two such genera.  _flags is the one rule behind classify and the
+runs: a run holds the flags it gives the run's first row, one of eight
+shared tuples.  region_table makes those runs and returns a read-only
+sequence of Verdicts over them, which makes a Verdict only for a row that
+is read.
 region_chunks is the one renderer: it takes the runs from region_table,
 which it calls through the module (a traced benchmark run wraps it there),
 and writes each run as one chunk and makes no row.  A CSV run is one join
@@ -26,11 +27,11 @@ category alone, one join of the coordinate and genus strings of its
 circles.  The CLI streams those chunks, and region_csv and region_svg
 are their join.
 
-The SVG overlays the parabolas G(d, s) without their correction term,
-s = 1, 2, 3, at d = n/q on a grid of step 1/q.  Each point is computed in
-integers as num/(2s q^2) and converted by int / int, which is correctly
-rounded, so it is the same float, and the SVG the same bytes, as the
-point computed with Fractions.
+The SVG's circle centres are integers, written as N.00.  It overlays the
+parabolas G(d, s) without their correction term, s = 1, 2, 3, at d = n/q
+on a grid of step 1/q.  Each point is computed in integers as
+num/(2s q^2) and converted by int / int, which is correctly rounded, so
+it is the same float, and the SVG the same bytes, as with Fractions.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 from math import comb, isqrt
 from typing import NamedTuple
 
@@ -128,41 +129,47 @@ def classify(d: int, g: int) -> Verdict:
 
 
 def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
-    """The category is the first regime that holds, in the order
-    gp-region, quadric, plane-only; nonexistent if none does.  g is an
+    return _new_verdict((d, g, *_flags(d, g, plane, gp_floor)))
+
+
+# a Verdict's five flags by its three regime flags; the category is the first
+# regime that holds, gp-region, quadric, plane-only, else nonexistent
+_FLAGS = {
+    (plane, on_q, off_q): (plane, on_q, off_q, cat != CATEGORY_NONEXISTENT, cat)
+    for plane, on_q, off_q in product((False, True), repeat=3)
+    for cat in [
+        CATEGORY_GP if off_q
+        else CATEGORY_QUADRIC if on_q
+        else CATEGORY_PLANE_ONLY if plane
+        else CATEGORY_NONEXISTENT
+    ]
+}
+
+
+def _flags(d: int, g: int, plane: int, gp_floor: int) -> tuple[bool, bool, bool, bool, str]:
+    """The flags of (d, g) as one of the eight tuples of _FLAGS.  g is an
     integer, so g <= gp iff g <= floor(gp) = G(d, 3) = gp_floor: if 3 | d
     the parabola gp is an integer and r = 0, else gp is an integer minus
     1/3 and the correction r(3-r)/3 is 2/3."""
     # g = (a-1)(b-1) with a + b = d iff a-1 and b-1 are the integer roots of
     # t^2 - (d-2)t + g, i.e. iff the discriminant is a perfect square
     disc = (d - 2) ** 2 - 4 * g
-    exists_plane = g == plane
-    exists_on_quadric = d >= 2 and disc >= 0 and isqrt(disc) ** 2 == disc
-    exists_off_quadric = g <= gp_floor
-    cat = (
-        CATEGORY_GP if exists_off_quadric
-        else CATEGORY_QUADRIC if exists_on_quadric
-        else CATEGORY_PLANE_ONLY if exists_plane
-        else CATEGORY_NONEXISTENT
-    )
-    return Verdict(
-        d, g, exists_plane, exists_on_quadric, exists_off_quadric, cat != CATEGORY_NONEXISTENT, cat
-    )
+    on_quadric = d >= 2 and disc >= 0 and isqrt(disc) ** 2 == disc
+    return _FLAGS[g == plane, on_quadric, g <= gp_floor]
 
 
 def _degree_runs(d: int) -> list[Run]:
     """The rows g = 0 .. plane_bound(d) of degree d as runs (start, stop,
-    flags) of equal flags.  A flag of _verdict changes only where g reaches
-    or passes a quadric genus, passes G(d, 3), or reaches or passes the
-    plane bound; _verdict classifies the first row of each run between
-    those genera."""
+    flags) of equal flags.  A flag changes only where g reaches or passes
+    a quadric genus, passes G(d, 3), or reaches or passes the plane bound;
+    each run holds the shared tuple that _flags gives its first row."""
     plane, gp_floor = plane_bound(d), halphen_bound(d, 3)
     cuts = {0, plane, plane + 1, min(gp_floor, plane) + 1}
     for q in quadric_genera(d):
         cuts.update((q, q + 1))
     cuts = sorted(cuts)
     return [
-        (start, stop, _verdict(d, start, plane, gp_floor)[2:])
+        (start, stop, _flags(d, start, plane, gp_floor))
         for start, stop in zip(cuts, cuts[1:])
     ]
 
@@ -295,22 +302,25 @@ def _svg_chunks(degrees: list[list[Run]], d_max: int) -> Iterator[str]:
     # rounded, so n / q and num / den are the floats of those Fractions
     q = 8 * d_max
     grid = [q + i * (d_max - 1) for i in range(q + 1)]
+    grid_xs = [f"{x(n / q):.2f}," for n in grid]
     for s, color in ((1, "#c05621"), (2, "#2f855a"), (3, "#2b6cb0")):
         den = 2 * s * q * q
         top = (g_max + 1) * den
         points = []
-        for n in grid:
+        for n, grid_x in zip(grid, grid_xs):
             num = _parabola_numerator(n, q, s)
             if 0 <= num <= top:
-                points.append(f"{x(n / q):.2f},{y(num / den):.2f}")
+                points.append(f"{grid_x}{y(num / den):.2f}")
         if len(points) > 1:
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'stroke-dasharray="4 3" points="{" ".join(points)}"/>'
             )
     yield "\n".join(out) + "\n"
-    xs = [f"{x(d):.2f}" for d in range(d_max + 1)]
-    ys = [f"{y(g):.2f}" for g in range(g_max + 1)]
+    # the centres x(d) = 24d + 38 and y(g) = 24(g_max - g) + 62 are integers
+    cell, x0, y0 = int(_CELL), int(x(0)), int(y(g_max))
+    xs = [f"{cell * d + x0}.00" for d in range(d_max + 1)]
+    ys = [f"{cell * (g_max - g) + y0}.00" for g in range(g_max + 1)]
     gs = list(map(str, range(g_max + 1)))
     for d, runs in enumerate(degrees, 1):
         head = f'<circle cx="{xs[d]}" cy="'

@@ -233,7 +233,7 @@ class TestRegionTable:
         def never(*args):
             raise AssertionError("a row was classified")
 
-        monkeypatch.setattr(classifier, "_verdict", never)
+        monkeypatch.setattr(classifier, "_flags", never)
         with pytest.raises(RegionBudgetExceeded) as exc:
             region_table(1_000_000)
         rows = comb(1_000_000, 3) + 1_000_000
@@ -353,19 +353,29 @@ class TestRegionTable:
             with pytest.raises(IndexError):
                 rows[k]
 
-    # _verdict classifies the first row of each run, not every row: a
-    # degree's runs start at 0, at each quadric genus and the one after
+    # _flags classifies the first row of each run, once, and no other row:
+    # a degree's runs start at 0, at each quadric genus and the one after
     # it, after G(d, 3), and at and after the plane bound
     def test_verdict_once_per_run(self, monkeypatch):
-        verdict, calls = classifier._verdict, []
+        flags, calls = classifier._flags, []
 
         def counting(*args):
             calls.append(args)
-            return verdict(*args)
+            return flags(*args)
 
-        monkeypatch.setattr(classifier, "_verdict", counting)
-        assert len(region_table(60)) == comb(60, 3) + 60
+        monkeypatch.setattr(classifier, "_flags", counting)
+        table = region_table(60)
+        assert len(table) == comb(60, 3) + 60
+        assert len(calls) == sum(map(len, table.degrees))
         assert len(calls) <= sum(2 * len(quadric_genera(d)) + 4 for d in range(1, 61))
+
+    # every run holds one of the eight shared flag tuples, not a copy, so a
+    # run costs the table three references whatever its flags
+    def test_runs_share_the_eight_flag_tuples(self):
+        shared = {id(flags) for flags in classifier._FLAGS.values()}
+        assert len(shared) == 8
+        degrees = region_table(145).degrees
+        assert all(id(flags) in shared for runs in degrees for _, _, flags in runs)
 
 
 class TestEmitters:
@@ -431,6 +441,13 @@ class TestEmitters:
             "1a5c865d17a153da459fa53920a779e3f26a549085770984c9f37808a9f6c7b2",
             "6c62b6dc891817a5a384e021f0e5b58c78c8228b9a3df0cb50d5a90325021e7f",
         ),
+        # recorded at commit 531401f, before the runs held shared flag tuples
+        # and the circle centres were written from integers; 145 is the
+        # largest d_max the budget admits
+        145: (
+            "e9c2081fbd06ac78a97670e25aeb1f9f7cecc623a75dd990a4a979797712b06e",
+            "e19182a1e08623801cc894e64f0fa6ab2c1ddc9d039930c9a0a97f1726932bb6",
+        ),
     }
 
     @pytest.mark.parametrize("d_max", sorted(GOLDEN_SHA256))
@@ -458,8 +475,9 @@ class TestEmitters:
 
     # circle k is row k of the table, apart from the goldens: its title
     # names the row, its fill is the category's color, and its centre is
-    # the row's column and genus coordinates
-    @pytest.mark.parametrize("d_max", [7, 30, 46])
+    # the row's column and genus coordinates, computed here in floats;
+    # 145 is the largest d_max the budget admits
+    @pytest.mark.parametrize("d_max", [7, 30, 46, 145])
     def test_svg_circle_per_row(self, d_max):
         circles = re.findall(
             r'<circle cx="([^"]*)" cy="([^"]*)" r="6" fill="([^"]*)">'
