@@ -39,7 +39,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, product, repeat
 from math import comb, isqrt
 from typing import NamedTuple
@@ -74,12 +73,6 @@ class Verdict(NamedTuple):
 
 # one degree's rows start to stop - 1, all with these five flags of a Verdict
 Run = tuple[int, int, tuple[bool, bool, bool, bool, str]]
-
-# a row of a RegionTable from an iterable of its seven fields, made by
-# tuple.__new__ in C; Verdict(...) also goes through type.__call__ and the
-# generated __new__, and Verdict._make also checks the length.  Only rows
-# that are read are made here; region_chunks makes none.
-_new_verdict = partial(tuple.__new__, Verdict)
 
 
 def halphen_bound(d: int, s: int) -> int:
@@ -125,11 +118,7 @@ def classify(d: int, g: int) -> Verdict:
         raise ValueError("degree must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    return _verdict(d, g, plane_bound(d), halphen_bound(d, 3))
-
-
-def _verdict(d: int, g: int, plane: int, gp_floor: int) -> Verdict:
-    return _new_verdict((d, g, *_flags(d, g, plane, gp_floor)))
+    return Verdict._make((d, g, *_flags(d, g, plane_bound(d), halphen_bound(d, 3))))
 
 
 # a Verdict's five flags by its three regime flags; the category is the first
@@ -193,7 +182,7 @@ class RegionTable(Sequence[Verdict]):
         for d, runs in enumerate(self.degrees, 1):
             for start, stop, flags in runs:
                 rows = zip(repeat(d), range(start, stop), *map(repeat, flags))
-                yield from map(_new_verdict, rows)
+                yield from map(Verdict._make, rows)
 
     def __getitem__(self, k: int | slice) -> Verdict | list[Verdict]:
         # range does the list's index arithmetic: negative indices, slices
@@ -205,7 +194,7 @@ class RegionTable(Sequence[Verdict]):
         d = bisect_right(self._starts, k)
         g = k - self._starts[d - 1]
         flags = next(flags for _, stop, flags in self.degrees[d - 1] if g < stop)
-        return _new_verdict((d, g, *flags))
+        return Verdict._make((d, g, *flags))
 
 
 def region_table(d_max: int) -> RegionTable:

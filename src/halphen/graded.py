@@ -25,14 +25,14 @@ is the last variable where the exponents differ, and the smaller
 exponent there is the bigger monomial in degrevlex.  So `exact_rank`,
 which pivots on the smallest column, pivots on the largest monomial of
 each row; that order keeps the coefficients small on these matrices.
-Each generator's terms are packed once, into one dict code -> coefficient,
-and the row of u*f is that dict handed to `exact_rank` with shift u: a
-column of u*f is one int addition, which `exact_rank` makes as it reads
-the row, and no row dict is built here.  Each row's leading column is
-handed over with it, so that `exact_rank` need not take the `min` of the
-row: in a block's first degree it is u plus the smallest code of f, found
-once per generator, and in each later degree it is the pivot column of
-the stored row plus weight_j (below), which the table looks up anyway.
+Each generator's terms are packed once, into one dict code -> coefficient.
+In a block's first degree the only u is 1, so the block has one row, f
+itself: that dict handed to `exact_rank` with shift 0.  Every later row
+is a stored dict handed over with a shift (below): a column is one int
+addition, which `exact_rank` makes as it reads the row, and no row dict
+is built here.  Each row's leading column is handed over with it, so that
+`exact_rank` need not take the row's `min`: the smallest code of f in the
+first degree, then the stored row's pivot column plus weight_j (below).
 
 B is the smallest base above m_max that is 2 mod 4, for the row dicts.
 CPython hashes a small int to itself, and a dict takes its first probe
@@ -222,20 +222,18 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     for m in range(m_max + 1):
         pivots: Pivots = {}
         for i, (d, terms) in enumerate(gens):
-            if i and m + d <= m_max:
+            if m + d <= m_max:
                 leading[i, m] = set(pivots)
             if d <= m:
-                skip = leading.pop((i, m - d), set())
+                skip = leading.pop((i, m - d))
                 known = redundant.pop(i, set()) - skip
                 # smallest u first: a basis ascends in code, so descends
                 # in degrevlex
                 us = [u for u in reversed(bases[m - d]) if u not in skip and u not in known]
                 if d == m:
-                    # u*f_i is f_i's terms shifted by u
-                    rows = [terms] * len(us)
-                    shifts = us
-                    lead = min(terms)
-                    leads = [lead + u for u in us]
+                    # us is [0] or []: one row, f_i itself, with shift 0,
+                    # led by f_i's smallest code
+                    rows, shifts, leads = [terms] * len(us), us, [min(terms)] * len(us)
                 else:
                     # x_j times the stored row of (u/x_j)*f_i, x_j the
                     # last variable of u: that row shifted by weight_j

@@ -459,13 +459,14 @@ class TestEmitters:
         assert digests == self.GOLDEN_SHA256[d_max]
 
     # the renderers and the stream write each run of rows at once and make
-    # no row: with the maker of rows refusing, they still give the goldens
+    # no row: with Verdict._make, the one maker of rows, refusing, they
+    # still give the goldens, and reading a row of the table fails
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_rendering_makes_no_row(self, monkeypatch, fmt):
         def never(*args):
             raise AssertionError("a row was made")
 
-        monkeypatch.setattr(classifier, "_new_verdict", never)
+        monkeypatch.setattr(classifier.Verdict, "_make", never)
         render = region_csv if fmt == "csv" else region_svg
         golden = self.GOLDEN_SHA256[30][fmt == "svg"]
         for text in (render(30), "".join(region_chunks(30, fmt))):

@@ -477,6 +477,21 @@ class TestSmoothAtCommand:
         assert payload["smooth"] is True
         assert payload["jacobian_rank"] == 2
 
+    # (y, xz, xw^2) is the line x = y = 0 plus a length-2 point at 1:0:0:0,
+    # whose local ring k[w]/(w^2) is not regular; smooth-at compares the
+    # Jacobian rank there with the global codimension, which the local
+    # dimension does not match, and answers "smooth": true
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1 and CHANGES.md FOUND line 89: smooth-at uses the global codimension",
+    )
+    def test_non_reduced_isolated_point_is_not_smooth(self, tmp_path, capsys):
+        path = tmp_path / "line_and_double_point.ideal"
+        path.write_text("ring x y z w\ny\nx*z\nx*w^2\n")
+        code, out, _ = run(capsys, "smooth-at", "--ideal", str(path), "--point", "1:0:0:0")
+        assert '"smooth": true' not in out
+
     def test_point_off_variety(self, capsys):
         code, _, err = run(
             capsys, "smooth-at", "--ideal", fixture("c0"), "--point", "1:1:0:0"

@@ -464,42 +464,52 @@ def tuple_blocks(ideal, m_max):
     dict's order; after a block's first degree its leading entry comes
     first, as when such a row was built as a leading entry and a tail.
 
-    In the first degree of f the row of u is the Macaulay row of u*f, with
-    f's primitive integer coefficients.  In every later degree it is x_j
-    times the full stored row (row and shift) that (u/x_j)*f left in the
-    previous degree's echelon form, x_j the last variable of u.  The
-    stored row of each nonzero row is the one at the key its block added
-    for it: the added keys come in the order of the nonzero rows."""
+    Each row is matched to its u by what was handed over, not by its
+    entries, which two u of one block may share (one of them then reduces
+    to zero).  In the first degree of f the shift is the code of u, and
+    the row is the Macaulay row of u*f, with f's primitive integer
+    coefficients.  In every later degree the row of u is the very stored
+    row (row and shift) that (u/x_j)*f left in the previous degree's
+    echelon form, x_j the last variable of u, with its shift raised by
+    B^j, and its entries are x_j times that row's.  The stored row of each
+    nonzero row is the one at the key its block added for it: the added
+    keys come in the order of the nonzero rows."""
     n = ideal.n_vars
     base = code_base(m_max)
     gens = sorted(ideal.generators, key=Polynomial.total_degree)
     blocks = [(m, i) for m in range(m_max + 1) for i, f in enumerate(gens) if f.total_degree() <= m]
     calls = recorded_calls(ideal, m_max)
     assert len(calls) == len(blocks)
-    stored = {}  # i -> u -> the full stored row of u*f_i, previous degree
+    # i -> u -> the stored row and shift of u*f_i in the previous degree,
+    # and the row's entries on exponent tuples
+    stored = {}
     out = []
-    for (m, i), (rows, shifts, pivots, zero, added) in zip(blocks, calls):
+    for (m, i), (handed, shifts, pivots, zero, added) in zip(blocks, calls):
         f = gens[i]
         d = f.total_degree()
         monos = enumerate_monomials(n, m - d)  # degrevlex-descending
         if m == d:
             terms = primitive(f.terms)
             expect = {u: {tuple(map(add, u, mono)): c for mono, c in terms.items()} for u in monos}
+            by_handover = {sum(e * base**k for k, e in enumerate(u)): u for u in monos}
+            us = [by_handover.get(s) for s in shifts]
         else:
-            expect = {}
+            expect, by_handover = {}, {}
             for u in monos:
                 j = max(k for k, e in enumerate(u) if e)
                 v = u[:j] + (u[j] - 1,) + u[j + 1 :]
                 if v in stored[i]:
+                    row, s, entries = stored[i][v]
                     expect[u] = {
-                        mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c
-                        for mono, c in stored[i][v].items()
+                        mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c for mono, c in entries.items()
                     }
-        found = {frozenset(row.items()): u for u, row in expect.items()}
-        rows = [shifted(row, s, m > d) for row, s in zip(rows, shifts)]
-        rows = [{decode(code, base, n): c for code, c in row.items()} for row in rows]
-        us = [found.get(frozenset(row.items())) for row in rows]
+                    by_handover[id(row), s + base**j] = u
+            assert len(by_handover) == len(expect)
+            us = [by_handover.get((id(row), s)) for row, s in zip(handed, shifts)]
         assert None not in us
+        rows = [shifted(row, s, m > d) for row, s in zip(handed, shifts)]
+        rows = [{decode(code, base, n): c for code, c in row.items()} for row in rows]
+        assert rows == [expect[u] for u in us]
         # u increases within the block
         position = {u: k for k, u in enumerate(monos)}
         assert all(position[a] > position[b] for a, b in zip(us, us[1:]))
@@ -507,8 +517,9 @@ def tuple_blocks(ideal, m_max):
         assert len(nonzero) == len(added)
         stored[i] = {}
         for u, p in zip(nonzero, added):
-            row = shifted(*pivots[p], True)
-            stored[i][u] = {decode(k, base, n): c for k, c in row.items()}
+            row, s = pivots[p]
+            entries = shifted(row, s, True)
+            stored[i][u] = row, s, {decode(k, base, n): c for k, c in entries.items()}
         out.append((m, f, us, rows, zero, [decode(p, base, n) for p in added]))
     return out
 
@@ -546,27 +557,44 @@ class TestRowReuse:
     @settings(max_examples=25)
     @given(data=st.data())
     def test_zero_rows_and_pivots_of_the_macaulay_rows(self, family, data):
-        # the Macaulay rows u*f of the same u, block after block into one
-        # echelon form per degree, reduce to zero at the same indices and
-        # add the same pivot columns
         ideal = data.draw(family())
-        n = ideal.n_vars
-        echelon = {}
-        for m, f, us, rows, zero, added in tuple_blocks(ideal, 5 if n == 3 else 4):
-            assert all(gcd(*row.values()) == 1 for row in rows)
-            basis = enumerate_monomials(n, m)
-            index = {mono: j for j, mono in enumerate(basis)}
-            terms = primitive(f.terms)
-            pivots = echelon.setdefault(m, {})
-            before = len(pivots)
-            want_zero = []
-            exact_rank(
-                [{index[tuple(map(add, u, mono))]: c for mono, c in terms.items()} for u in us],
-                pivots,
-                want_zero,
-            )
-            assert zero == want_zero
-            assert [index[p] for p in added] == list(pivots)[before:]
+        assert_macaulay_zero_rows_and_pivots(tuple_blocks(ideal, 5 if ideal.n_vars == 3 else 4))
+
+    def test_two_rows_of_one_block_with_the_same_entries(self):
+        # in degree 5 the block of x*y^2 hands over the row x*y^4 twice:
+        # for u = y^2, and for u = x^2, which then reduces to zero
+        gens = ("x^2*y - y^3", "x^2*y - y^3", "x*y^2")
+        ideal = IdealSpec(RING3, tuple(parse_polynomial(f, RING3) for f in gens))
+        blocks = tuple_blocks(ideal, 5)
+        m, f, us, rows, zero, _ = blocks[-1]
+        assert (m, f) == (5, ideal.generators[2])
+        y2, x2 = us.index((0, 2, 0)), us.index((2, 0, 0))
+        assert rows[y2] == rows[x2] == {(1, 4, 0): 1}
+        assert x2 in zero and y2 not in zero
+        assert_macaulay_zero_rows_and_pivots(blocks)
+
+
+def assert_macaulay_zero_rows_and_pivots(blocks):
+    """The Macaulay rows u*f of the same u, block after block into one
+    echelon form per degree, reduce to zero at the same indices and add
+    the same pivot columns as the rows a table handed over."""
+    echelon = {}
+    for m, f, us, rows, zero, added in blocks:
+        n = len(f.ring)
+        assert all(gcd(*row.values()) == 1 for row in rows)
+        basis = enumerate_monomials(n, m)
+        index = {mono: j for j, mono in enumerate(basis)}
+        terms = primitive(f.terms)
+        pivots = echelon.setdefault(m, {})
+        before = len(pivots)
+        want_zero = []
+        exact_rank(
+            [{index[tuple(map(add, u, mono))]: c for mono, c in terms.items()} for u in us],
+            pivots,
+            want_zero,
+        )
+        assert zero == want_zero
+        assert [index[p] for p in added] == list(pivots)[before:]
 
 
 class TestPackedMonomials:
