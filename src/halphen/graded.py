@@ -27,12 +27,13 @@ which pivots on the smallest column, pivots on the largest monomial of
 each row; that order keeps the coefficients small on these matrices.
 Each generator's terms are packed once, into one dict code -> coefficient.
 In a block's first degree the only u is 1, so the block has one row, f
-itself: that dict handed to `exact_rank` with shift 0.  Every later row
-is a stored dict handed over with a shift (below): a column is one int
-addition, which `exact_rank` makes as it reads the row, and no row dict
-is built here.  Each row's leading column is handed over with it, so that
-`exact_rank` need not take the row's `min`: the smallest code of f in the
-first degree, then the stored row's pivot column plus weight_j (below).
+itself, that dict handed to `exact_rank` with shift 0, unless F5 skips
+it (below).  Every later row is a stored dict handed over with a shift:
+a column is one int addition, which `exact_rank` makes as it reads the
+row, and no row dict is built here.  Each row's leading column is
+handed over with it, so that `exact_rank` need not take the row's `min`:
+the smallest code of f in the first degree, then the stored row's pivot
+column plus weight_j (below).
 
 B is the smallest base above m_max that is 2 mod 4, for the row dicts.
 CPython hashes a small int to itself, and a dict takes its first probe
@@ -98,11 +99,14 @@ v' < v; times x_j,
 and x_j*v' < u, as the order is multiplicative.  This is the same shape
 as the rows the two skips lean on, so by the same induction the span
 after each row, and with it every pivot column, zero row, skip set and
-table, is the one the rows u*f_{i+1} give.  Such a v was always built
-and kept a pivot: had its row been skipped or reduced to zero, u would
-be skipped too.  The table finds that pivot through `exact_rank`
-appending each new pivot to the echelon form in row order: block i's
-added keys, read back, are the columns of its nonzero rows.
+table, is the one the rows u*f_{i+1} give.  The u come from the v the
+block kept: for j = n-1 down to 0, each kept v below B^(j+1), its last
+variable at most x_j, read largest first, gives u = v + weight_j.  So
+each u comes once, and in descending code (smallest u first).  None is
+missed: had v's row been skipped or reduced to zero, u would be skipped
+too.  The table finds v's pivot through `exact_rank` appending each new
+pivot to the echelon form in row order: block i's added keys, read
+back, are the columns of its nonzero rows.
 
 Caveat: the value H(m) is computed for the ideal exactly as presented.
 For a non-saturated ideal the Hilbert *function* (though never the
@@ -111,7 +115,7 @@ Hilbert polynomial) can differ from that of its saturation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
@@ -156,27 +160,6 @@ def _check_budget(ideal: IdealSpec, m: int) -> None:
         )
 
 
-def _packed_bases(n: int, m_max: int) -> tuple[list[int], list[list[int]]]:
-    """The codes of the monomials of degree <= m_max in n variables: the
-    code of each variable, x_0 first, and the basis of each degree m =
-    0..m_max in degrevlex-descending order, which is ascending code.
-
-    In that order the monomials of degree m in x_0..x_j come first, and
-    among them those in x_0..x_{j-1} precede the multiples of x_j, in the
-    order of their quotients.  So degree m is x_j times each monomial of
-    degree m - 1 in x_0..x_j, for j = 0..n-1 in turn; those are the first
-    C(m - 1 + j, j) codes of degree m - 1."""
-    base = m_max + 1 + (1 - m_max) % 4
-    weights = [base**i for i in range(n)]
-    bases = [[0]]
-    for m in range(1, m_max + 1):
-        prev = bases[-1]
-        bases.append(
-            [u + w for j, w in enumerate(weights) for u in prev[: binom(m - 1 + j, j)]]
-        )
-    return weights, bases
-
-
 def ideal_piece_dimension(ideal: IdealSpec, m: int) -> int:
     """dim of the degree-m graded piece of the ideal, as an exact rank."""
     n = ideal.n_vars
@@ -196,7 +179,9 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     _check_budget(ideal, m_max)
-    weights, bases = _packed_bases(ideal.n_vars, m_max)
+    n = ideal.n_vars
+    base = m_max + 1 + (1 - m_max) % 4
+    weights = [base**i for i in range(n)]
     # (degree, primitive integer terms as a dict code -> coefficient), by
     # degree and then input order
     gens = sorted(
@@ -215,7 +200,7 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     # i -> the codes u of the next degree whose row u*f_i is redundant
     redundant: dict[int, set[int]] = {}
     # the previous degree's echelon form, and i -> u -> the pivot column
-    # that the row of u*f_i took in it
+    # that the row of u*f_i took in it, its keys ascending
     previous: Pivots = {}
     column: dict[int, dict[int, int]] = {}
     values = {}
@@ -227,26 +212,29 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
             if d <= m:
                 skip = leading.pop((i, m - d))
                 known = redundant.pop(i, set()) - skip
-                # smallest u first: a basis ascends in code, so descends
-                # in degrevlex
-                us = [u for u in reversed(bases[m - d]) if u not in skip and u not in known]
                 if d == m:
-                    # us is [0] or []: one row, f_i itself, with shift 0,
-                    # led by f_i's smallest code
+                    # one row, f_i itself, with shift 0, led by f_i's
+                    # smallest code; none if F5 skips it
+                    us = [] if 0 in skip else [0]
                     rows, shifts, leads = [terms] * len(us), us, [min(terms)] * len(us)
                 else:
-                    # x_j times the stored row of (u/x_j)*f_i, x_j the
-                    # last variable of u: that row shifted by weight_j
-                    # more, led by its pivot column plus weight_j
-                    rows, shifts, leads = [], [], []
+                    # u = x_j*v for each kept v whose last variable is at
+                    # most x_j, smallest u first: x_j times the stored row
+                    # of v*f_i, its shift raised by weight_j, led by its
+                    # pivot column plus weight_j
+                    us, rows, shifts, leads = [], [], [], []
                     col = column[i]
-                    for u in us:
-                        w = weights[bisect_right(weights, u) - 1]
-                        c = col[u - w]
-                        row, s = previous[c]
-                        rows.append(row)
-                        shifts.append(s + w)
-                        leads.append(c + w)
+                    vs = list(col)
+                    for w in reversed(weights):
+                        for v in reversed(vs[: bisect_left(vs, w * base)]):
+                            u = v + w
+                            if u not in skip and u not in known:
+                                c = col[v]
+                                row, s = previous[c]
+                                us.append(u)
+                                rows.append(row)
+                                shifts.append(s + w)
+                                leads.append(c + w)
                 zero: list[int] = []
                 added = exact_rank(rows, pivots, zero, shifts, leads)
                 if m < m_max:
@@ -258,5 +246,5 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                         us = [u for u in us if u not in known]
                     column[i] = dict(zip(reversed(us), islice(reversed(pivots), added)))
         previous = pivots
-        values[m] = len(bases[m]) - len(pivots)
+        values[m] = binom(m + n - 1, n - 1) - len(pivots)
     return HilbertFunctionTable(values)

@@ -573,6 +573,26 @@ class TestRowReuse:
         assert x2 in zero and y2 not in zero
         assert_macaulay_zero_rows_and_pivots(blocks)
 
+    @pytest.mark.parametrize(
+        "text,m_max",
+        [
+            # one variable: every u is a power of x_0, walked at j = 0 only
+            ("ring x\nx^3\n", 6),
+            # the constant 3 is F5-skipped in its first degree, so in every
+            # later degree its block walks an empty column
+            ("ring x y z\nx^2 - y*z\n5\n3\n", 3),
+            # the quadrics step from their first degree, where v = 1, to
+            # every x_j, while the cubic's block first appears at m_max
+            ("ring x y z w\ny*z - x*w\nx*z - y^2\ny*w - z^2\nx^3 + w^3\n", 3),
+        ],
+        ids=["one-variable", "skipped-constant", "first-degree-step"],
+    )
+    def test_walk_edges(self, text, m_max):
+        ideal = parse_ideal_file(text)
+        assert_macaulay_zero_rows_and_pivots(tuple_blocks(ideal, m_max))
+        table = hilbert_function_table(ideal, m_max)
+        assert table.values == {m: macaulay_hilbert(ideal, m) for m in range(m_max + 1)}
+
 
 def assert_macaulay_zero_rows_and_pivots(blocks):
     """The Macaulay rows u*f of the same u, block after block into one
@@ -656,16 +676,17 @@ class TestPackedMonomials:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_codes_decode_to_enumerate_monomials(self, n):
+        # the pivot, the smallest code, is the largest monomial, and a
+        # block's u come smallest first as the walk makes them in
+        # descending code: both rest on codes ascending within a degree
         for m_max in range(8):
             base = code_base(m_max)
             assert m_max < base <= m_max + 4 and base % 4 == 2
-            weights, bases = graded._packed_bases(n, m_max)
-            assert weights == [base**i for i in range(n)]
-            assert len(bases) == m_max + 1
-            for m, codes in enumerate(bases):
-                # degrevlex-descending is ascending code within a degree
+            for m in range(m_max + 1):
+                monos = enumerate_monomials(n, m)
+                codes = [sum(e * base**k for k, e in enumerate(u)) for u in monos]
                 assert all(a < b for a, b in zip(codes, codes[1:]))
-                assert [decode(code, base, n) for code in codes] == enumerate_monomials(n, m)
+                assert [decode(code, base, n) for code in codes] == monos
 
 
 def traced_tables():
