@@ -53,19 +53,21 @@ largest monomial of its row, after block i the pivot columns are exactly
 the leading monomials of (f_1..f_i)_m.  A table computes the degrees in
 increasing order, so when degree m reaches block i + 1, with
 d = deg f_{i+1}, it already knows two kinds of u whose row u*f_{i+1} it
-skips:
+never builds:
 
 - F5: u is a leading monomial of (f_1..f_i)_{m-d}.  Write u = LM(g) with
   g in (f_1..f_i)_{m-d} monic; then
 
       u*f_{i+1} = g*f_{i+1} - sum over v < u of c_v * v*f_{i+1}.
 
-- Syzygy: u = w*z, where the row z*f_{i+1} of a lower degree reduced to
-  zero.  It was reduced against blocks 1..i and the rows before it in
-  its own block, the smaller v, so z*f_{i+1} = r + sum over v < z of
-  c_v * v*f_{i+1} with r in (f_1..f_i); times w, and as wv < wz,
+- Syzygy: u = x_j*z, x_j the last variable of u, where the row z*f_{i+1}
+  of degree m - 1 reduced to zero or was never built; this is why the
+  walk below never extends a zero row.  A zero row was reduced against
+  blocks 1..i and the smaller v of its own block, and by induction a row
+  never built lies in their span, so z*f_{i+1} = r + sum over v < z of
+  c_v * v*f_{i+1} with r in (f_1..f_i); times x_j, and as x_j*v < u,
 
-      u*f_{i+1} = w*r + sum over v < z of c_v * (wv)*f_{i+1}.
+      u*f_{i+1} = x_j*r + sum over v < z of c_v * (x_j*v)*f_{i+1}.
 
 Either way u*f_{i+1} is an element of (f_1..f_i)_m, whose span the built
 rows of blocks 1..i already give, plus rows v'*f_{i+1} with v' < u.
@@ -75,12 +77,8 @@ the built rows.  The increasing order is what lets the two rules share
 one induction.  Were the rows taken largest first, a zero row would
 give z*f_{i+1} in terms of rows v > z, while F5 still points at v < u;
 the two skips can then each lean on the other, and some tables come out
-too large.  Each block carries the set of u whose row is known to be
-redundant, the zero rows and the rows this rule skipped, up one degree
-as {u*x_j}, which on codes is u + weight_j, except those F5 skips: as
-x*LM(g) = LM(x*g), F5 skips their multiples one degree up anyway, so no
-skipped row changes.  Nothing here asks for a regular sequence or a
-saturated ideal, and the rank stays exact.
+too large.  Nothing here asks for a regular sequence or a saturated
+ideal, and the rank stays exact.
 
 Only a block's rows in the first degree of its generator are the rows
 u*f_{i+1}; each later degree reuses the previous one's elimination (the
@@ -98,15 +96,16 @@ v' < v; times x_j,
 
 and x_j*v' < u, as the order is multiplicative.  This is the same shape
 as the rows the two skips lean on, so by the same induction the span
-after each row, and with it every pivot column, zero row, skip set and
-table, is the one the rows u*f_{i+1} give.  The u come from the v the
-block kept: for j = n-1 down to 0, each kept v below B^(j+1), its last
+after each row, and with it every pivot column, zero row and table, is
+the one the rows u*f_{i+1} give.  The u come from the v the block
+kept: for j = n-1 down to 0, each kept v below B^(j+1), its last
 variable at most x_j, read largest first, gives u = v + weight_j.  So
 each u comes once, and in descending code (smallest u first).  None is
-missed: had v's row been skipped or reduced to zero, u would be skipped
-too.  The table finds v's pivot through `exact_rank` appending each new
-pivot to the echelon form in row order: block i's added keys, read
-back, are the columns of its nonzero rows.
+missed: had F5 skipped v, it skips u too, as x_j*LM(g) = LM(x_j*g), and
+had v's row reduced to zero or never been made, u falls under the
+syzygy rule with z = v.  The table finds v's pivot through `exact_rank`
+appending each new pivot to the echelon form in row order: block i's
+added keys, read back, are the columns of its nonzero rows.
 
 Caveat: the value H(m) is computed for the ideal exactly as presented.
 For a non-saturated ideal the Hilbert *function* (though never the
@@ -197,8 +196,6 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     # (i, k) -> the codes of degree k that lead an element of blocks
     # 0..i-1; kept only while block i of a later degree still needs them
     leading: dict[tuple[int, int], set[int]] = {}
-    # i -> the codes u of the next degree whose row u*f_i is redundant
-    redundant: dict[int, set[int]] = {}
     # the previous degree's echelon form, and i -> u -> the pivot column
     # that the row of u*f_i took in it, its keys ascending
     previous: Pivots = {}
@@ -211,7 +208,6 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                 leading[i, m] = set(pivots)
             if d <= m:
                 skip = leading.pop((i, m - d))
-                known = redundant.pop(i, set()) - skip
                 if d == m:
                     # one row, f_i itself, with shift 0, led by f_i's
                     # smallest code; none if F5 skips it
@@ -228,7 +224,7 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                     for w in reversed(weights):
                         for v in reversed(vs[: bisect_left(vs, w * base)]):
                             u = v + w
-                            if u not in skip and u not in known:
+                            if u not in skip:
                                 c = col[v]
                                 row, s = previous[c]
                                 us.append(u)
@@ -238,12 +234,11 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                 zero: list[int] = []
                 added = exact_rank(rows, pivots, zero, shifts, leads)
                 if m < m_max:
-                    known.update(us[t] for t in zero)
-                    redundant[i] = {u + w for u in known for w in weights}
                     # each nonzero row added one key, at the end, in row
                     # order: read the last `added` keys back to front
                     if zero:
-                        us = [u for u in us if u not in known]
+                        dead = set(zero)
+                        us = [u for t, u in enumerate(us) if t not in dead]
                     column[i] = dict(zip(reversed(us), islice(reversed(pivots), added)))
         previous = pivots
         values[m] = binom(m + n - 1, n - 1) - len(pivots)

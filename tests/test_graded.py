@@ -261,7 +261,7 @@ def not_saturated(draw):
 def with_syzygies(draw):
     """A linear form beside monomials and binomials of degree 2 or 3, in 3
     to 5 variables: ideals with syzygies that are not Koszul, so some rows
-    reduce to zero and the table skips their multiples."""
+    reduce to zero and the table never extends them."""
     ring = draw(st.sampled_from([RING3, RING4, ("x", "y", "z", "w", "v")]))
     gens = [draw(forms(ring, 1, max_terms=3))]
     for _ in range(draw(st.integers(2, 3))):
@@ -535,9 +535,12 @@ class TestRowReuse:
     the Macaulay rows u*f give."""
 
     # sha256 of (number of rows, indices of the zero rows) per exact_rank
-    # call; recorded when every row was built from its generator
+    # call; ci(3,4) and rnc(6) recorded when every row was built from its
+    # generator, the twisted cubic when blocks stopped carrying the u
+    # known to be redundant, so that a row whose divisor by an earlier
+    # variable reduced to zero is handed over and reduces to zero
     BLOCKS = {
-        "twisted_cubic": "fc7d61c83ebc940c8b12a13c91d578a9c80bfbe8f176564c8c89e1c4f1c1b0fd",
+        "twisted_cubic": "f5af829981e3b0e11c87fae56240277647d589445852d7e61bf6d5fdf717e300",
         "ci(3,4)": "235afd9a79b5bb138955893f18687f42cb3dcb03ab0760335ac8f9f8b1003fb1",
         "rnc(6)": "482e2350bd2fbca8956b7cf6d6203f998efcab011019f88bf3bd1c6007375586",
     }
@@ -550,6 +553,23 @@ class TestRowReuse:
         assert hashlib.sha256(text.encode()).hexdigest() == self.BLOCKS[case]
         # every row handed over is primitive
         assert all(gcd(*row.values()) == 1 for rows, *_ in calls for row in rows)
+
+    # sha256 of the pivot columns each exact_rank call added, in the order
+    # it added them; recorded while each block still carried the set of u
+    # whose rows were known to be redundant, and unchanged by which rows
+    # that reduce to zero are handed over
+    PIVOTS = {
+        "twisted_cubic": "eaee82806cc0445cfd6e49db1056edf7edd527cea589412ef3ec2f196728dc1a",
+        "ci(3,4)": "37b66c9012137b78bf667ab884878578aee9ca0bc47d054238a5fc9d817cd7dc",
+        "rnc(6)": "23180fd1c924ccb8f6db8d1c30202b022940b18bacd5d87224b34ea3fbdefb57",
+    }
+
+    @pytest.mark.parametrize("case", PIVOTS)
+    def test_pivot_columns_as_built_from_the_generators(self, case):
+        make, m_max, _ = TestPackedMonomials.GOLDEN[case]
+        calls = recorded_calls(make(), m_max)
+        text = repr([added for *_, added in calls])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PIVOTS[case]
 
     @pytest.mark.parametrize(
         "family", [with_repeated_generator, with_monomial_multiple, not_saturated, with_syzygies]
@@ -584,8 +604,14 @@ class TestRowReuse:
             # the quadrics step from their first degree, where v = 1, to
             # every x_j, while the cubic's block first appears at m_max
             ("ring x y z w\ny*z - x*w\nx*z - y^2\ny*w - z^2\nx^3 + w^3\n", 3),
+            # the twisted cubic: in degree 3 the rows z*f and y*f of
+            # f = y*z - x*w reduce to zero; in degree 4 the rows x*z*f and
+            # x*y*f, walked from the kept row x*f, are handed over and
+            # reduce to zero too, as their divisors z and y by the earlier
+            # variable x did
+            ("ring x y z w\ny^2 - z*x\ny*w - z^2\ny*z - x*w\n", 6),
         ],
-        ids=["one-variable", "skipped-constant", "first-degree-step"],
+        ids=["one-variable", "skipped-constant", "first-degree-step", "twisted-cubic"],
     )
     def test_walk_edges(self, text, m_max):
         ideal = parse_ideal_file(text)
@@ -622,13 +648,15 @@ class TestPackedMonomials:
 
     # sha256 of the rows handed to exact_rank, in call order, each row on
     # the positions of enumerate_monomials with its entries in the order
-    # they were built; recorded when the rows after a block's first degree
-    # became x_j times the rows the previous degree stored
+    # they were built; ci(3,4) and rnc(6) recorded when the rows after a
+    # block's first degree became x_j times the rows the previous degree
+    # stored, the twisted cubic when blocks stopped carrying the u known
+    # to be redundant
     GOLDEN = {
         "twisted_cubic": (
             lambda: load_ideal("twisted_cubic"),
             6,
-            "7b6cf3e5ee0b596e9bf1fd3a7d1e6ff24fdefce9153b488b65601fcf8a701920",
+            "59b68a5f9890cf1aafe4922ef64b9174136fd0b730e11ca67ac99d1a9ed78f95",
         ),
         "ci(3,4)": (
             ci_34,
