@@ -103,9 +103,9 @@ variable at most x_j, read largest first, gives u = v + weight_j.  So
 each u comes once, and in descending code (smallest u first).  None is
 missed: had F5 skipped v, it skips u too, as x_j*LM(g) = LM(x_j*g), and
 had v's row reduced to zero or never been made, u falls under the
-syzygy rule with z = v.  The table finds v's pivot through `exact_rank`
-appending each new pivot to the echelon form in row order: block i's
-added keys, read back, are the columns of its nonzero rows.
+syzygy rule with z = v.  `column` maps each kept v to the pivot entry
+(column, (row, shift)) its row left, read back from the echelon form,
+where `exact_rank` appends the pivots of nonzero rows in row order.
 
 Caveat: the value H(m) is computed for the ideal exactly as presented.
 For a non-saturated ideal the Hilbert *function* (though never the
@@ -121,7 +121,7 @@ from math import comb
 from operator import itemgetter, mul
 
 from . import _decimal
-from .linalg import Pivots, exact_rank
+from .linalg import Pivots, SparseRow, exact_rank
 from .poly import IdealSpec, primitive
 
 # Largest Macaulay matrix, in rows or in columns, that a Hilbert function
@@ -196,10 +196,9 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     # (i, k) -> the codes of degree k that lead an element of blocks
     # 0..i-1; kept only while block i of a later degree still needs them
     leading: dict[tuple[int, int], set[int]] = {}
-    # the previous degree's echelon form, and i -> u -> the pivot column
-    # that the row of u*f_i took in it, its keys ascending
-    previous: Pivots = {}
-    column: dict[int, dict[int, int]] = {}
+    # i -> u -> the pivot entry (column, (row, shift)) that the row of
+    # u*f_i left in the previous degree's echelon form, its keys ascending
+    column: dict[int, dict[int, tuple[int, tuple[SparseRow, int]]]] = {}
     values = {}
     for m in range(m_max + 1):
         pivots: Pivots = {}
@@ -225,8 +224,7 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                         for v in reversed(vs[: bisect_left(vs, w * base)]):
                             u = v + w
                             if u not in skip:
-                                c = col[v]
-                                row, s = previous[c]
+                                c, (row, s) = col[v]
                                 us.append(u)
                                 rows.append(row)
                                 shifts.append(s + w)
@@ -234,12 +232,11 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
                 zero: list[int] = []
                 added = exact_rank(rows, pivots, zero, shifts, leads)
                 if m < m_max:
-                    # each nonzero row added one key, at the end, in row
-                    # order: read the last `added` keys back to front
+                    # each nonzero row added one entry, at the end, in
+                    # row order: read the last `added` back to front
                     if zero:
                         dead = set(zero)
                         us = [u for t, u in enumerate(us) if t not in dead]
-                    column[i] = dict(zip(reversed(us), islice(reversed(pivots), added)))
-        previous = pivots
+                    column[i] = dict(zip(reversed(us), islice(reversed(pivots.items()), added)))
         values[m] = binom(m + n - 1, n - 1) - len(pivots)
     return HilbertFunctionTable(values)

@@ -427,12 +427,11 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
 
 def _reduce_basis(basis: list[_Element], packing: _Packing) -> list[dict[int, int]]:
     """Primitive term dicts, biggest first, ascending by leading monomial."""
-    guard, ascend = packing.guard, packing.ascend
-    # minimal: keep one element per leading monomial kept by divisibility
-    minimal: list[_Element] = []
-    for g in sorted(basis, key=lambda g: g.lm ^ ascend):
-        if all((g.lm - h.lm) & guard for h in minimal):
-            minimal.append(g)
+    # minimal: one element per leading monomial that `_minimal`, the one
+    # divisibility scan, keeps; the first, as generators may share one
+    first = {g.lm: g for g in reversed(basis)}
+    lms = sorted(_minimal(first, packing.guard), key=packing.ascend.__xor__)
+    minimal = [first[m] for m in lms]
     # interreduce: each element reduced against the others; by minimality no
     # other leading monomial divides its own, which stays first
     reduced = [_reduce(dict([(g.lm, g.lc), *g.tail]), minimal[:i] + minimal[i + 1 :], packing)[0]
@@ -497,13 +496,13 @@ def _certify(reduced: list[dict], gens: list[dict], packing: _Packing) -> None:
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """The leading monomials of the basis, the first keys of its packed
-    term dicts, each once and those that another one divides dropped, in
-    ascending order of their packed ints: ascending under deglex and lex;
-    under degrevlex, by rising degree and biggest first within a degree.
-    The empty basis, of the zero ideal, has none.  `elements` is not read."""
-    packing = gb.packing
-    lms = [next(iter(terms)) for terms in gb.reduced]
-    return MonomialIdeal(tuple(map(packing.unpack, _minimal(lms, packing.guard))))
+    term dicts, in ascending order of their packed ints: ascending under
+    deglex and lex; under degrevlex, by rising degree and biggest first
+    within a degree.  They are minimal by construction: `_reduce_basis`
+    makes every basis, as `_buchberger` is the only maker of one.  The
+    empty basis, of the zero ideal, has none.  `elements` is not read."""
+    lms = sorted(next(iter(terms)) for terms in gb.reduced)
+    return MonomialIdeal(tuple(map(gb.packing.unpack, lms)))
 
 
 def _minimal(monomials, guard: int) -> list[int]:

@@ -538,17 +538,40 @@ class TestRowReuse:
     # call; ci(3,4) and rnc(6) recorded when every row was built from its
     # generator, the twisted cubic when blocks stopped carrying the u
     # known to be redundant, so that a row whose divisor by an earlier
-    # variable reduced to zero is handed over and reduces to zero
+    # variable reduced to zero is handed over and reduces to zero; the
+    # other fixtures, to degree 6, while the table still carried the
+    # previous degree's echelon form to find each stored row
     BLOCKS = {
         "twisted_cubic": "f5af829981e3b0e11c87fae56240277647d589445852d7e61bf6d5fdf717e300",
         "ci(3,4)": "235afd9a79b5bb138955893f18687f42cb3dcb03ab0760335ac8f9f8b1003fb1",
         "rnc(6)": "482e2350bd2fbca8956b7cf6d6203f998efcab011019f88bf3bd1c6007375586",
+        "c0": "0ad18a6b3d5618966008177742415ec8a85105925f90262cb12aec95f378e5a7",
+        "ct_1": "0ad18a6b3d5618966008177742415ec8a85105925f90262cb12aec95f378e5a7",
+        "ct_half": "0ad18a6b3d5618966008177742415ec8a85105925f90262cb12aec95f378e5a7",
+        "ct_neg2": "0ad18a6b3d5618966008177742415ec8a85105925f90262cb12aec95f378e5a7",
+        "curve_E": "60f6531afe6d12abfba0229ef83b6c9e128fb159a4e92f0664b6c94261991044",
+        "line_L": "b50b90c3bc4eebfc0d7492411aaa5b8d527bc05c67c3cf240ce1525f3a17e6b9",
+        "plane_d1": "2db3394f2eb297745a22604614702281b2075c4bcbcbcb5dd834e4888383b00d",
+        "plane_d2": "a7ac3e8e44718a89a9ebaf72512a2e1cb690ae6a0d76dcc31ee8f881abb1a796",
+        "plane_d3": "8cdaeb1c42e94d61286d7563bc3546c5d3e395d30d1a70ec4a9bdfb01350fc75",
+        "plane_d4": "9759bbbe766ae4b21e9a4178d5c182e0903c4fd03b64601c230cc091076c8dbf",
+        "plane_d5": "c7033302be16bc47a33dce6c22e90b4d41765a074c123c9350bd736c619d68ed",
+        "two_quadrics": "0ad18a6b3d5618966008177742415ec8a85105925f90262cb12aec95f378e5a7",
+        "zero4": "a60cf9aa59f244ad7b18082482bc1cc5a347c27b09b03153f3f66b627c448056",
     }
+
+    @staticmethod
+    def case_ideal(case):
+        """The ideal and m_max of a digest case: a `TestPackedMonomials.GOLDEN`
+        case, or else the fixture of that name to degree 6."""
+        if case in TestPackedMonomials.GOLDEN:
+            make, m_max, _ = TestPackedMonomials.GOLDEN[case]
+            return make(), m_max
+        return load_ideal(case), 6
 
     @pytest.mark.parametrize("case", BLOCKS)
     def test_blocks_and_zero_rows_as_built_from_the_generators(self, case):
-        make, m_max, _ = TestPackedMonomials.GOLDEN[case]
-        calls = recorded_calls(make(), m_max)
+        calls = recorded_calls(*self.case_ideal(case))
         text = repr([(len(rows), zero) for rows, _, _, zero, _ in calls])
         assert hashlib.sha256(text.encode()).hexdigest() == self.BLOCKS[case]
         # every row handed over is primitive
@@ -557,17 +580,30 @@ class TestRowReuse:
     # sha256 of the pivot columns each exact_rank call added, in the order
     # it added them; recorded while each block still carried the set of u
     # whose rows were known to be redundant, and unchanged by which rows
-    # that reduce to zero are handed over
+    # that reduce to zero are handed over; the other fixtures, to degree
+    # 6, as BLOCKS
     PIVOTS = {
         "twisted_cubic": "eaee82806cc0445cfd6e49db1056edf7edd527cea589412ef3ec2f196728dc1a",
         "ci(3,4)": "37b66c9012137b78bf667ab884878578aee9ca0bc47d054238a5fc9d817cd7dc",
         "rnc(6)": "23180fd1c924ccb8f6db8d1c30202b022940b18bacd5d87224b34ea3fbdefb57",
+        "c0": "67ae2e7ef58d0ea71b8ac16a2f18351f049d74684f1684b081757f03a0272f33",
+        "ct_1": "b4992201d0b72cbaee34144b5a4d1fc2945b13f6254dbbc84479e69b2bb979de",
+        "ct_half": "b4992201d0b72cbaee34144b5a4d1fc2945b13f6254dbbc84479e69b2bb979de",
+        "ct_neg2": "b4992201d0b72cbaee34144b5a4d1fc2945b13f6254dbbc84479e69b2bb979de",
+        "curve_E": "25702a5c09f9d45854672e62709be94c693a3a885a1c718c2c80542dad49a283",
+        "line_L": "3fcc7e8fa78f4b2996266263953123fa3d8339a325352bd0ddcc3e98186c5a9d",
+        "plane_d1": "d1ba9cbfc9f57b7d6b4899aab29e5c7d97781efe8c6d013918a59b18a3835347",
+        "plane_d2": "4aa27a650e859adfcbb83e4803943f804a313a7a4f2a94a3b5419652739ea0d9",
+        "plane_d3": "5b9e1a23f04187fc35dcf51c82be968df9234bc93fc22b67b3153805c5d0f4d6",
+        "plane_d4": "a6a57948b4c12628b93a2d66510370510a806a3475e960f394be7bb00535749d",
+        "plane_d5": "23bf797036410516c1a901e4612a7df9a9fb6f05d0888207ca003d50734ac166",
+        "two_quadrics": "3c9b9f8524e397c4b9dff1ff225047b9abc0c05671313c0c4c38d99f3daa4580",
+        "zero4": "179a1e3963ef6891aa75eba8f2f468ad8f4291424f13b6a7023300b71208fc86",
     }
 
     @pytest.mark.parametrize("case", PIVOTS)
     def test_pivot_columns_as_built_from_the_generators(self, case):
-        make, m_max, _ = TestPackedMonomials.GOLDEN[case]
-        calls = recorded_calls(make(), m_max)
+        calls = recorded_calls(*self.case_ideal(case))
         text = repr([added for *_, added in calls])
         assert hashlib.sha256(text.encode()).hexdigest() == self.PIVOTS[case]
 

@@ -130,13 +130,26 @@ class TestBuchberger:
         for g in twisted_cubic.generators:
             assert normal_form(g, gb.elements, gb.order).is_zero
 
-    def test_reduced_leading_monomials_minimal(self, twisted_cubic):
-        gb = buchberger(twisted_cubic)
-        lms = [leading_monomial(g, gb.order) for g in gb.elements]
+    SHARED_LM = {
+        # two generators with the leading monomial x^2
+        "shared": "ring x y z\nx^2 + y^2\nx^2 - y^2\n",
+        # one generator listed twice
+        "twice": "ring x y z w\ny^2 - z*x\ny*w - z^2\ny^2 - z*x\n",
+    }
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, *SHARED_LM])
+    def test_reduced_leading_monomials_minimal(self, name, order):
+        """No leading monomial of the basis divides another, so each comes
+        once, and `initial_ideal` gives them all, in ascending packed order."""
+        text = self.SHARED_LM.get(name)
+        gb = buchberger(parse_ideal_file(text) if text else load_ideal(name), order)
+        lms = [leading_monomial(g, order) for g in gb.elements]
         for i, a in enumerate(lms):
             for j, b in enumerate(lms):
                 if i != j:
                     assert not monomial_divides(a, b)
+        assert initial_ideal(gb).minimal_generators == tuple(sorted(lms, key=gb.packing.pack))
 
     def test_basis_elements_monic(self, twisted_cubic):
         gb = buchberger(twisted_cubic)
