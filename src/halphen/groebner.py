@@ -1,16 +1,17 @@
 """Groebner bases, initial ideals, and exact Hilbert series.
 
-Buchberger with the normal selection strategy, producing a reduced basis.
-As each element enters, its pairs with the earlier elements are formed by
-Gebauer & Moeller's criteria M and F (for the new element, one pair per
-minimal quotient of the lcm by its leading monomial, coprime pairs
-skipped), and every pair formed is reduced.  They wait in a heap keyed by
-the degree of their lcm and then its order key, ties broken by (i, j):
-under lex too the pairs of lowest degree go first.  One reduction kernel
-serves the pair loop, the interreduction, the final check and
-`normal_form`: a mutable term dict with a heap of pending monomials and
-primitive integer coefficients.  The generators are packed once for one
-run of the loop, the interreduction and the final check.  The check
+A reduced basis, certified one of two ways.  Generators with minimal
+leading monomials are interreduced and checked first; otherwise, or if
+that fails, Buchberger runs with the normal selection strategy.  As each
+element enters, its pairs with the earlier elements are formed by Gebauer
+& Moeller's criteria M and F (for the new element, one pair per minimal
+quotient of the lcm by its leading monomial, coprime pairs skipped), and
+every pair formed is reduced.  They wait in a heap keyed by the degree of
+their lcm and then its order key, ties broken by (i, j): under lex too the
+pairs of lowest degree go first.  One reduction kernel serves the pair
+loop, the interreduction, the final check and `normal_form`: a mutable
+term dict with a heap of pending monomials and primitive integer
+coefficients.  The generators are packed once for both ways.  The check
 certifies the primitive reduced basis from scratch: the S-polynomials of
 the pairs the same rule forms on that basis alone, which generate the
 syzygies of its leading terms, and every input generator reduce to zero.
@@ -46,6 +47,7 @@ C(m + n - 1, n - 1), as the rank path's tables give.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -384,12 +386,14 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = DEFAULT_ORDER) -> Groebn
 
 
 def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
-    """The reduced basis, certified by `_certify` and returned packed;
-    the generators are packed once, for the loop and the check.  As each
-    element enters, its pairs with the earlier ones are formed by
-    `_new_pairs`, the check's rule, and all are reduced.  The basis only
-    grows, so these are `_syzygy_pairs` of the final working basis, each
-    reduced to zero or to a remainder that joined it; `_certify`'s proof applies."""
+    """The reduced basis, certified by `_certify` from scratch and returned
+    packed; the generators are packed once, their pairs counted against
+    `PAIR_BUDGET`.  If their leading monomials are minimal, a fixed rule that
+    dense complete intersections fail, their interreduction is returned once
+    certified.  Else each entering element forms its pairs with earlier ones by
+    `_new_pairs`, the check's rule, and all are reduced.  The basis only grows,
+    so these are `_syzygy_pairs` of the working basis, each reduced to zero or
+    to a remainder that joined it; `_certify`'s proof applies."""
     ascend, field, every = packing.ascend, packing.field, packing.every
     basis: list[_Element] = []
     lms: list[int] = []
@@ -400,29 +404,40 @@ def _buchberger(ideal: IdealSpec, packing: _Packing) -> GroebnerBasis:
     lift = every.bit_length() if packing.order is MonomialOrder.lex else 0
     pairs: list = []
 
-    def enter(terms: dict[int, int]) -> None:
+    def enter(g: _Element) -> None:
         j = len(basis)
-        # every pair formed counts, kept or not: C(j + 1, 2) with this element's
-        if j * (j + 1) // 2 > PAIR_BUDGET:
-            raise GroebnerBudgetExceeded("pair budget exceeded")
-        basis.append(_Element(terms, packing))
-        lms.append(basis[j].lm)
+        _check_pair_budget(j + 1)
+        basis.append(g)
+        lms.append(g.lm)
         for i, m in _new_pairs(lms, j, packing):
             key = m ^ ascend
             heappush(pairs, (key | (key & field) << lift, i, j))
 
     gens = [_integer_terms(g, packing) for g in ideal.generators]
-    for terms in gens:
-        enter(terms)
+    _check_pair_budget(len(gens))
+    elements = [_Element(terms, packing) for terms in gens]
+    if len(_minimal([g.lm for g in elements], packing.guard)) == len(elements):
+        reduced = _reduce_basis(elements, packing)
+        with suppress(GroebnerCheckFailed):
+            _certify(reduced, gens, packing)
+            return GroebnerBasis(reduced, packing, ideal.ring_vars)
+    for g in elements:
+        enter(g)
     while pairs:
         key, i, j = heappop(pairs)
         s_terms = _s_terms(basis[i], basis[j], key & every ^ ascend, packing)
         remainder, _ = _reduce(s_terms, basis, packing)
         if remainder:
-            enter(primitive(remainder))
+            enter(_Element(primitive(remainder), packing))
     reduced = _reduce_basis(basis, packing)
     _certify(reduced, gens, packing)
     return GroebnerBasis(reduced, packing, ideal.ring_vars)
+
+
+def _check_pair_budget(k: int) -> None:
+    """Raise if k elements form more pairs, C(k, 2), kept or not, than `PAIR_BUDGET`."""
+    if k * (k - 1) // 2 > PAIR_BUDGET:
+        raise GroebnerBudgetExceeded("pair budget exceeded")
 
 
 def _reduce_basis(basis: list[_Element], packing: _Packing) -> list[dict[int, int]]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -733,37 +734,79 @@ class TestFinalCheck:
         )
 
 
-def loop_run(spec, order=DEFAULT_ORDER):
-    """(reduced, lms, packing) of `buchberger(spec, order)`: the (i, j, lcm)
-    of each S-polynomial the pair loop reduced, in the order reduced, i and
-    j indexing the working basis that `_reduce_basis` was given, and that
-    basis's leading monomials and packing.  A run that `_widening` starts
-    again is recorded afresh."""
-    calls, final = [], {}
-    run, s_terms, reduce_basis = groebner._buchberger, groebner._s_terms, groebner._reduce_basis
+def loop_run(spec, order=DEFAULT_ORDER, force_loop=False):
+    """How `buchberger(spec, order)` found its basis, as a namespace:
+
+    - `path`: "loop" if the pair loop ran, "certificate" if the generators'
+      interreduction was certified with no loop; the loop ran exactly when
+      `_new_pairs` was called outside `_certify`.
+    - `reduced`: the (i, j, lcm) of each S-polynomial the pair loop reduced,
+      in the order reduced, i and j indexing the working basis that the
+      last `_reduce_basis` call was given; empty if the loop did not run.
+    - `lms`, `packing`: that basis's leading monomials and the packing.
+    - `given`: the term dicts of each basis handed to `_reduce_basis`.
+    - `checks`: True or False for each `_certify` call, passed or failed.
+    - `gb`: the basis `buchberger` returned.
+
+    With `force_loop` the first `_certify` call of a run, when it comes
+    before the loop, raises `GroebnerCheckFailed` without checking: the
+    path a generating set that is no Groebner basis takes.  A run that
+    `_widening` starts again is recorded afresh."""
+    state = {}
+    run, s_terms, new_pairs = groebner._buchberger, groebner._s_terms, groebner._new_pairs
+    certify, reduce_basis = groebner._certify, groebner._reduce_basis
 
     def restart(*args):
-        calls.clear()
-        final.clear()
+        state.update(calls=[], given=[], checks=[], looped=False, checking=False)
         return run(*args)
 
     def record_s_terms(f, g, m, packing):
         # the final check reduces S-polynomials too, after the loop
-        if not final:
-            calls.append((f, g, m))
+        if not state["checking"]:
+            state["calls"].append((f, g, m))
         return s_terms(f, g, m, packing)
 
+    def record_new_pairs(lms, j, packing):
+        state["looped"] |= not state["checking"]
+        return new_pairs(lms, j, packing)
+
     def record_basis(basis, packing):
-        final.update(basis=list(basis), packing=packing)
+        state.update(basis=list(basis), packing=packing)
+        state["given"].append([dict([(g.lm, g.lc), *g.tail]) for g in basis])
         return reduce_basis(basis, packing)
 
+    def record_certify(reduced, gens, packing):
+        if force_loop and not state["checks"] and not state["looped"]:
+            state["checks"].append(False)
+            raise GroebnerCheckFailed("refused")
+        state["checking"] = True
+        try:
+            certify(reduced, gens, packing)
+        except GroebnerCheckFailed:
+            state["checks"].append(False)
+            raise
+        finally:
+            state["checking"] = False
+        state["checks"].append(True)
+
     with mock.patch.multiple(
-        groebner, _buchberger=restart, _s_terms=record_s_terms, _reduce_basis=record_basis
+        groebner, _buchberger=restart, _s_terms=record_s_terms, _new_pairs=record_new_pairs,
+        _reduce_basis=record_basis, _certify=record_certify,
     ):
-        buchberger(spec, order)
-    index = {id(g): k for k, g in enumerate(final["basis"])}
-    reduced = [(index[id(f)], index[id(g)], m) for f, g, m in calls]
-    return reduced, [g.lm for g in final["basis"]], final["packing"]
+        gb = buchberger(spec, order)
+    index = {id(g): k for k, g in enumerate(state["basis"])}
+    return SimpleNamespace(
+        path="loop" if state["looped"] else "certificate",
+        reduced=[(index[id(f)], index[id(g)], m) for f, g, m in state["calls"]],
+        lms=[g.lm for g in state["basis"]], packing=state["packing"],
+        given=state["given"], checks=state["checks"], gb=gb,
+    )
+
+
+def unpacked(gb):
+    """The packed `reduced` lists of a basis, each monomial read back, so
+    that bases packed at different widths compare."""
+    return [[(gb.packing.unpack(m), c) for m, c in terms.items()] for terms in gb.reduced]
 
 
 def dense_ci(n, degrees):
@@ -778,32 +821,51 @@ def dense_ci(n, degrees):
 class TestPairLoop:
     """The pair loop reduces the S-polynomials of exactly the pairs that the
     final check takes on its working basis, and counts every pair i < j it
-    forms against `PAIR_BUDGET`."""
+    forms against `PAIR_BUDGET`.  Generators with minimal leading monomials
+    that are a Groebner basis never reach it."""
 
     @pytest.mark.parametrize("order", list(MonomialOrder))
     @settings(max_examples=60, derandomize=True)
     @given(gens=st.lists(FORMS, min_size=2, max_size=4))
     def test_loop_reduces_the_certificate_pairs(self, order, gens):
-        reduced, lms, packing = loop_run(IdealSpec(RING3, tuple(gens)), order)
-        assert sorted(reduced) == sorted(groebner._syzygy_pairs(lms, packing))
+        run = loop_run(IdealSpec(RING3, tuple(gens)), order)
+        if run.path == "loop":
+            assert sorted(run.reduced) == sorted(groebner._syzygy_pairs(run.lms, run.packing))
+        else:
+            # one `_certify` call, passed on the interreduced generators
+            packed = [groebner._integer_terms(g, run.packing) for g in gens]
+            assert run.given == [packed] and run.checks == [True] and run.reduced == []
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rational_normal_curves_are_certified_first(self, n):
+        run = loop_run(rnc_minors(n))
+        assert run.path == "certificate"
+        assert run.reduced == [] and run.checks == [True]
+        assert len(run.lms) == comb(n, 2)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_rational_normal_curves_reduce_to_zero(self, n):
+        # the loop is forced by refusing the first certificate
         spec = rnc_minors(n)
-        reduced, lms, _ = loop_run(spec)
+        run = loop_run(spec, force_loop=True)
+        assert run.path == "loop" and run.checks == [False, True]
         # no remainder joined: the working basis is the C(n, 2) generators
-        assert len(lms) == len(spec.generators) == comb(n, 2)
-        assert len(reduced) == 2 * comb(n, 3)
+        assert len(run.lms) == len(spec.generators) == comb(n, 2)
+        assert len(run.reduced) == 2 * comb(n, 3)
 
     @pytest.mark.parametrize("degrees, most", [((3, 3, 3), 19), ((3, 3, 4), 21)])
     def test_dense_complete_intersections_in_p4(self, degrees, most):
-        # the bounds are what a loop with the chain criterion reduces here
-        reduced, _, _ = loop_run(dense_ci(4, degrees))
-        assert len(reduced) <= most
+        # the bounds are what a loop with the chain criterion reduces here;
+        # the leading monomials, powers of x0, are not minimal: no certificate
+        # is tried
+        run = loop_run(dense_ci(4, degrees))
+        assert run.path == "loop" and run.checks == [True]
+        assert len(run.reduced) <= most
 
     @pytest.mark.parametrize("budget", [44, 45])
     def test_budget_counts_every_pair_formed(self, monkeypatch, budget):
-        # the 10 minors of rnc(5) are a Groebner basis: 45 pairs, 20 reduced
+        # the 10 minors of rnc(5) are a Groebner basis: 45 pairs, counted
+        # before the certificate reduces 20 of them
         monkeypatch.setattr(groebner, "PAIR_BUDGET", budget)
         spec = rnc_minors(5)
         if budget < comb(10, 2):
@@ -811,6 +873,38 @@ class TestPairLoop:
                 buchberger(spec)
         else:
             assert len(buchberger(spec).elements) == 10
+
+
+class TestTwoPaths:
+    """The certificate-first path and the pair loop return the same basis."""
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @settings(max_examples=60, derandomize=True)
+    @given(gens=st.lists(FORMS, min_size=1, max_size=4))
+    def test_forced_loop_gives_the_same_basis(self, order, gens):
+        spec = IdealSpec(RING3, tuple(gens))
+        run, forced = loop_run(spec, order), loop_run(spec, order, force_loop=True)
+        assert forced.path == "loop"
+        assert unpacked(run.gb) == unpacked(forced.gb)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_skip_the_loop_but_two_quadrics(self, name):
+        # the leading monomials x^2 and xy of two_quadrics are minimal, but
+        # their S-polynomial leaves a remainder: the first certificate fails
+        run = loop_run(load_ideal(name))
+        if name == "two_quadrics":
+            assert run.path == "loop" and run.checks == [False, True]
+        else:
+            assert run.path == "certificate" and run.checks == [True]
+
+    def test_failed_first_certificate_does_not_leak(self):
+        spec = IdealSpec(RING3, tuple(parse_polynomial(g, RING3) for g in NON_BASIS))
+        run = loop_run(spec)
+        packed = [groebner._integer_terms(g, run.packing) for g in spec.generators]
+        assert run.path == "loop" and run.checks == [False, True]
+        assert run.given[0] == packed
+        expected = [*NON_BASIS, "y^2*z - x*z^2"]
+        assert run.gb.elements == tuple(parse_polynomial(g, RING3) for g in expected)
 
 
 class TestAllPairsReference:
