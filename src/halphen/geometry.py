@@ -1,4 +1,4 @@
-"""Projective points, membership, Jacobian rank, smoothness, tangents."""
+"""Projective points, membership, Jacobian rank, tangents."""
 
 from __future__ import annotations
 
@@ -70,24 +70,12 @@ def jacobian_rank_at(ideal: IdealSpec, p: ProjectivePoint) -> int:
     cleared to primitive integers for `exact_rank`."""
     if not on_variety(ideal, p):
         raise ValueError("the point is not on the variety")
-    rows = (
+    gradients = (
         {j: v for j in range(ideal.n_vars) if (v := g.partial_derivative(j).evaluate(p.coords))}
         for g in ideal.generators
     )
-    return exact_rank(primitive(row) for row in rows if row)
-
-
-def is_smooth_at(ideal: IdealSpec, p: ProjectivePoint, curve_codim: int) -> bool:
-    """Whether the Jacobian at p has rank equal to curve_codim.
-
-    The Jacobian criterion proves p a regular point only when curve_codim
-    is the codimension of the scheme at p, its local one.  The caller
-    passes the global codimension, read off the Hilbert polynomial, so at
-    a point where the local dimension differs this is no proof of
-    regularity: (y, xz, xw^2) is a line plus a length-2 point at
-    (1:0:0:0), whose local ring k[w]/(w^2) is not regular, yet there the
-    rank is 2, the global codimension, and the answer is True."""
-    return jacobian_rank_at(ideal, p) == curve_codim
+    rows = [primitive(row) for row in gradients if row]
+    return exact_rank(rows, {}, [], [0] * len(rows), [min(r) for r in rows])
 
 
 def tangent_line(f: Polynomial, p: ProjectivePoint) -> TangentLine:

@@ -10,17 +10,18 @@ entry does not divide its own.  Pivots are taken at the smallest column
 index, so callers choose the elimination order by how they number the
 columns.
 
-A row is a dict plus an integer shift: it stands for the map k + shift
--> v over the dict's items.  A shift adds the same amount to every
-column, so it keeps their order, and the leading column is the dict's
-smallest key plus the shift; a caller that reuses one row in several
-places hands over the same dict with different shifts.  A caller that
-already knows a row's leading column may hand it over as the row's lead,
-which spares the `min` over the row; a given lead must equal min(row) +
-shift.  That is not checked here, since the check would cost the very
-`min` the lead saves: the tests check it for every caller that passes
-leads.  A row that needs a reduction step finds each later leading
-column with `min` over the working row.
+Every caller hands over each row as a dict, an integer shift and a
+lead.  The row stands for the map k + shift -> v over the dict's items.
+A shift adds the same amount to every column, so it keeps their order,
+and the leading column is the dict's smallest key plus the shift; a
+caller that reuses one row in several places hands over the same dict
+with different shifts, and one with nothing to reuse passes shift 0.
+The lead is that leading column, min(row) + shift, which the caller
+knows or finds as it builds the row, so that the kernel takes no `min`
+over a row it stores as it came.  That is not checked here, since the
+check would cost the very `min` the lead saves: the tests check it for
+every caller.  A row that needs a reduction step finds each later
+leading column with `min` over the working row.
 
 The echelon form is a dict column -> pivot, each pivot a pair (row,
 shift) in the same form, the row in full, so that its leading entry is
@@ -41,21 +42,20 @@ primitive rows.  The working row keeps the factors a strip after each
 step would cancel, so its entries grow until it is stored or reaches
 zero; the stored pivots do not.
 
-A caller may pass in the dict left by earlier rows and have `exact_rank`
-extend it: the pivot columns are then the leading columns of the span of
-all the rows so far, and the return value counts only the pivots the new
-rows added.  Each row that does not reduce to zero adds exactly one key,
-at the end of the dict, so the keys a call added are, in insertion
-order, the pivot columns of its nonzero rows in row order.  A caller
-that also passes a list has the index, within this call, of each row
-that added no pivot appended to it: the rows that reduced to zero
-against the pivots before them, i.e. lie in the span of the earlier
-rows.
+The caller also passes the echelon form to extend, empty for a fresh
+matrix or the dict left by earlier rows: the pivot columns are then the
+leading columns of the span of all the rows so far, and the return value
+counts only the pivots the new rows added.  Each row that does not
+reduce to zero adds exactly one key, at the end of the dict, so the keys
+a call added are, in insertion order, the pivot columns of its nonzero
+rows in row order.  The index, within this call, of each row that added
+no pivot is appended to a list the caller passes as well: the rows that
+reduced to zero against the pivots before them, i.e. lie in the span of
+the earlier rows.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -68,23 +68,21 @@ Pivots = dict[int, tuple[SparseRow, int]]
 
 def exact_rank(
     rows: Iterable[SparseRow],
-    pivots: Pivots | None = None,
-    zero: list[int] | None = None,
-    shifts: Iterable[int] | None = None,
-    leads: Iterable[int | None] | None = None,
+    pivots: Pivots,
+    zero: list[int],
+    shifts: Iterable[int],
+    leads: Iterable[int],
 ) -> int:
     """Rank over the rationals of the matrix whose rows are sparse maps
     column -> nonzero int, row t shifted by shifts[t]: it stands for
-    {k + shifts[t]: v}.  No shifts means every shift is 0.  A lead
-    leads[t] that is not None is taken as row t's leading column, so it
-    must equal min(rows[t]) + shifts[t]; it is not checked, and it is
-    ignored on an empty row.  No leads, or None, means compute it.  Rows,
-    shifts and leads are each read once, so each may be a one-shot
-    iterator.  Given the echelon form `pivots` of earlier rows, extends it
-    in place and returns by how much these rows raise the rank; each
-    nonzero row adds its pivot (row, shift) as one new key at the end of
-    `pivots`, in row order.  Given a list `zero`, appends to it the index
-    of each row that reduced to zero.
+    {k + shifts[t]: v}.  leads[t] is taken as row t's leading column, so
+    it must equal min(rows[t]) + shifts[t]; it is not checked, and it is
+    ignored on an empty row.  Rows, shifts and leads are each read once,
+    so each may be a one-shot iterator.  Extends in place the echelon
+    form `pivots` of earlier rows, {} for none, and returns by how much
+    these rows raise the rank; each nonzero row adds its pivot (row,
+    shift) as one new key at the end of `pivots`, in row order.  Appends
+    to the list `zero` the index of each row that reduced to zero.
 
     The input rows are never modified, but a row that arrives with a
     fresh leading column is stored in `pivots` as it came, by reference,
@@ -94,17 +92,9 @@ def exact_rank(
     stored pivot is primitive when every input row is, and equal up to
     sign to the pivot that stripping the content after every step would
     store."""
-    if pivots is None:
-        pivots = {}
-    if shifts is None:
-        shifts = repeat(0)
-    if leads is None:
-        leads = repeat(None)
     before = len(pivots)
     for t, (raw, s, c) in enumerate(zip(rows, shifts, leads)):
         if raw:
-            if c is None:
-                c = min(raw) + s
             pivot = pivots.get(c)
             if pivot is None:
                 pivots[c] = (raw, s)
@@ -140,6 +130,5 @@ def exact_rank(
                 pivots[c] = (row, 0)
                 continue
         # the row is empty or reduced to zero
-        if zero is not None:
-            zero.append(t)
+        zero.append(t)
     return len(pivots) - before

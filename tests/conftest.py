@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
+from halphen.linalg import exact_rank
 from halphen.parsing import parse_ideal_file
 from halphen.poly import IdealSpec, Polynomial, primitive
 
@@ -39,6 +40,20 @@ def integer_rows(rows):
     cleared to primitive integers by `poly.primitive`, zero rows dropped.
     Clearing scales a row by a nonzero rational, so the rank is kept."""
     return [primitive(row) for row in rows if any(row.values())]
+
+
+def plain_rank(rows, pivots=None, zero=None):
+    """`exact_rank` of a plain matrix: every shift 0 and every lead its
+    row's `min` (0 on an empty row, whose lead is ignored).  Extends the
+    echelon form `pivots` and the list `zero` when given, else fresh ones."""
+    rows = list(rows)
+    return exact_rank(
+        rows,
+        {} if pivots is None else pivots,
+        [] if zero is None else zero,
+        [0] * len(rows),
+        [min(row, default=0) for row in rows],
+    )
 
 
 @pytest.fixture

@@ -3,18 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from halphen import geometry
 from halphen.geometry import (
     ProjectivePoint,
     SingularPointError,
-    is_smooth_at,
     jacobian_rank_at,
     on_variety,
     tangent_line,
 )
-from halphen.parsing import parse_polynomial
+from halphen.groebner import hilbert_polynomial
+from halphen.invariants import invariants_of
+from halphen.linalg import exact_rank
+from halphen.parsing import parse_ideal_file, parse_polynomial
 from halphen.poly import IdealSpec
 
-from conftest import RING3, RING4
+from conftest import FIXTURES, RING3, RING4
 
 
 def pt(*coords):
@@ -88,22 +91,57 @@ class TestJacobianRank:
             scaled = ProjectivePoint([lam * c for c in (1, 0, 0, 0)])
             assert jacobian_rank_at(c0, scaled) == 1
 
+    def test_rows_go_with_shift_zero_and_their_min_as_lead(self, monkeypatch):
+        # at every point the CLI battery of tests/test_cli.py runs smooth-at
+        # on, each fixture's first and last coordinate point, as far as it
+        # lies on the variety
+        calls = []
+
+        def recording_rank(rows, pivots, zero, shifts, leads):
+            assert pivots == {} and zero == []
+            calls.append((rows, shifts, leads))
+            return exact_rank(rows, pivots, zero, shifts, leads)
+
+        monkeypatch.setattr(geometry, "exact_rank", recording_rank)
+        for path in sorted(FIXTURES.glob("*.ideal")):
+            ideal = parse_ideal_file(path.read_text())
+            n = ideal.n_vars
+            for i in (0, n - 1):
+                p = pt(*(int(j == i) for j in range(n)))
+                if on_variety(ideal, p):
+                    jacobian_rank_at(ideal, p)
+        assert len(calls) == 10
+        for rows, shifts, leads in calls:
+            assert type(rows) is list
+            assert shifts == [0] * len(rows)
+            assert leads == [min(row) for row in rows]
+
 
 class TestSmoothness:
+    # the rank that `smooth-at` compares with the codimension, at smooth
+    # points of a plane curve (codimension 1) and of a space curve (2)
+    @staticmethod
+    def codimension(ideal):
+        # read off the Hilbert polynomial, as `smooth-at` reads it
+        dimension = invariants_of(hilbert_polynomial(ideal).polynomial).dimension
+        return ideal.n_vars - 1 - dimension
+
     def test_c0_singular_at_p(self, c0):
-        assert not is_smooth_at(c0, pt(1, 0, 0, 0), curve_codim=2)
+        assert self.codimension(c0) == 2
+        assert jacobian_rank_at(c0, pt(1, 0, 0, 0)) != self.codimension(c0)
 
     def test_twisted_cubic_smooth_at_p(self, twisted_cubic):
-        assert is_smooth_at(twisted_cubic, pt(1, 0, 0, 0), curve_codim=2)
+        assert self.codimension(twisted_cubic) == 2
+        assert jacobian_rank_at(twisted_cubic, pt(1, 0, 0, 0)) == self.codimension(twisted_cubic)
 
     def test_plane_cubic_smooth_point(self):
         f = parse_polynomial("z*y^2 - x^3 + x*z^2 + z^3", RING3)
         spec = IdealSpec(RING3, (f,))
-        assert is_smooth_at(spec, pt(0, 1, 0), curve_codim=1)
+        assert jacobian_rank_at(spec, pt(0, 1, 0)) == 1
 
     def test_twisted_cubic_smooth_everywhere_sampled(self, twisted_cubic):
         for k in range(-10, 10):
-            assert is_smooth_at(twisted_cubic, cubic_point(Fraction(k, 3)), 2)
+            assert jacobian_rank_at(twisted_cubic, cubic_point(Fraction(k, 3))) == 2
 
 
 class TestTangentLine:

@@ -31,6 +31,7 @@ from conftest import (
     integer_rows,
     load_ideal,
     nonzero_rationals,
+    plain_rank,
     random_rnc,
 )
 from reference import enumerate_monomials
@@ -188,7 +189,7 @@ class TestClosedForms:
 def macaulay_hilbert(ideal, m):
     """H(m) from the rank of the full Macaulay matrix: every multiple u*f of
     degree m, with f's own coefficients, cleared by `integer_rows`, then
-    `exact_rank`.  The reference for the row criterion of
+    `plain_rank`.  The reference for the row criterion of
     `hilbert_function_table`."""
     n = ideal.n_vars
     basis = enumerate_monomials(n, m)
@@ -199,7 +200,7 @@ def macaulay_hilbert(ideal, m):
         if f.total_degree() <= m
         for u in enumerate_monomials(n, m - f.total_degree())
     ]
-    return len(basis) - exact_rank(integer_rows(rows))
+    return len(basis) - plain_rank(integer_rows(rows))
 
 
 def forms(ring, degree, coeffs=st.integers(-3, 3).filter(bool), max_terms=4):
@@ -670,7 +671,7 @@ def assert_macaulay_zero_rows_and_pivots(blocks):
         pivots = echelon.setdefault(m, {})
         before = len(pivots)
         want_zero = []
-        exact_rank(
+        plain_rank(
             [{index[tuple(map(add, u, mono))]: c for mono, c in terms.items()} for u in us],
             pivots,
             want_zero,

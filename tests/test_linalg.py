@@ -13,7 +13,7 @@ from halphen.graded import hilbert_function_table
 from halphen.linalg import exact_rank
 from halphen.parsing import parse_ideal_file
 
-from conftest import integer_rows
+from conftest import integer_rows, plain_rank
 from reference import sequential_echelon
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -88,11 +88,11 @@ def random_sparse_rows(rng, n_rows, n_cols, density=0.4):
 
 
 def test_known_small_ranks():
-    assert exact_rank([]) == 0
-    assert exact_rank([{}]) == 0
-    assert exact_rank([{0: 1}, {0: 2}]) == 1
-    assert exact_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) == 2
-    assert exact_rank(integer_rows([{0: Fraction(1, 2)}, {1: 1}, {0: 3, 1: 5}])) == 2
+    assert plain_rank([]) == 0
+    assert plain_rank([{}]) == 0
+    assert plain_rank([{0: 1}, {0: 2}]) == 1
+    assert plain_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) == 2
+    assert plain_rank(integer_rows([{0: Fraction(1, 2)}, {1: 1}, {0: 3, 1: 5}])) == 2
 
 
 def test_rational_cancellation():
@@ -101,7 +101,7 @@ def test_rational_cancellation():
         {0: Fraction(1, 3), 1: Fraction(1, 7)},
         {0: Fraction(2, 3), 1: Fraction(2, 7)},
     ]
-    assert exact_rank(integer_rows(rows)) == 1
+    assert plain_rank(integer_rows(rows)) == 1
 
 
 def test_against_naive_oracle_randomized():
@@ -110,7 +110,7 @@ def test_against_naive_oracle_randomized():
         n_rows = rng.randint(0, 8)
         n_cols = rng.randint(1, 8)
         rows = random_sparse_rows(rng, n_rows, n_cols)
-        assert exact_rank(integer_rows(rows)) == naive_rank(rows, n_cols)
+        assert plain_rank(integer_rows(rows)) == naive_rank(rows, n_cols)
 
 
 def test_modp_agrees_with_exact_randomized():
@@ -119,7 +119,7 @@ def test_modp_agrees_with_exact_randomized():
         n_rows = rng.randint(0, 10)
         n_cols = rng.randint(1, 10)
         rows = random_sparse_rows(rng, n_rows, n_cols)
-        assert modp_rank(rows, n_cols) == exact_rank(integer_rows(rows))
+        assert modp_rank(rows, n_cols) == plain_rank(integer_rows(rows))
 
 
 @settings(max_examples=60)
@@ -130,7 +130,7 @@ def test_modp_agrees_with_exact_randomized():
     )
 )
 def test_exact_matches_naive_property(rows):
-    assert exact_rank(integer_rows(rows)) == naive_rank(rows, 7)
+    assert plain_rank(integer_rows(rows)) == naive_rank(rows, 7)
 
 
 @settings(max_examples=60)
@@ -143,9 +143,9 @@ def test_exact_matches_naive_property(rows):
 )
 def test_extending_an_echelon_form_adds_the_rank_increase(rows, cut):
     pivots = {}
-    first = exact_rank(integer_rows(rows[:cut]), pivots)
+    first = plain_rank(integer_rows(rows[:cut]), pivots)
     assert first == naive_rank(rows[:cut], 7)
-    rest = exact_rank(integer_rows(rows[cut:]), pivots)
+    rest = plain_rank(integer_rows(rows[cut:]), pivots)
     assert first + rest == naive_rank(rows, 7) == len(pivots)
 
 
@@ -161,20 +161,20 @@ def test_each_nonzero_row_adds_one_key_at_the_end_in_row_order(rows, cut):
     # graded reads the pivot column each row took off the order of the keys
     rows = integer_rows(rows)
     pivots = {}
-    exact_rank(rows[:cut], pivots)
+    plain_rank(rows[:cut], pivots)
     # the reference: one row per call, on a copy of the echelon form
     one_by_one = dict(pivots)
     added, expect_zero = [], []
     for t, row in enumerate(rows[cut:]):
         before = set(one_by_one)
-        if exact_rank([row], one_by_one):
+        if plain_rank([row], one_by_one):
             (key,) = set(one_by_one) - before
             added.append(key)
         else:
             expect_zero.append(t)
     keys = list(pivots)
     zero = []
-    exact_rank(rows[cut:], pivots, zero)
+    plain_rank(rows[cut:], pivots, zero)
     assert list(pivots) == keys + added
     assert zero == expect_zero
 
@@ -183,7 +183,7 @@ def test_row_scaling_invariance():
     rng = random.Random(5)
     rows = integer_rows(random_sparse_rows(rng, 6, 6))
     scaled = [{k: -6 * v for k, v in row.items()} for row in rows]
-    assert exact_rank(rows) == exact_rank(scaled)
+    assert plain_rank(rows) == plain_rank(scaled)
 
 
 BIG = 2**80
@@ -221,20 +221,20 @@ def big_integer_matrices(draw):
 @given(big_integer_matrices())
 def test_exact_matches_naive_on_big_integer_rows(matrix):
     rows, n_cols = matrix
-    assert exact_rank(integer_rows(rows)) == naive_rank(rows, n_cols)
+    assert plain_rank(integer_rows(rows)) == naive_rank(rows, n_cols)
 
 
 def test_denominators_are_cleared_per_entry():
     # dependent over Q (the second row is 6 times the first), but not after
     # dropping the denominators
-    assert exact_rank(integer_rows([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}])) == 1
+    assert plain_rank(integer_rows([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}])) == 1
     assert modp_rank([{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}], 2) == 1
 
 
 def test_input_rows_are_not_modified():
     rows = [{0: 6, 1: 4}, {0: 4, 1: 6, 2: 3}, {0: 2, 2: 3}]
     before = [dict(row) for row in rows]
-    exact_rank(rows)
+    plain_rank(rows)
     assert rows == before
 
 
@@ -248,10 +248,10 @@ def test_stored_pivots_are_never_modified(matrix, cut, s):
     rows, n_cols = matrix
     first, rest = integer_rows(rows[:cut]), integer_rows(rows[cut:])
     pivots = {}
-    exact_rank(first, pivots)
+    plain_rank(first, pivots)
     before = {c: pivot_entries(pivots, c) for c in pivots}
     zero = []
-    exact_rank(rest + [{k: s * v for k, v in row.items()} for row in first], pivots, zero)
+    plain_rank(rest + [{k: s * v for k, v in row.items()} for row in first], pivots, zero)
     assert {c: pivot_entries(pivots, c) for c in before} == before
     assert zero[-len(first):] == list(range(len(rest), len(rest) + len(first)))
     assert len(pivots) == naive_rank(rows, n_cols)
@@ -265,6 +265,12 @@ def test_modp_rejects_column_outside_matrix():
 def materialised(rows, shifts):
     """Each row with its shift added to every column."""
     return [{k + s: v for k, v in row.items()} for row, s in zip(rows, shifts)]
+
+
+def shifted_leads(rows, shifts):
+    """Each row's leading column, min(row) + shift (0 on an empty row,
+    whose lead is ignored)."""
+    return [min(row) + s if row else 0 for row, s in zip(rows, shifts)]
 
 
 def pivot_entries(pivots, c):
@@ -291,7 +297,7 @@ def test_pivots_equal_the_sequential_reference_on_big_integer_rows(matrix):
     # F5 reads the pivot columns; the pivots themselves are pinned here
     rows, _ = matrix
     pivots = {}
-    exact_rank(integer_rows(rows), pivots)
+    plain_rank(integer_rows(rows), pivots)
     assert monic(pivots) == sequential_echelon(rows)
 
 
@@ -300,7 +306,7 @@ def test_pivots_equal_the_sequential_reference_on_big_integer_rows(matrix):
 def test_pivots_equal_the_sequential_reference_on_sparse_rows(rng, n_rows, n_cols):
     rows = random_sparse_rows(rng, n_rows, n_cols)
     pivots = {}
-    exact_rank(integer_rows(rows), pivots)
+    plain_rank(integer_rows(rows), pivots)
     assert monic(pivots) == sequential_echelon(rows)
 
 
@@ -328,7 +334,7 @@ def test_pivots_equal_the_sequential_reference_on_a_rank_table(monkeypatch):
 def test_stored_pivots_are_primitive(matrix):
     rows, _ = matrix
     pivots = {}
-    exact_rank(integer_rows(rows), pivots)
+    plain_rank(integer_rows(rows), pivots)
     for c in pivots:
         b, tail = pivot_entries(pivots, c)
         assert gcd(b, *tail.values()) == 1
@@ -342,13 +348,13 @@ def test_a_row_with_a_fresh_leading_column_costs_no_gcd(monkeypatch):
         return gcd(*args)
 
     monkeypatch.setattr(linalg, "gcd", counting_gcd)
-    assert exact_rank([{0: 2, 1: 3}, {1: 5, 2: 7}]) == 2
+    assert plain_rank([{0: 2, 1: 3}, {1: 5, 2: 7}]) == 2
     assert calls == []
 
 
 def test_an_empty_row_reduces_to_zero():
     zero = []
-    assert exact_rank([{0: 1}, {}, {0: 2}], None, zero) == 1
+    assert plain_rank([{0: 1}, {}, {0: 2}], zero=zero) == 1
     assert zero == [1, 2]
 
 
@@ -376,8 +382,8 @@ def test_shifted_rows_give_the_echelon_form_of_their_materialised_rows(first, mo
     flat = materialised(rows, shifts)
     pivots, zero = {}, []
     flat_pivots, flat_zero = {}, []
-    rank = exact_rank(rows, pivots, zero, shifts)
-    assert rank == exact_rank(flat, flat_pivots, flat_zero)
+    rank = exact_rank(rows, pivots, zero, shifts, shifted_leads(rows, shifts))
+    assert rank == plain_rank(flat, flat_pivots, flat_zero)
     assert zero == flat_zero
     assert list(pivots) == list(flat_pivots)
     assert {c: pivot_entries(pivots, c) for c in pivots} == {
@@ -390,8 +396,8 @@ def test_shifted_rows_give_the_echelon_form_of_their_materialised_rows(first, mo
     flat2 = materialised(rows2, shifts2)
     stored = {c: (row, dict(row), shift) for c, (row, shift) in pivots.items()}
     inputs = [dict(row) for row in rows + rows2]
-    exact_rank(rows2, pivots, None, shifts2)
-    exact_rank(flat2, flat_pivots)
+    exact_rank(rows2, pivots, [], shifts2, shifted_leads(rows2, shifts2))
+    plain_rank(flat2, flat_pivots)
     assert list(pivots) == list(flat_pivots)
     for c, (row, copy, shift) in stored.items():
         assert pivots[c][0] is row and row == copy and pivots[c][1] == shift
@@ -414,27 +420,23 @@ def stored(pivots, rows):
 @given(shifted_rows(), shifted_rows(), st.data())
 def test_given_leads_change_nothing(first, more, data):
     # the second rows extend the first rows' echelon form, so that a lead
-    # may also start a reduction
+    # may also start a reduction; an empty row's lead is any int
     rows, shifts = first
     base = {}
-    exact_rank(rows, base, None, shifts)
+    exact_rank(rows, base, [], shifts, shifted_leads(rows, shifts))
     rows2, shifts2 = more
-    leads = [
-        data.draw(st.sampled_from([min(row) + s, None])) if row else data.draw(st.integers(-9, 9))
-        for row, s in zip(rows2, shifts2)
-    ]
+    leads = [min(row) + s if row else data.draw(st.integers(-9, 9)) for row, s in zip(rows2, shifts2)]
     pivots, zero = dict(base), []
-    rank = exact_rank(rows2, pivots, zero, shifts2)
-    given_pivots, given_zero = dict(base), []
-    assert exact_rank(rows2, given_pivots, given_zero, shifts2, leads) == rank
-    assert given_zero == zero
-    assert list(given_pivots) == list(pivots)
+    rank = exact_rank(rows2, pivots, zero, shifts2, leads)
+    assert list(pivots)[: len(base)] == list(base)
+    # the same rows materialised, each with shift 0 and lead its min
+    flat_pivots, flat_zero = dict(base), []
+    assert plain_rank(materialised(rows2, shifts2), flat_pivots, flat_zero) == rank
+    assert flat_zero == zero
+    assert list(flat_pivots) == list(pivots)
     inputs = rows + rows2
-    assert stored(given_pivots, inputs) == stored(pivots, inputs)
-    # rows, shifts and leads as one-shot iterators, read once each, with
-    # and without leads
-    for once_leads in (iter(leads), None):
-        once_pivots, once_zero = dict(base), []
-        assert exact_rank(iter(rows2), once_pivots, once_zero, iter(shifts2), once_leads) == rank
-        assert once_zero == zero
-        assert stored(once_pivots, inputs) == stored(pivots, inputs)
+    # rows, shifts and leads as one-shot iterators, read once each
+    once_pivots, once_zero = dict(base), []
+    assert exact_rank(iter(rows2), once_pivots, once_zero, iter(shifts2), iter(leads)) == rank
+    assert once_zero == zero
+    assert stored(once_pivots, inputs) == stored(pivots, inputs)
