@@ -67,7 +67,8 @@ def on_variety(ideal: IdealSpec, p: ProjectivePoint) -> bool:
 
 def jacobian_rank_at(ideal: IdealSpec, p: ProjectivePoint) -> int:
     """Rank of the Jacobian of the generators at p, each nonzero row
-    cleared to primitive integers for `exact_rank`."""
+    cleared to primitive integers and keyed from its first nonzero index,
+    its lead, for `exact_rank`."""
     if not on_variety(ideal, p):
         raise ValueError("the point is not on the variety")
     gradients = (
@@ -75,7 +76,9 @@ def jacobian_rank_at(ideal: IdealSpec, p: ProjectivePoint) -> int:
         for g in ideal.generators
     )
     rows = [primitive(row) for row in gradients if row]
-    return exact_rank(rows, {}, [], [0] * len(rows), [min(r) for r in rows])
+    leads = [min(row) for row in rows]
+    rows = [{j - c: v for j, v in row.items()} for row, c in zip(rows, leads)]
+    return exact_rank(rows, {}, [], leads)
 
 
 def tangent_line(f: Polynomial, p: ProjectivePoint) -> TangentLine:

@@ -11,8 +11,8 @@ Each generator is made primitive over the integers (cleared of
 denominators, divided by its content) before any row is built, and in the
 generator's own degree its row is built straight from those integers:
 scaling a row changes neither the rows' span nor the rank.  Every later
-row is a shift of a stored pivot, which `exact_rank` keeps primitive, so
-every row it is handed is primitive.
+row is a stored pivot under a new lead, which `exact_rank` keeps
+primitive, so every row it is handed is primitive.
 
 Inside a table each monomial of degree <= m_max is one int, its exponent
 vector read as digits in a base B > m_max, x_{n-1} the most significant:
@@ -25,15 +25,14 @@ is the last variable where the exponents differ, and the smaller
 exponent there is the bigger monomial in degrevlex.  So `exact_rank`,
 which pivots on the smallest column, pivots on the largest monomial of
 each row; that order keeps the coefficients small on these matrices.
-Each generator's terms are packed once, into one dict code -> coefficient.
-In a block's first degree the only u is 1, so the block has one row, f
-itself, that dict handed to `exact_rank` with shift 0, unless F5 skips
-it (below).  Every later row is a stored dict handed over with a shift:
-a column is one int addition, which `exact_rank` makes as it reads the
-row, and no row dict is built here.  Each row's leading column is
-handed over with it, so that `exact_rank` need not take the row's `min`:
-the smallest code of f in the first degree, then the stored row's pivot
-column plus weight_j (below).
+Each generator's terms are packed once, into one dict code minus the
+smallest code -> coefficient, as `exact_rank` takes its rows.  In a
+block's first degree the only u is 1, so the block has one row, f
+itself, that dict handed over with the smallest code as its lead,
+unless F5 skips it (below).  Every later row is a stored pivot row
+handed over with a new lead, its pivot column plus weight_j (below): a
+column is one int addition, which `exact_rank` makes as it reads the
+row, and no row dict is built here.
 
 B is the smallest base above m_max that is 2 mod 4, for the row dicts.
 CPython hashes a small int to itself, and a dict takes its first probe
@@ -86,8 +85,8 @@ u*f_{i+1}; each later degree reuses the previous one's elimination (the
 u = x_j*v with x_j the last variable of u, the most significant digit of
 its code.  The row handed over for u is x_j times the full row that
 v*f_{i+1} left in the echelon form of degree m - 1: on codes, every
-column plus weight_j, so the stored (row, shift) is handed over as the
-same dict with its shift raised by weight_j.  That row was reduced
+column plus weight_j, so the stored row is handed over as the same dict
+with its pivot column plus weight_j as its lead.  That row was reduced
 against the rows before it, so it is c*v*f_{i+1}, with c a nonzero
 integer, plus an element of (f_1..f_i)_{m-1} plus rows v'*f_{i+1} with
 v' < v; times x_j,
@@ -104,8 +103,8 @@ each u comes once, and in descending code (smallest u first).  None is
 missed: had F5 skipped v, it skips u too, as x_j*LM(g) = LM(x_j*g), and
 had v's row reduced to zero or never been made, u falls under the
 syzygy rule with z = v.  `column` maps each kept v to the pivot entry
-(column, (row, shift)) its row left, read back from the echelon form,
-where `exact_rank` appends the pivots of nonzero rows in row order.
+(column, row) its row left, read back from the echelon form, where
+`exact_rank` appends the pivots of nonzero rows in row order.
 
 Caveat: the value H(m) is computed for the ideal exactly as presented.
 For a non-saturated ideal the Hilbert *function* (though never the
@@ -181,56 +180,50 @@ def hilbert_function_table(ideal: IdealSpec, m_max: int) -> HilbertFunctionTable
     n = ideal.n_vars
     base = m_max + 1 + (1 - m_max) % 4
     weights = [base**i for i in range(n)]
-    # (degree, primitive integer terms as a dict code -> coefficient), by
-    # degree and then input order
-    gens = sorted(
-        (
-            (
-                f.total_degree(),
-                {sum(map(mul, weights, mono)): c for mono, c in primitive(f.terms).items()},
-            )
-            for f in ideal.generators
-        ),
-        key=itemgetter(0),
-    )
+    # (degree, smallest code, primitive integer terms as a dict code minus
+    # the smallest code -> coefficient), by degree and then input order
+    gens = []
+    for f in ideal.generators:
+        terms = {sum(map(mul, weights, mono)): c for mono, c in primitive(f.terms).items()}
+        lo = min(terms)
+        gens.append((f.total_degree(), lo, {k - lo: c for k, c in terms.items()}))
+    gens.sort(key=itemgetter(0))
     # (i, k) -> the codes of degree k that lead an element of blocks
     # 0..i-1; kept only while block i of a later degree still needs them
     leading: dict[tuple[int, int], set[int]] = {}
-    # i -> u -> the pivot entry (column, (row, shift)) that the row of
-    # u*f_i left in the previous degree's echelon form, its keys ascending
-    column: dict[int, dict[int, tuple[int, tuple[SparseRow, int]]]] = {}
+    # i -> u -> the pivot entry (column, row) that the row of u*f_i left
+    # in the previous degree's echelon form, its keys ascending
+    column: dict[int, dict[int, tuple[int, SparseRow]]] = {}
     values = {}
     for m in range(m_max + 1):
         pivots: Pivots = {}
-        for i, (d, terms) in enumerate(gens):
+        for i, (d, lo, terms) in enumerate(gens):
             if m + d <= m_max:
                 leading[i, m] = set(pivots)
             if d <= m:
                 skip = leading.pop((i, m - d))
                 if d == m:
-                    # one row, f_i itself, with shift 0, led by f_i's
-                    # smallest code; none if F5 skips it
+                    # one row, f_i itself, led by f_i's smallest code;
+                    # none if F5 skips it
                     us = [] if 0 in skip else [0]
-                    rows, shifts, leads = [terms] * len(us), us, [min(terms)] * len(us)
+                    rows, leads = [terms] * len(us), [lo] * len(us)
                 else:
                     # u = x_j*v for each kept v whose last variable is at
                     # most x_j, smallest u first: x_j times the stored row
-                    # of v*f_i, its shift raised by weight_j, led by its
-                    # pivot column plus weight_j
-                    us, rows, shifts, leads = [], [], [], []
+                    # of v*f_i, led by its pivot column plus weight_j
+                    us, rows, leads = [], [], []
                     col = column[i]
                     vs = list(col)
                     for w in reversed(weights):
                         for v in reversed(vs[: bisect_left(vs, w * base)]):
                             u = v + w
                             if u not in skip:
-                                c, (row, s) = col[v]
+                                c, row = col[v]
                                 us.append(u)
                                 rows.append(row)
-                                shifts.append(s + w)
                                 leads.append(c + w)
                 zero: list[int] = []
-                added = exact_rank(rows, pivots, zero, shifts, leads)
+                added = exact_rank(rows, pivots, zero, leads)
                 if m < m_max:
                     # each nonzero row added one entry, at the end, in
                     # row order: read the last `added` back to front

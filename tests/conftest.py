@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
@@ -43,17 +44,55 @@ def integer_rows(rows):
 
 
 def plain_rank(rows, pivots=None, zero=None):
-    """`exact_rank` of a plain matrix: every shift 0 and every lead its
-    row's `min` (0 on an empty row, whose lead is ignored).  Extends the
-    echelon form `pivots` and the list `zero` when given, else fresh ones."""
+    """`exact_rank` of a plain matrix, rows column -> nonzero int: each
+    row keyed from its `min`, which goes as its lead (0 on an empty row,
+    whose lead is ignored).  A row whose `min` is 0 goes as it is, the
+    caller's own dict.  Extends the echelon form `pivots` and the list
+    `zero` when given, else fresh ones."""
     rows = list(rows)
+    leads = [min(row, default=0) for row in rows]
     return exact_rank(
-        rows,
+        [{k - c: v for k, v in row.items()} if c else row for row, c in zip(rows, leads)],
         {} if pivots is None else pivots,
         [] if zero is None else zero,
-        [0] * len(rows),
-        [min(row, default=0) for row in rows],
+        leads,
     )
+
+
+class RankCall(NamedTuple):
+    """One `exact_rank` call: the rows and leads as handed over, the
+    echelon form it extended (as it is now, not as it was), the list the
+    indices of its zero rows went to, and the keys it added to the echelon
+    form, in the order it added them."""
+
+    rows: list
+    leads: list
+    pivots: dict
+    zero: list
+    added: list
+
+
+def record_rank_calls(patch, module):
+    """Route `module.exact_rank` through a recorder for the life of the
+    monkeypatch `patch`, and return the list of `RankCall`s it fills, in
+    call order.  Asserts, on every call, that the rows come as a list, as
+    bench/tracing.py reads them; that each row is nonempty and keyed from
+    its leading column, its smallest key 0, with one lead per row; and
+    that the keys the echelon form had stay in front, in their order."""
+    calls = []
+
+    def recording_rank(rows, pivots, zero, leads):
+        assert type(rows) is list
+        assert [min(row) for row in rows] == [0] * len(leads)
+        before = list(pivots)
+        rank = exact_rank(rows, pivots, zero, leads)
+        keys = list(pivots)
+        assert keys[: len(before)] == before
+        calls.append(RankCall(rows, leads, pivots, zero, keys[len(before) :]))
+        return rank
+
+    patch.setattr(module, "exact_rank", recording_rank)
+    return calls
 
 
 @pytest.fixture

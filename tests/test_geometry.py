@@ -13,11 +13,10 @@ from halphen.geometry import (
 )
 from halphen.groebner import hilbert_polynomial
 from halphen.invariants import invariants_of
-from halphen.linalg import exact_rank
 from halphen.parsing import parse_ideal_file, parse_polynomial
-from halphen.poly import IdealSpec
+from halphen.poly import IdealSpec, primitive
 
-from conftest import FIXTURES, RING3, RING4
+from conftest import FIXTURES, RING3, RING4, record_rank_calls
 
 
 def pt(*coords):
@@ -91,18 +90,12 @@ class TestJacobianRank:
             scaled = ProjectivePoint([lam * c for c in (1, 0, 0, 0)])
             assert jacobian_rank_at(c0, scaled) == 1
 
-    def test_rows_go_with_shift_zero_and_their_min_as_lead(self, monkeypatch):
+    def test_rows_go_with_min_zero_and_their_first_index_as_lead(self, monkeypatch):
         # at every point the CLI battery of tests/test_cli.py runs smooth-at
         # on, each fixture's first and last coordinate point, as far as it
-        # lies on the variety
-        calls = []
-
-        def recording_rank(rows, pivots, zero, shifts, leads):
-            assert pivots == {} and zero == []
-            calls.append((rows, shifts, leads))
-            return exact_rank(rows, pivots, zero, shifts, leads)
-
-        monkeypatch.setattr(geometry, "exact_rank", recording_rank)
+        # lies on the variety; the recorder asserts that the rows come as a
+        # list, each with min 0
+        calls = record_rank_calls(monkeypatch, geometry)
         for path in sorted(FIXTURES.glob("*.ideal")):
             ideal = parse_ideal_file(path.read_text())
             n = ideal.n_vars
@@ -110,11 +103,18 @@ class TestJacobianRank:
                 p = pt(*(int(j == i) for j in range(n)))
                 if on_variety(ideal, p):
                     jacobian_rank_at(ideal, p)
+                    rows, leads, pivots, zero, added = calls[-1]
+                    # a fresh echelon form and zero list
+                    assert added == list(pivots) and len(zero) == len(rows) - len(added)
+                    # on columns, the rows are the primitive nonzero gradients
+                    gradients = [
+                        {j: g.partial_derivative(j).evaluate(p.coords) for j in range(n)}
+                        for g in ideal.generators
+                    ]
+                    expect = [primitive(row) for row in gradients if any(row.values())]
+                    placed = [{c + k: v for k, v in row.items()} for row, c in zip(rows, leads)]
+                    assert placed == expect
         assert len(calls) == 10
-        for rows, shifts, leads in calls:
-            assert type(rows) is list
-            assert shifts == [0] * len(rows)
-            assert leads == [min(row) for row in rows]
 
 
 class TestSmoothness:

@@ -33,6 +33,7 @@ from conftest import (
     nonzero_rationals,
     plain_rank,
     random_rnc,
+    record_rank_calls,
 )
 from reference import enumerate_monomials
 
@@ -180,7 +181,7 @@ class TestClosedForms:
         assert table.values == {m: n * m + 1 for m in range(7)}
 
     def test_twisted_cubic_to_high_degree(self, twisted_cubic):
-        # binomial rows, each degree a shift of the previous one's pivots,
+        # binomial rows, each degree x_j times the previous one's pivots,
         # at a degree `halphen hilbert --max-degree 40` reaches
         table = hilbert_function_table(twisted_cubic, 40)
         assert table.values == {m: 3 * m + 1 for m in range(41)}
@@ -407,25 +408,11 @@ class TestPieceBudget:
 
 
 def recorded_calls(ideal, m_max):
-    """Every `exact_rank` call a table makes, in call order, as (rows,
-    shifts, pivots, zero, added): the rows handed over and their shifts,
-    the echelon form they extended, the indices of the rows that reduced
-    to zero, and the keys the call added to the echelon form, in the order
-    it added them.  Asserts that every lead handed over is its row's
-    leading column."""
-    calls = []
-
-    def recording_rank(rows, pivots, zero, shifts, leads):
-        assert leads == [min(row) + s for row, s in zip(rows, shifts)]
-        before = list(pivots)
-        rank = exact_rank(rows, pivots, zero, shifts, leads)
-        keys = list(pivots)
-        assert keys[: len(before)] == before
-        calls.append((rows, shifts, pivots, zero, keys[len(before) :]))
-        return rank
-
+    """Every `exact_rank` call a table makes, in call order, as a
+    `RankCall` (rows, leads, pivots, zero, added); each row is keyed from
+    its leading column, which the recorder asserts."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graded, "exact_rank", recording_rank)
+        calls = record_rank_calls(patch, graded)
         hilbert_function_table(ideal, m_max)
     return calls
 
@@ -445,10 +432,10 @@ def decode(code, base, n):
     return tuple(digits)
 
 
-def shifted(row, shift, leading_first):
-    """The row {k + shift: v}, in the order of `row`, or with its leading
+def placed(row, lead, leading_first):
+    """The row {lead + k: v}, in the order of `row`, or with its leading
     entry moved to the front."""
-    out = {k + shift: v for k, v in row.items()}
+    out = {lead + k: v for k, v in row.items()}
     if leading_first:
         c = min(out)
         out = {c: out.pop(c)} | out
@@ -461,54 +448,59 @@ def tuple_blocks(ideal, m_max):
     the generator, the monomial u of each row, the rows as dicts exponent
     tuple -> coefficient, the indices of the rows that reduced to zero, and
     the pivot columns the block added, as exponent tuples.  Each row is the
-    dict handed over with its shift added to every code, its entries in the
+    dict handed over with its lead added to every key, its entries in the
     dict's order; after a block's first degree its leading entry comes
     first, as when such a row was built as a leading entry and a tail.
 
     Each row is matched to its u by what was handed over, not by its
     entries, which two u of one block may share (one of them then reduces
-    to zero).  In the first degree of f the shift is the code of u, and
-    the row is the Macaulay row of u*f, with f's primitive integer
-    coefficients.  In every later degree the row of u is the very stored
-    row (row and shift) that (u/x_j)*f left in the previous degree's
-    echelon form, x_j the last variable of u, with its shift raised by
-    B^j, and its entries are x_j times that row's.  The stored row of each
-    nonzero row is the one at the key its block added for it: the added
-    keys come in the order of the nonzero rows."""
+    to zero).  In the first degree of f the lead is the code of u plus
+    f's smallest code, and the row is the Macaulay row of u*f, with f's
+    primitive integer coefficients.  In every later degree the row of u is
+    the very stored row that (u/x_j)*f left in the previous degree's
+    echelon form, x_j the last variable of u, with its pivot column plus
+    B^j as its lead, and its entries are x_j times that row's.  The stored
+    row of each nonzero row is the one at the key its block added for it:
+    the added keys come in the order of the nonzero rows."""
     n = ideal.n_vars
     base = code_base(m_max)
     gens = sorted(ideal.generators, key=Polynomial.total_degree)
     blocks = [(m, i) for m in range(m_max + 1) for i, f in enumerate(gens) if f.total_degree() <= m]
     calls = recorded_calls(ideal, m_max)
     assert len(calls) == len(blocks)
-    # i -> u -> the stored row and shift of u*f_i in the previous degree,
-    # and the row's entries on exponent tuples
+    # i -> u -> the stored row of u*f_i in the previous degree, its pivot
+    # column, and the row's entries on exponent tuples
     stored = {}
     out = []
-    for (m, i), (handed, shifts, pivots, zero, added) in zip(blocks, calls):
+
+    def code(u):
+        return sum(e * base**k for k, e in enumerate(u))
+
+    for (m, i), (handed, leads, pivots, zero, added) in zip(blocks, calls):
         f = gens[i]
         d = f.total_degree()
         monos = enumerate_monomials(n, m - d)  # degrevlex-descending
         if m == d:
             terms = primitive(f.terms)
             expect = {u: {tuple(map(add, u, mono)): c for mono, c in terms.items()} for u in monos}
-            by_handover = {sum(e * base**k for k, e in enumerate(u)): u for u in monos}
-            us = [by_handover.get(s) for s in shifts]
+            lo = min(map(code, terms))
+            by_handover = {code(u) + lo: u for u in monos}
+            us = [by_handover.get(c) for c in leads]
         else:
             expect, by_handover = {}, {}
             for u in monos:
                 j = max(k for k, e in enumerate(u) if e)
                 v = u[:j] + (u[j] - 1,) + u[j + 1 :]
                 if v in stored[i]:
-                    row, s, entries = stored[i][v]
+                    row, p, entries = stored[i][v]
                     expect[u] = {
                         mono[:j] + (mono[j] + 1,) + mono[j + 1 :]: c for mono, c in entries.items()
                     }
-                    by_handover[id(row), s + base**j] = u
+                    by_handover[id(row), p + base**j] = u
             assert len(by_handover) == len(expect)
-            us = [by_handover.get((id(row), s)) for row, s in zip(handed, shifts)]
+            us = [by_handover.get((id(row), c)) for row, c in zip(handed, leads)]
         assert None not in us
-        rows = [shifted(row, s, m > d) for row, s in zip(handed, shifts)]
+        rows = [placed(row, c, m > d) for row, c in zip(handed, leads)]
         rows = [{decode(code, base, n): c for code, c in row.items()} for row in rows]
         assert rows == [expect[u] for u in us]
         # u increases within the block
@@ -518,9 +510,9 @@ def tuple_blocks(ideal, m_max):
         assert len(nonzero) == len(added)
         stored[i] = {}
         for u, p in zip(nonzero, added):
-            row, s = pivots[p]
-            entries = shifted(row, s, True)
-            stored[i][u] = row, s, {decode(k, base, n): c for k, c in entries.items()}
+            row = pivots[p]
+            entries = placed(row, p, True)
+            stored[i][u] = row, p, {decode(k, base, n): c for k, c in entries.items()}
         out.append((m, f, us, rows, zero, [decode(p, base, n) for p in added]))
     return out
 
@@ -766,16 +758,40 @@ def traced_tables():
 
 @pytest.mark.parametrize("table", traced_tables())
 def test_exact_rank_calls_as_the_benchmark_tracer_reads_them(table, monkeypatch):
-    # bench/tracing.py counts the rows of each call as len(args[0])
-    calls = []
-
-    def recording_rank(rows, pivots, zero, shifts, leads):
-        calls.append((rows, list(shifts), list(leads)))
-        return exact_rank(rows, pivots, zero, shifts, leads)
-
-    monkeypatch.setattr(graded, "exact_rank", recording_rank)
+    # bench/tracing.py counts the rows of each call as len(args[0]); the
+    # recorder asserts that they come as a list, each row with min 0
+    calls = record_rank_calls(monkeypatch, graded)
     table()
     assert calls
-    for rows, shifts, leads in calls:
-        assert type(rows) is list
-        assert leads == [min(row) + s for row, s in zip(rows, shifts)]
+
+
+def pivots_stored_after_a_step(table):
+    """Run `table`, assert that every pivot row it stored is keyed from its
+    column, with nonzero entries, and primitive, and count the rows stored
+    after a reduction step: those no call handed to the same echelon form."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_rank_calls(patch, graded)
+        table()
+    handed = {}
+    for call in calls:
+        handed.setdefault(id(call.pivots), (call.pivots, set()))[1].update(map(id, call.rows))
+    count = 0
+    for pivots, ids in handed.values():
+        for row in pivots.values():
+            assert min(row) == 0 and all(row.values())
+            assert gcd(*row.values()) == 1
+            count += id(row) not in ids
+    return count
+
+
+def test_every_stored_pivot_is_keyed_from_zero_and_primitive():
+    # a row stored after a reduction step is a new dict, which must be
+    # keyed from its pivot column as the rows handed over are; each table
+    # of the rank benchmark's seed-1 round 0 stores such rows, and of the
+    # fixtures to degree 6 two_quadrics does
+    after_a_step = [
+        pivots_stored_after_a_step(lambda: hilbert_function_table(load_ideal(path.stem), 6))
+        for path in sorted(FIXTURES.glob("*.ideal"))
+    ]
+    assert any(after_a_step)
+    assert all(pivots_stored_after_a_step(op.call) for op in Rank(1).round_ops(0))

@@ -13,7 +13,7 @@ from halphen.graded import hilbert_function_table
 from halphen.linalg import exact_rank
 from halphen.parsing import parse_ideal_file
 
-from conftest import integer_rows, plain_rank
+from conftest import integer_rows, plain_rank, record_rank_calls
 from reference import sequential_echelon
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -262,22 +262,15 @@ def test_modp_rejects_column_outside_matrix():
         modp_rank([{3: 1}], 3)
 
 
-def materialised(rows, shifts):
-    """Each row with its shift added to every column."""
-    return [{k + s: v for k, v in row.items()} for row, s in zip(rows, shifts)]
-
-
-def shifted_leads(rows, shifts):
-    """Each row's leading column, min(row) + shift (0 on an empty row,
-    whose lead is ignored)."""
-    return [min(row) + s if row else 0 for row, s in zip(rows, shifts)]
+def materialised(rows, leads):
+    """Each row with its lead added to every key: column -> entry."""
+    return [{k + c: v for k, v in row.items()} for row, c in zip(rows, leads)]
 
 
 def pivot_entries(pivots, c):
-    """The pivot at column c as (b, tail): its row in its own column's
-    coordinates, the leading entry b at c and the other entries as a dict."""
-    row, shift = pivots[c]
-    tail = {k + shift: v for k, v in row.items()}
+    """The pivot at column c as (b, tail): its row on columns, the leading
+    entry b at c and the other entries as a dict."""
+    tail = materialised([pivots[c]], [c])[0]
     return tail.pop(c), tail
 
 
@@ -313,17 +306,11 @@ def test_pivots_equal_the_sequential_reference_on_sparse_rows(rng, n_rows, n_col
 def test_pivots_equal_the_sequential_reference_on_a_rank_table(monkeypatch):
     # every row of a ci(3,3,3) table to degree 8, as `graded` hands them
     # over, grouped by the echelon form of their degree
-    calls = []
-
-    def recording_rank(rows, pivots, zero, shifts, leads):
-        calls.append((materialised(rows, shifts), pivots))
-        return exact_rank(rows, pivots, zero, shifts, leads)
-
-    monkeypatch.setattr(graded, "exact_rank", recording_rank)
+    calls = record_rank_calls(monkeypatch, graded)
     hilbert_function_table(parse_ideal_file(ci_text(random.Random(7), (3, 3, 3))), 8)
     by_degree = {}
-    for rows, pivots in calls:
-        by_degree.setdefault(id(pivots), (pivots, []))[1].extend(rows)
+    for rows, leads, pivots, *_ in calls:
+        by_degree.setdefault(id(pivots), (pivots, []))[1].extend(materialised(rows, leads))
     assert len(by_degree) == 6  # degrees 3..8
     for pivots, rows in by_degree.values():
         assert monic(pivots) == sequential_echelon(rows)
@@ -359,10 +346,12 @@ def test_an_empty_row_reduces_to_zero():
 
 
 @st.composite
-def shifted_rows(draw):
-    """Sparse integer rows, some empty, each a dict from a small pool, so
-    that one dict comes back with several shifts, as `graded` hands its
-    stored rows over; and a non-negative shift per row."""
+def reused_rows(draw):
+    """Sparse integer rows, some empty, each keyed from its leading column
+    and taken from a small pool, so that one dict comes back with several
+    leads, as `graded` hands its stored rows over; and the lead of each
+    row, its pool row's smallest column in 0..5 plus a shift in 0..4 (0
+    on an empty row, whose lead is ignored)."""
     pool = draw(
         st.lists(
             st.dictionaries(st.integers(0, 5), st.integers(-20, 20).filter(bool), max_size=5),
@@ -372,17 +361,19 @@ def shifted_rows(draw):
     )
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
     shifts = draw(st.lists(st.integers(0, 4), min_size=len(picks), max_size=len(picks)))
-    return [pool[k] for k in picks], shifts
+    keyed = [{k - min(row): v for k, v in row.items()} if row else row for row in pool]
+    leads = [min(pool[k]) + s if pool[k] else 0 for k, s in zip(picks, shifts)]
+    return [keyed[k] for k in picks], leads
 
 
 @settings(max_examples=150)
-@given(shifted_rows(), shifted_rows())
-def test_shifted_rows_give_the_echelon_form_of_their_materialised_rows(first, more):
-    rows, shifts = first
-    flat = materialised(rows, shifts)
+@given(reused_rows(), reused_rows())
+def test_reused_rows_give_the_echelon_form_of_their_materialised_rows(first, more):
+    rows, leads = first
+    flat = materialised(rows, leads)
     pivots, zero = {}, []
     flat_pivots, flat_zero = {}, []
-    rank = exact_rank(rows, pivots, zero, shifts, shifted_leads(rows, shifts))
+    rank = exact_rank(rows, pivots, zero, leads)
     assert rank == plain_rank(flat, flat_pivots, flat_zero)
     assert zero == flat_zero
     assert list(pivots) == list(flat_pivots)
@@ -392,51 +383,51 @@ def test_shifted_rows_give_the_echelon_form_of_their_materialised_rows(first, mo
     assert monic(pivots) == sequential_echelon(flat)
     # extending the echelon form leaves every stored row, and the rows
     # handed over, as they were
-    rows2, shifts2 = more
-    flat2 = materialised(rows2, shifts2)
-    stored = {c: (row, dict(row), shift) for c, (row, shift) in pivots.items()}
+    rows2, leads2 = more
+    flat2 = materialised(rows2, leads2)
+    stored = {c: (row, dict(row)) for c, row in pivots.items()}
     inputs = [dict(row) for row in rows + rows2]
-    exact_rank(rows2, pivots, [], shifts2, shifted_leads(rows2, shifts2))
+    exact_rank(rows2, pivots, [], leads2)
     plain_rank(flat2, flat_pivots)
     assert list(pivots) == list(flat_pivots)
-    for c, (row, copy, shift) in stored.items():
-        assert pivots[c][0] is row and row == copy and pivots[c][1] == shift
+    for c, (row, copy) in stored.items():
+        assert pivots[c] is row and row == copy
     assert rows + rows2 == inputs
     assert monic(pivots) == sequential_echelon(flat + flat2)
 
 
 def stored(pivots, rows):
-    """The echelon form as (column, shift, the index of the first input
-    row that is the stored row itself, or None and the row's items for a
-    row stored as a copy)."""
+    """The echelon form as (column, the index of the first input row that
+    is the stored row itself, or None and the row's items for a row
+    stored as a copy)."""
     out = []
-    for c, (row, shift) in pivots.items():
+    for c, row in pivots.items():
         t = next((t for t, raw in enumerate(rows) if raw is row), None)
-        out.append((c, shift, t, None if t is not None else sorted(row.items())))
+        out.append((c, t, None if t is not None else sorted(row.items())))
     return out
 
 
 @settings(max_examples=150)
-@given(shifted_rows(), shifted_rows(), st.data())
+@given(reused_rows(), reused_rows(), st.data())
 def test_given_leads_change_nothing(first, more, data):
     # the second rows extend the first rows' echelon form, so that a lead
     # may also start a reduction; an empty row's lead is any int
-    rows, shifts = first
+    rows, leads = first
     base = {}
-    exact_rank(rows, base, [], shifts, shifted_leads(rows, shifts))
-    rows2, shifts2 = more
-    leads = [min(row) + s if row else data.draw(st.integers(-9, 9)) for row, s in zip(rows2, shifts2)]
+    exact_rank(rows, base, [], leads)
+    rows2, leads2 = more
+    leads = [c if row else data.draw(st.integers(-9, 9)) for row, c in zip(rows2, leads2)]
     pivots, zero = dict(base), []
-    rank = exact_rank(rows2, pivots, zero, shifts2, leads)
+    rank = exact_rank(rows2, pivots, zero, leads)
     assert list(pivots)[: len(base)] == list(base)
-    # the same rows materialised, each with shift 0 and lead its min
+    # the same rows materialised, each keyed afresh from its min
     flat_pivots, flat_zero = dict(base), []
-    assert plain_rank(materialised(rows2, shifts2), flat_pivots, flat_zero) == rank
+    assert plain_rank(materialised(rows2, leads), flat_pivots, flat_zero) == rank
     assert flat_zero == zero
     assert list(flat_pivots) == list(pivots)
     inputs = rows + rows2
-    # rows, shifts and leads as one-shot iterators, read once each
+    # rows and leads as one-shot iterators, read once each
     once_pivots, once_zero = dict(base), []
-    assert exact_rank(iter(rows2), once_pivots, once_zero, iter(shifts2), iter(leads)) == rank
+    assert exact_rank(iter(rows2), once_pivots, once_zero, iter(leads)) == rank
     assert once_zero == zero
     assert stored(once_pivots, inputs) == stored(pivots, inputs)
