@@ -22,10 +22,13 @@ is read.
 region_chunks is the one renderer: it takes the runs from region_table,
 which it calls through the module (a traced benchmark run wraps it there),
 and writes each run as one chunk and makes no row.  A CSV run is one join
-of genus strings made once per table; an SVG run, whose circles show the
-category alone, one join of the coordinate and genus strings of its
-circles.  The CLI streams those chunks, and region_csv and region_svg
-are their join.
+of genus strings ended by its flags' line ending.  A circle of the SVG
+shows d, g and the category alone: each genus has one string, its
+centre's y and the genus joined by a NUL, and a run is one join of those
+strings ended by its category's tail, then one replace of the NUL by the
+text that names the degree and the color.  The genus strings and the
+line endings and tails are made once per table.  The CLI streams those
+chunks, and region_csv and region_svg are their join.
 
 The SVG's circle centres are integers, written as N.00.  It overlays the
 parabolas G(d, s) without their correction term, s = 1, 2, 3, at d = n/q
@@ -233,14 +236,19 @@ def region_csv(d_max: int) -> str:
 def _csv_chunks(degrees: list[list[Run]], d_max: int) -> Iterator[str]:
     """The header, then the lines of each run as one chunk.  The lines of
     a run differ only in g: each run is one join of its genus strings,
-    made once for the table."""
+    ended by its flags' line ending; both are made once for the table."""
     yield "d,g,exists_plane,exists_on_quadric,exists_off_quadric,exists_any,category\n"
     word = ("false", "true")
+    ends = {
+        flags: f",{word[plane]},{word[on_q]},{word[off_q]},{word[any_]},{cat}\n"
+        for flags in _FLAGS.values()
+        for plane, on_q, off_q, any_, cat in [flags]
+    }
     gs = list(map(str, range(plane_bound(d_max) + 1)))
     for d, runs in enumerate(degrees, 1):
         head = f"{d},"
-        for start, stop, (plane, on_quadric, off_quadric, any_, cat) in runs:
-            tail = f",{word[plane]},{word[on_quadric]},{word[off_quadric]},{word[any_]},{cat}\n"
+        for start, stop, flags in runs:
+            tail = ends[flags]
             yield head + (tail + head).join(gs[start:stop]) + tail
 
 
@@ -264,18 +272,19 @@ def region_svg(d_max: int) -> str:
 def _svg_chunks(degrees: list[list[Run]], d_max: int) -> Iterator[str]:
     """The preamble with the parabolas, the circles of each run, the
     d-axis labels and the g-axis labels with the closing tag, each as one
-    chunk.  A circle shows d, g and the category alone, so each run is one
-    join of its circles' coordinate and genus strings, made once for the
-    table."""
+    chunk.  A run is one join of its genera's y-NUL-genus strings between
+    the degree's head and the category's tail, then one replace of the
+    NUL by the text that names the degree and the color."""
     g_max = plane_bound(d_max)
     width = _MARGIN * 2 + _CELL * d_max
     height = _MARGIN * 2 + _CELL * (g_max + 1)
+    bottom = height - _MARGIN
 
     def x(d: float) -> float:
         return _MARGIN + _CELL * (d - 0.5)
 
     def y(g: float) -> float:
-        return height - _MARGIN - _CELL * (g + 0.5)
+        return bottom - _CELL * (g + 0.5)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -288,18 +297,20 @@ def _svg_chunks(degrees: list[list[Run]], d_max: int) -> Iterator[str]:
     ]
     # d = n/q runs from 1 to d_max in q = 8 d_max steps, q + 1 points even
     # where they repeat (at d_max = 1 all are d = 1); int / int is correctly
-    # rounded, so n / q and num / den are the floats of those Fractions
+    # rounded, so n / q and num / den are the floats of those Fractions,
+    # and each point's y is y(num / den) in the same float steps
     q = 8 * d_max
     grid = [q + i * (d_max - 1) for i in range(q + 1)]
     grid_xs = [f"{x(n / q):.2f}," for n in grid]
     for s, color in ((1, "#c05621"), (2, "#2f855a"), (3, "#2b6cb0")):
         den = 2 * s * q * q
         top = (g_max + 1) * den
-        points = []
-        for n, grid_x in zip(grid, grid_xs):
-            num = _parabola_numerator(n, q, s)
-            if 0 <= num <= top:
-                points.append(f"{grid_x}{y(num / den):.2f}")
+        points = [
+            f"{grid_x}{bottom - _CELL * (num / den + 0.5):.2f}"
+            for n, grid_x in zip(grid, grid_xs)
+            for num in [_parabola_numerator(n, q, s)]
+            if 0 <= num <= top
+        ]
         if len(points) > 1:
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
@@ -309,23 +320,24 @@ def _svg_chunks(degrees: list[list[Run]], d_max: int) -> Iterator[str]:
     # the centres x(d) = 24d + 38 and y(g) = 24(g_max - g) + 62 are integers
     cell, x0, y0 = int(_CELL), int(x(0)), int(y(g_max))
     xs = [f"{cell * d + x0}.00" for d in range(d_max + 1)]
-    ys = [f"{cell * (g_max - g) + y0}.00" for g in range(g_max + 1)]
-    gs = list(map(str, range(g_max + 1)))
+    ygs = [f"{cell * (g_max - g) + y0}.00\0{g}" for g in range(g_max + 1)]
+    tails = {cat: f" {cat}</title></circle>\n" for cat in _COLORS}
     for d, runs in enumerate(degrees, 1):
         head = f'<circle cx="{xs[d]}" cy="'
         for start, stop, flags in runs:
             cat = flags[-1]
+            tail = tails[cat]
             mid = f'" r="6" fill="{_COLORS[cat]}"><title>d={d} g='
-            tail = f" {cat}</title></circle>\n"
-            bodies = map(mid.join, zip(ys[start:stop], gs[start:stop]))
-            yield head + (tail + head).join(bodies) + tail
+            yield (head + (tail + head).join(ygs[start:stop]) + tail).replace("\0", mid)
+    label_y = f"{bottom + 18:.1f}"
     yield "".join(
-        f'<text x="{xs[d]}" y="{height - _MARGIN + 18:.1f}" text-anchor="middle" '
+        f'<text x="{xs[d]}" y="{label_y}" text-anchor="middle" '
         f'font-family="monospace" font-size="11">{d}</text>\n'
         for d in range(1, d_max + 1)
     )
+    label_x = f"{_MARGIN - 10:.1f}"
     yield "".join(
-        f'<text x="{_MARGIN - 10:.1f}" y="{y(g) + 4:.2f}" text-anchor="end" '
+        f'<text x="{label_x}" y="{y(g) + 4:.2f}" text-anchor="end" '
         f'font-family="monospace" font-size="11">{g}</text>\n'
         for g in range(0, g_max + 1, max(1, (g_max + 1) // 12))
     ) + "</svg>\n"

@@ -494,6 +494,49 @@ class TestEmitters:
             assert cx == f"{50 + 24 * (v.d - 0.5):.2f}"
             assert cy == f"{height - 50 - 24 * (v.g + 0.5):.2f}"
 
+    # line k + 1 is row k of the table, apart from the goldens: d, g, the
+    # four flags and the category of classify(d, g), formatted here; the
+    # line ending of each of the eight flag tuples is made once per table,
+    # and the seven that occur in a table (no plane row off the Gruson-
+    # Peskine range lies on a quadric) all do by d_max 7; 145 is the
+    # largest d_max the budget admits
+    @pytest.mark.parametrize("d_max", [7, 30, 46, 145])
+    def test_csv_line_per_row(self, d_max):
+        lines = region_csv(d_max).split("\n")
+        rows = region_table(d_max)
+        assert lines[-1] == ""
+        assert len(lines) == len(rows) + 2
+        for line, v in zip(lines[1:], rows):
+            w = classify(v.d, v.g)
+            flags = (w.exists_plane, w.exists_on_quadric, w.exists_off_quadric, w.exists_any)
+            assert line == ",".join(
+                [str(w.d), str(w.g), *(str(flag).lower() for flag in flags), w.category]
+            )
+
+    # each run is one chunk holding its own rows, one circle or line per
+    # row in order: the CLI writes the chunks as they come, so a run's
+    # join must not spill into a neighbour, and the SVG's NUL separator
+    # must not reach any chunk
+    @pytest.mark.parametrize("d_max", [*range(1, 61), 145])
+    def test_run_chunk_holds_its_rows(self, d_max):
+        runs = [
+            (d, start, stop)
+            for d, degree in enumerate(region_table(d_max).degrees, 1)
+            for start, stop, _ in degree
+        ]
+        svg = list(region_chunks(d_max, "svg"))
+        csv = list(region_chunks(d_max, "csv"))
+        assert len(svg) == len(runs) + 3 and len(csv) == len(runs) + 1
+        assert not any("\0" in chunk for chunk in svg + csv)
+        for (d, start, stop), circles, lines in zip(runs, svg[1:], csv[1:]):
+            rows = [(str(d), str(g)) for g in range(start, stop)]
+            assert circles.count("<circle ") == stop - start
+            assert re.findall(r"<title>d=(\d+) g=(\d+) ", circles) == rows
+            assert circles.endswith("</circle>\n")
+            assert lines.count("\n") == stop - start
+            assert [tuple(line.split(",")[:2]) for line in lines.splitlines()] == rows
+            assert lines.endswith("\n")
+
     # the parabolas are drawn in integers; the reference takes each point
     # in Fractions.  They sit in the first SVG chunk, which region_svg
     # joins with the rest, so the rows need not be rendered; 145 is the
