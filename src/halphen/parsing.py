@@ -3,10 +3,11 @@
 Polynomial grammar: signed terms, optional rational coefficients written
 p/q, variables with `^` integer powers, `*` optional between factors.
 There are no parentheses, so every term is a coefficient times a
-monomial; the terms are summed into one dict per polynomial.  The reader
-walks the token list with the end token (None, "", len(text) + 1) appended:
-every look at the next token finds one, and an error at the end of the
-text reports the column one past it.
+monomial; the terms are summed into one dict per polynomial.  A text
+with a character that starts no token is refused at the first one.
+Otherwise one `findall` gives its tokens as plain strings (runs of
+digits, names, operators), and only a refusal finds a column: one more
+scan, to the refused token or one past the end of the text.
 Ideal files: a `ring x y z w` line followed by one homogeneous generator
 per line; `#` starts a comment.  Points: `a:b:...`, optionally in
 brackets, each coordinate whatever `Fraction` reads but exponent notation.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .poly import IdealSpec, Monomial, Polynomial, Rational
@@ -43,9 +45,9 @@ class ParseError(ValueError):
 
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # a variable, in a polynomial or on a ring line
-# leading whitespace, then one token: its group number is its kind
-_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME})|([+\-*/^])|(\S))")
-_KINDS = (None, "num", "name", "op")
+# one token: a run of digits, a name, an operator, or a character that starts none
+_TOKEN_RE = re.compile(rf"\d+|{_NAME}|[+\-*/^]|\S")
+_STRAY_RE = re.compile(r"[^\s\dA-Za-z_+\-*/^]")  # a character that starts no token
 
 
 def _quoted(name: str) -> str:
@@ -55,101 +57,99 @@ def _quoted(name: str) -> str:
     return f"{name[:32]!r}... ({len(name)} characters)"
 
 
-def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, col); kind in {num, name, op}.  Each match
-    starts where the last one ended, since every non-space character is a
-    token or the start of one; only trailing whitespace is left unmatched,
-    and it is cut first: a failed match would rescan it from every position."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text.rstrip()):
-        kind = m.lastindex
-        col = m.start(kind) + 1
-        if kind == 4:
-            bad = m[4]
-            if bad == ".":
-                raise ParseError("decimal literals are not supported; use p/q", line, col)
-            raise ParseError(f"unexpected character {bad!r}", line, col)
-        tokens.append((_KINDS[kind], m[kind], col))
-    return tokens
-
-
 def _past_limit(digits: int) -> str:
     """Why `int` refuses a literal of `digits` digits (the int-string limit), or ""."""
     limit = sys.get_int_max_str_digits()
     return f"a literal of {digits} digits; the limit is {limit} digits" if limit and digits > limit else ""
 
 
-def _int(tok: tuple[str, str, int], line: int) -> int:
+class _Refused(ValueError):
+    """(message, i): a refusal at token i, or at the end; `parse_polynomial` turns it into a ParseError."""
+
+
+def _int(tokens: list[str], i: int) -> int:
     try:
-        return int(tok[1])
+        return int(tokens[i])
     except ValueError:  # a run of digits is refused only past the int-string limit
-        raise ParseError(_past_limit(len(tok[1])), line, tok[2]) from None
+        raise _Refused(_past_limit(len(tokens[i])), i) from None
 
 
-def parse_polynomial(text: str, ring_vars: Sequence[str], line: int = 1) -> Polynomial:
-    ring = tuple(ring_vars)
-    tokens = _tokenize(text, line)
-    tokens.append((None, "", len(text) + 1))  # the end token
-    if len(tokens) == 1:
-        raise ParseError("empty polynomial", line, tokens[0][2])
+def _walk(tokens: list[str], index: dict[str, int]) -> dict[Monomial, Rational]:
+    """The terms of a stray-free token list, summed by monomial; `index` maps a
+    ring variable to its slot.  The "" appended marks the end: no token is empty."""
+    if not tokens:
+        raise _Refused("empty polynomial", 0)
+    tokens.append("")
     terms: dict[Monomial, Rational] = {}
     i = 0
     while True:
         # the sign is optional before the first term only
-        sign = 1
-        if tokens[i][0] == "op" and tokens[i][1] in "+-":
-            sign = -1 if tokens[i][1] == "-" else 1
+        sign = -1 if tokens[i] == "-" else 1
+        if tokens[i] == "-" or tokens[i] == "+":
             i += 1
-        coeff, exps = 1, [0] * len(ring)
-        while True:  # one factor: a number, p/q, or a variable with its power
-            tok = kind, value, col = tokens[i]
+        coeff, exps, degree = 1, [0] * len(index), 0
+        while True:  # one factor: a variable with its power, a number, or p/q
+            tok = tokens[i]
             i += 1
-            if kind == "num":
-                c = _int(tok, line)
-                if tokens[i][:2] == ("op", "/"):
-                    den = tokens[i + 1]
-                    if den[0] != "num":
-                        raise ParseError("expected an integer denominator", line, den[2])
-                    i += 2
-                    denominator = _int(den, line)
-                    if denominator == 0:
-                        raise ParseError("zero denominator", line, den[2])
-                    c = Fraction(c, denominator)
-                coeff *= c
-            elif kind == "name":
-                if value not in ring:
-                    raise ParseError(f"unknown variable {_quoted(value)}", line, col)
+            k = index.get(tok)
+            if k is not None:
                 power = 1
-                if tokens[i][:2] == ("op", "^"):
-                    exp = tokens[i + 1]
-                    if exp[:2] == ("op", "-"):
-                        raise ParseError("negative exponent", line, exp[2])
-                    if exp[0] != "num":
-                        raise ParseError("expected an integer exponent", line, exp[2])
+                if tokens[i] == "^":
+                    e = tokens[i + 1]
+                    if not e.isdecimal():
+                        why = "negative exponent" if e == "-" else "expected an integer exponent"
+                        raise _Refused(why, i + 1)
+                    power = _int(tokens, i + 1)
                     i += 2
-                    power = _int(exp, line)
-                exps[ring.index(value)] += power
-                degree = sum(exps)
-                if degree > DEGREE_BUDGET:
-                    # reported at the exponent (or variable) that crossed it
-                    message = f"a term of degree {degree}; the degree budget is {DEGREE_BUDGET}"
-                    raise ParseError(message, line, tokens[i - 1][2])
-            elif kind is None:
-                raise ParseError("expected a number or variable", line, col)
+                exps[k] += power
+                degree += power
+                if degree > DEGREE_BUDGET:  # refused at the exponent (or variable) that crossed it
+                    raise _Refused(f"a term of degree {degree}; the degree budget is {DEGREE_BUDGET}", i - 1)
+            elif tok.isdecimal():
+                c = _int(tokens, i - 1)
+                if tokens[i] == "/":
+                    if not tokens[i + 1].isdecimal():
+                        raise _Refused("expected an integer denominator", i + 1)
+                    denominator = _int(tokens, i + 1)
+                    if denominator == 0:
+                        raise _Refused("zero denominator", i + 1)
+                    c = Fraction(c, denominator)
+                    i += 2
+                coeff *= c
+            elif tok in "+-*/^":  # an operator, or "" at the end
+                raise _Refused(f"unexpected {tok!r}" if tok else "expected a number or variable", i - 1)
             else:
-                raise ParseError(f"unexpected {value!r}", line, col)
+                raise _Refused(f"unknown variable {_quoted(tok)}", i - 1)
             # "*", or implicitly a number or name ("2x", "x y"), continues the term
-            kind, value, col = tokens[i]
-            if value == "*":
+            tok = tokens[i]
+            if tok == "*":
                 i += 1
-            elif kind is None or kind == "op":
+            elif tok in "+-*/^":  # or ""
                 break
-        terms[tuple(exps)] = terms.get(tuple(exps), 0) + sign * coeff
-        kind, value, col = tokens[i]
-        if kind is None:
-            return Polynomial(terms, ring)
-        if value not in "+-":
-            raise ParseError(f"expected '+' or '-', got {value!r}", line, col)
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+        tok = tokens[i]
+        if not tok:
+            return terms
+        if tok != "+" and tok != "-":
+            raise _Refused(f"expected '+' or '-', got {tok!r}", i)
+
+
+def parse_polynomial(text: str, ring_vars: Sequence[str], line: int = 1) -> Polynomial:
+    """The polynomial a text reads as, over distinct variable names `ring_vars`."""
+    ring = tuple(ring_vars)
+    if stray := _STRAY_RE.search(text):
+        why = f"unexpected character {stray[0]!r}"
+        why = "decimal literals are not supported; use p/q" if stray[0] == "." else why
+        raise ParseError(why, line, stray.start() + 1)
+    try:
+        terms = _walk(_TOKEN_RE.findall(text), {name: k for k, name in enumerate(ring)})
+    except _Refused as refused:
+        message, i = refused.args  # one more scan, to token i: its start, or one past the text
+        col = next((m.start() + 1 for m in islice(_TOKEN_RE.finditer(text), i, None)), len(text) + 1)
+        raise ParseError(message, line, col) from None
+    # the walker makes ring-length, non-negative exponent tuples: no check is left
+    return Polynomial._from_pairs([(mono, Fraction(c)) for mono, c in terms.items()], ring)
 
 
 def _ring_vars(names: Sequence[str], line: int = 1) -> tuple[str, ...]:

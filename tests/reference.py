@@ -5,13 +5,16 @@ appear, with no packing and no pivot recursion: monomial divisibility,
 the monomials of a degree, the Hilbert function read off a series
 numerator by expanding it over (1 - t)^n, the genus of a plane curve,
 the points of the region SVG's parabolas, textbook division and the
-S-polynomial of every pair, over Fractions, and the echelon form of
-sparse rows by monic Fraction pivots, taken in order.
+S-polynomial of every pair, over Fractions, the echelon form of
+sparse rows by monic Fraction pivots, taken in order, and a polynomial
+reader that makes one regex match per token and walks (kind, value, col)
+triples to an end token.
 Nothing in the package calls them.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -20,7 +23,8 @@ from typing import Iterator
 
 from halphen.graded import binom
 from halphen.groebner import HilbertSeriesNumerator
-from halphen.poly import DEFAULT_ORDER, Monomial, MonomialOrder
+from halphen.parsing import DEGREE_BUDGET, ParseError, _past_limit, _quoted
+from halphen.poly import DEFAULT_ORDER, Monomial, MonomialOrder, Polynomial
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -163,3 +167,97 @@ def sequential_echelon(rows) -> dict[int, dict[int, Fraction]]:
                 else:
                     del row[k]
     return pivots
+
+
+# leading whitespace, then one token: its group number is its kind
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^])|(\S))")
+_KINDS = (None, "num", "name", "op")
+
+
+def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, value, col); kind in {num, name, op}.  A character
+    that starts no token is refused here, before the walk sees any token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text.rstrip()):
+        kind = m.lastindex
+        col = m.start(kind) + 1
+        if kind == 4:
+            bad = m[4]
+            if bad == ".":
+                raise ParseError("decimal literals are not supported; use p/q", line, col)
+            raise ParseError(f"unexpected character {bad!r}", line, col)
+        tokens.append((_KINDS[kind], m[kind], col))
+    return tokens
+
+
+def _int(tok: tuple[str, str, int], line: int) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(_past_limit(len(tok[1])), line, tok[2]) from None
+
+
+def reference_parse_polynomial(text: str, ring_vars, line: int = 1) -> Polynomial:
+    """The polynomial a text reads as, through the checking `Polynomial`
+    constructor; the end token (None, "", len(text) + 1) gives every look
+    ahead a token and an error at the end the column one past it."""
+    ring = tuple(ring_vars)
+    tokens = _tokenize(text, line)
+    tokens.append((None, "", len(text) + 1))
+    if len(tokens) == 1:
+        raise ParseError("empty polynomial", line, tokens[0][2])
+    terms = {}
+    i = 0
+    while True:
+        sign = 1
+        if tokens[i][0] == "op" and tokens[i][1] in "+-":
+            sign = -1 if tokens[i][1] == "-" else 1
+            i += 1
+        coeff, exps = 1, [0] * len(ring)
+        while True:
+            tok = kind, value, col = tokens[i]
+            i += 1
+            if kind == "num":
+                c = _int(tok, line)
+                if tokens[i][:2] == ("op", "/"):
+                    den = tokens[i + 1]
+                    if den[0] != "num":
+                        raise ParseError("expected an integer denominator", line, den[2])
+                    i += 2
+                    denominator = _int(den, line)
+                    if denominator == 0:
+                        raise ParseError("zero denominator", line, den[2])
+                    c = Fraction(c, denominator)
+                coeff *= c
+            elif kind == "name":
+                if value not in ring:
+                    raise ParseError(f"unknown variable {_quoted(value)}", line, col)
+                power = 1
+                if tokens[i][:2] == ("op", "^"):
+                    exp = tokens[i + 1]
+                    if exp[:2] == ("op", "-"):
+                        raise ParseError("negative exponent", line, exp[2])
+                    if exp[0] != "num":
+                        raise ParseError("expected an integer exponent", line, exp[2])
+                    i += 2
+                    power = _int(exp, line)
+                exps[ring.index(value)] += power
+                degree = sum(exps)
+                if degree > DEGREE_BUDGET:
+                    message = f"a term of degree {degree}; the degree budget is {DEGREE_BUDGET}"
+                    raise ParseError(message, line, tokens[i - 1][2])
+            elif kind is None:
+                raise ParseError("expected a number or variable", line, col)
+            else:
+                raise ParseError(f"unexpected {value!r}", line, col)
+            kind, value, col = tokens[i]
+            if value == "*":
+                i += 1
+            elif kind is None or kind == "op":
+                break
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + sign * coeff
+        kind, value, col = tokens[i]
+        if kind is None:
+            return Polynomial(terms, ring)
+        if value not in "+-":
+            raise ParseError(f"expected '+' or '-', got {value!r}", line, col)

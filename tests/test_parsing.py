@@ -1,9 +1,12 @@
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from halphen import parsing
 from halphen.graded import hilbert_function_table
 from halphen.groebner import buchberger
 from halphen.parsing import (
@@ -17,6 +20,7 @@ from halphen.parsing import (
 from halphen.poly import IdealSpec, Polynomial, format_polynomial
 
 from conftest import LONG_LITERALS, RING3, RING4, polynomials
+from reference import reference_parse_polynomial
 
 
 class TestParsePolynomial:
@@ -54,6 +58,39 @@ class TestParsePolynomial:
         assert parse_polynomial("x*y" + tail, RING3) == parse_polynomial("x*y", RING3)
         with pytest.raises(ParseError, match="^line 1, col 20001: empty polynomial$"):
             parse_polynomial(tail, RING3)
+        with pytest.raises(ParseError, match="^line 1, col 20002: unexpected character '\\$'$"):
+            parse_polynomial("x" + tail + "$", RING3)
+        with pytest.raises(ParseError, match="^line 1, col 20003: expected a number or variable$"):
+            parse_polynomial("x" + tail + "*", RING3)
+
+    def test_ten_thousand_terms(self):
+        text = " - ".join(f"{k}*x^{k % 5}*y" for k in range(1, 10_001))
+        assert len(parse_polynomial(text, RING3).terms) == 5
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text + " +", RING3)
+        assert (err.value.col, err.value.message) == (len(text) + 3, "expected a number or variable")
+
+    # a text is tokenized by one findall; a refusal alone scans it once more,
+    # and that scan stops at the refused token
+    def test_one_scan_per_text_and_one_more_per_refusal(self, monkeypatch):
+        scans = []
+
+        class Counted:
+            def findall(self, text):
+                scans.append("findall")
+                return pattern.findall(text)
+
+            def finditer(self, text):
+                scans.append("finditer")
+                return pattern.finditer(text)
+
+        pattern = parsing._TOKEN_RE
+        monkeypatch.setattr(parsing, "_TOKEN_RE", Counted())
+        parse_polynomial("x*y - 2 z^2", RING3)
+        assert scans == ["findall"]
+        with pytest.raises(ParseError):
+            parse_polynomial("x*y - 2 z^2 ^", RING3)
+        assert scans == ["findall", "findall", "finditer"]
 
     def test_unknown_variable(self):
         with pytest.raises(ParseError, match="unknown variable 't'"):
@@ -101,6 +138,10 @@ class TestParsePolynomial:
             ("x^", 3, "expected an integer exponent"),
             ("2/3/4", 4, "expected '+' or '-', got '/'"),
             ("x^2^3", 4, "expected '+' or '-', got '^'"),
+            # a character that starts no token is refused before any grammar error
+            ("x + + 0.5", 8, "decimal literals are not supported; use p/q"),
+            ("x \u00e9", 3, "unexpected character '\u00e9'"),
+            ("x\u00b2", 2, "unexpected character '\u00b2'"),  # SUPERSCRIPT TWO
         ],
     )
     def test_refused_at_the_offending_token(self, text, col, message):
@@ -139,6 +180,11 @@ class TestParsePolynomial:
             with pytest.raises(ParseError) as err:
                 parse_ideal_file(f"ring x y z\n{prefix}{text}  # note\n")
             assert (err.value.line, err.value.col, err.value.message) == (2, len(prefix) + col, message)
+
+    # `\\d` and `int` read every decimal digit, as in `parse_point`
+    @pytest.mark.parametrize("text", ["\u0663*x", "x\u0663"])  # ARABIC-INDIC DIGIT THREE
+    def test_non_ascii_decimal_digits_are_numbers(self, text):
+        assert parse_polynomial(text, RING3) == parse_polynomial("3*x", RING3)
 
     def test_trailing_operator(self):
         with pytest.raises(ParseError):
@@ -210,6 +256,83 @@ class TestLongLiterals:
         assert err.value.message == (
             f"a literal of {digits} digits; the limit is {sys.get_int_max_str_digits()} digits"
         )
+
+
+# Texts for the differential tests: signed terms of numbers, p/q, variables
+# and powers, joined by "*" or juxtaposition, with runs of tabs and spaces
+# between tokens; some get stray characters, doubled or trailing operators,
+# literals past the int-string limit or terms past the degree budget.
+NUMBERS = st.sampled_from([*map(str, range(13)), "30", "\u0663", "007", "9" * 5000])
+POWERS = st.sampled_from(
+    ["0", "1", "2", "2", "3", "\u0663", str(DEGREE_BUDGET // 2), str(DEGREE_BUDGET + 1), "9" * 5000]
+)
+NAMES = st.sampled_from(["x", "y", "z"] * 4 + ["t", "x1"])
+FACTORS = st.one_of(
+    NUMBERS.map(lambda n: [n]),
+    st.tuples(NUMBERS, NUMBERS).map(lambda pq: [pq[0], "/", pq[1]]),
+    NAMES.map(lambda v: [v]),
+    st.tuples(NAMES, POWERS).map(lambda vp: [vp[0], "^", vp[1]]),
+)
+BROKEN = st.sampled_from(
+    [".", "0.5", "\u00e9", "\u00b2", "\u0663", "$", "+", "-", "*", "/", "^", "+ +", "* *",
+     "x^-2", "x^", "1/", "2/3/4", "x^2^3", "9" * 5000, f"y^{DEGREE_BUDGET}"]
+)
+GAPS = st.text(alphabet=" \t", max_size=3)
+
+
+@st.composite
+def polynomial_texts(draw):
+    pieces = []
+    for k in range(draw(st.integers(1, 4))):
+        pieces += draw(st.sampled_from([[], ["+"], ["-"]] if k == 0 else [["+"], ["-"]]))
+        for j in range(draw(st.integers(1, 3))):
+            pieces += draw(st.sampled_from([["*"], []])) if j else []
+            pieces += draw(FACTORS)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(BROKEN))
+    gaps = draw(st.lists(GAPS, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
+    return "".join(gap + piece for gap, piece in zip(gaps, pieces + [""]))
+
+
+def outcome(read, *args):
+    """What a reader gives: its result with every term in order, or its refusal."""
+    try:
+        p = read(*args)
+    except ParseError as err:
+        return err.message, err.line, err.col
+    if isinstance(p, IdealSpec):
+        return p.ring_vars, [list(g.terms.items()) for g in p.generators], p.label
+    return p.ring, list(p.terms.items())
+
+
+class TestAgainstReference:
+    """`parse_polynomial` against the one-match-per-token reader it replaced."""
+
+    @given(polynomial_texts(), st.integers(1, 9))
+    def test_same_polynomial_or_refusal(self, text, line):
+        assert outcome(parse_polynomial, text, RING3, line) == outcome(
+            reference_parse_polynomial, text, RING3, line
+        )
+
+    @given(polynomial_texts(), st.text(alphabet=" \t", min_size=1, max_size=4))
+    def test_same_through_an_ideal_file(self, text, indent):
+        ideal = f"ring x y z\n# a generator line\n{indent}{text}\n"
+        got = outcome(parse_ideal_file, ideal)
+        with mock.patch.object(parsing, "parse_polynomial", reference_parse_polynomial):
+            assert outcome(parse_ideal_file, ideal) == got
+
+    # the parser skips the constructor's checks, so its normal form is checked here
+    @given(polynomial_texts())
+    def test_normal_form(self, text):
+        try:
+            p = parse_polynomial(text, RING3)
+        except ParseError:
+            return
+        assert p.ring == RING3
+        for mono, c in p.terms.items():
+            assert type(c) is Fraction and c != 0
+            assert type(mono) is tuple and len(mono) == len(RING3)
+            assert all(type(e) is int and e >= 0 for e in mono)
 
 
 class TestParseIdealFile:
