@@ -190,7 +190,7 @@ def _cmd_smooth_at(args) -> str:
 def _cmd_tangent(args) -> str:
     from . import geometry
     from .parsing import ParseError, _ring_vars, parse_point, parse_polynomial
-    from .poly import format_polynomial
+    from .poly import Polynomial, format_polynomial
 
     try:
         ring = _ring_vars(args.ring.split())
@@ -198,11 +198,11 @@ def _cmd_tangent(args) -> str:
         raise ValueError(f"--ring: {exc.message}") from None
     f = parse_polynomial(args.poly, ring)
     point = geometry.ProjectivePoint(parse_point(args.point))
-    line = geometry.tangent_line(f, point)
-    form = geometry.tangent_line_polynomial(line, ring)
+    coefficients = geometry.tangent_line(f, point).normalized()
+    form = Polynomial({tuple(int(i == j) for i in range(3)): c for j, c in enumerate(coefficients)}, ring)
     return _dump({
         "point": str(point),
-        "coefficients": [_rational(c) for c in line.coefficients],
+        "coefficients": [_rational(c) for c in coefficients],
         "line": f"{format_polynomial(form)} = 0",
     })
 

@@ -1,4 +1,9 @@
-"""Projective points, membership, Jacobian rank, tangents."""
+"""Projective points, membership, Jacobian rank, tangents.
+
+`tangent_line` returns the tangent to a plane curve as a point of the dual
+plane, the gradient of the curve at the point; the CLI prints it with its
+first nonzero coefficient equal to 1.
+"""
 
 from __future__ import annotations
 
@@ -42,26 +47,15 @@ class ProjectivePoint:
         return "[" + ":".join(map(str, self.coords)) + "]"
 
 
-@dataclass(frozen=True)
-class TangentLine:
-    """The linear form cutting out the tangent line at a smooth point."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.coefficients):
-            raise ValueError("tangent line needs a nonzero coefficient")
+def _gradient(f: Polynomial, p: ProjectivePoint) -> list[Fraction]:
+    return [f.partial_derivative(j).evaluate(p.coords) for j in range(len(p.coords))]
 
 
-def _check_dims(ideal: IdealSpec, p: ProjectivePoint) -> None:
+def on_variety(ideal: IdealSpec, p: ProjectivePoint) -> bool:
     if len(p.coords) != ideal.n_vars:
         raise ValueError(
             f"point has {len(p.coords)} coordinates, ring has {ideal.n_vars} variables"
         )
-
-
-def on_variety(ideal: IdealSpec, p: ProjectivePoint) -> bool:
-    _check_dims(ideal, p)
     return all(g.evaluate(p.coords) == 0 for g in ideal.generators)
 
 
@@ -71,20 +65,17 @@ def jacobian_rank_at(ideal: IdealSpec, p: ProjectivePoint) -> int:
     its lead, for `exact_rank`."""
     if not on_variety(ideal, p):
         raise ValueError("the point is not on the variety")
-    gradients = (
-        {j: v for j in range(ideal.n_vars) if (v := g.partial_derivative(j).evaluate(p.coords))}
-        for g in ideal.generators
-    )
+    gradients = ({j: v for j, v in enumerate(_gradient(g, p)) if v} for g in ideal.generators)
     rows = [primitive(row) for row in gradients if row]
     leads = [min(row) for row in rows]
     rows = [{j - c: v for j, v in row.items()} for row, c in zip(rows, leads)]
     return exact_rank(rows, {}, [], leads)
 
 
-def tangent_line(f: Polynomial, p: ProjectivePoint) -> TangentLine:
-    """Tangent to the plane curve V(f) at p: the linear form with the
-    gradient as coefficients (for homogeneous f the Euler relation makes
-    the affine offset vanish)."""
+def tangent_line(f: Polynomial, p: ProjectivePoint) -> ProjectivePoint:
+    """Tangent to the plane curve V(f) at p, as the point of the dual plane
+    whose coordinates are the gradient: the line is their linear form (for
+    homogeneous f the Euler relation makes the affine offset vanish)."""
     if len(f.ring) != 3:
         raise ValueError("tangent_line expects a polynomial in three variables")
     if not f.is_homogeneous():
@@ -93,13 +84,7 @@ def tangent_line(f: Polynomial, p: ProjectivePoint) -> TangentLine:
         raise ValueError("tangent_line expects a point in the plane")
     if f.evaluate(p.coords) != 0:
         raise ValueError("the point is not on the curve")
-    gradient = [f.partial_derivative(j).evaluate(p.coords) for j in range(3)]
+    gradient = _gradient(f, p)
     if all(g == 0 for g in gradient):
         raise SingularPointError("the gradient vanishes at the point: tangent line undefined")
-    pivot = next(g for g in gradient if g != 0)
-    return TangentLine(tuple(g / pivot for g in gradient))
-
-
-def tangent_line_polynomial(t: TangentLine, ring: Sequence[str]) -> Polynomial:
-    n = len(t.coefficients)
-    return Polynomial({tuple(int(i == j) for i in range(n)): c for j, c in enumerate(t.coefficients)}, ring)
+    return ProjectivePoint(gradient)

@@ -1041,11 +1041,30 @@ NOT_POLY = tuple(
             f"['invariants', '--ideal', {str(FIXTURES / 'twisted_cubic.ideal')!r}])",
             ("halphen.graded", "halphen.linalg", "halphen.geometry", "halphen.classifier"),
         ),
+        (
+            "import halphen.cli; halphen.cli.main("
+            f"['hilbert', '--ideal', {str(FIXTURES / 'twisted_cubic.ideal')!r}])",
+            ("halphen.geometry", "halphen.invariants", "halphen.classifier"),
+        ),
+        # with --max-degree the table needs no Hilbert polynomial
+        (
+            "import halphen.cli; halphen.cli.main("
+            f"['hilbert', '--ideal', {str(FIXTURES / 'twisted_cubic.ideal')!r}, '--max-degree', '4'])",
+            ("halphen.geometry", "halphen.invariants", "halphen.classifier", "halphen.groebner"),
+        ),
+        (
+            "import halphen.cli; halphen.cli.main("
+            f"['smooth-at', '--ideal', {str(FIXTURES / 'twisted_cubic.ideal')!r}, '--point', '1:0:0:0'])",
+            ("halphen.graded", "halphen.classifier"),
+        ),
         # the ring and its ideals stand alone, and the oracles read no text
         ("import halphen.poly; repr(halphen.poly.Polynomial.constant(1, 'x'))", NOT_POLY),
         ("import halphen.graded, halphen.groebner, halphen.geometry", ("halphen.parsing",)),
     ],
-    ids=["package", "cli", "classify", "region", "tangent", "invariants", "poly", "oracles"],
+    ids=[
+        "package", "cli", "classify", "region", "tangent", "invariants",
+        "hilbert", "hilbert-max-degree", "smooth-at", "poly", "oracles",
+    ],
 )
 def test_import_boundaries(statement, absent):
     """A fresh interpreter runs the statement and then lists the loaded

@@ -148,12 +148,15 @@ class TestTangentLine:
     def test_plane_cubic_tangent(self):
         f = parse_polynomial("z*y^2 - x^3 + x*z^2 + z^3", RING3)
         line = tangent_line(f, pt(0, 1, 0))
-        assert line.coefficients == (0, 0, 1)  # the line z = 0
+        assert line == pt(0, 0, 1)  # the line z = 0
+        assert line.coords == (0, 0, 1)  # the gradient itself
+        assert line.normalized() == (0, 0, 1)
 
     def test_conic_tangent(self):
         f = parse_polynomial("x^2 + y^2 - z^2", RING3)
         line = tangent_line(f, pt(1, 0, 1))
-        assert line.coefficients == (1, 0, -1)  # x - z = 0
+        assert line.coords == (2, 0, -2)  # the gradient (2x, 2y, -2z)
+        assert line.normalized() == (1, 0, -1)  # x - z = 0
 
     def test_singular_point_rejected(self):
         # two lines x*y meet at [0:0:1], where the gradient vanishes
@@ -186,7 +189,52 @@ class TestTangentLine:
             u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
             p = ProjectivePoint((1 - u * u, 2 * u, 1 + u * u))
             line = tangent_line(f, p)
-            assert sum(c * x for c, x in zip(line.coefficients, p.coords)) == 0
+            assert sum(c * x for c, x in zip(line.coords, p.coords)) == 0
+
+    def test_against_sympy_gradient(self):
+        # the gradient from sympy.diff, divided by its first nonzero entry,
+        # at rational points of the conic and at two points of the README
+        # cubic, one of them its flex [0:1:0]
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(RING3)
+        rng = random.Random(31)
+        cases = []
+        for _ in range(20):
+            u = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            cases.append(("x^2 + y^2 - z^2", (1 - u * u, 2 * u, 1 + u * u)))
+        cases += [("y^2*z - x^3 - x*z^2", (0, 0, 1)), ("y^2*z - x^3 - x*z^2", (0, 1, 0))]
+        for text, coords in cases:
+            expr = sympy.sympify(text.replace("^", "**"))
+            at = dict(zip(symbols, map(Fraction, coords)))
+            gradient = [expr.diff(s).subs(at) for s in symbols]
+            pivot = next(g for g in gradient if g != 0)
+            expect = tuple(Fraction(int(q.p), int(q.q)) for q in (g / pivot for g in gradient))
+            f = parse_polynomial(text, RING3)
+            assert tangent_line(f, ProjectivePoint(coords)).normalized() == expect
+
+    @pytest.mark.parametrize(
+        "text, coords, rank, tangent",
+        [
+            ("x*y", (0, 0, 1), 0, None),
+            ("x*y", (1, 0, 0), 1, (0, 1, 0)),
+            ("y^2*z - x^3 - x^2*z", (0, 0, 1), 0, None),
+            ("y^2*z - x^3 - x^2*z", (0, 1, 0), 1, (0, 0, 1)),
+            ("y^2*z - x^3", (0, 0, 1), 0, None),
+            ("y^2*z - x^3", (0, 1, 0), 1, (0, 0, 1)),
+            ("y^2*z - x^3 - x*z^2", (0, 0, 1), 1, (1, 0, 0)),
+        ],
+        ids=["lines-node", "lines-smooth", "nodal-node", "nodal-flex", "cusp-cusp", "cusp-flex", "smooth"],
+    )
+    def test_jacobian_rank_agrees_with_tangent(self, text, coords, rank, tangent):
+        # both read the gradient: rank 0 exactly where the tangent is refused
+        f = parse_polynomial(text, RING3)
+        p = ProjectivePoint(coords)
+        assert jacobian_rank_at(IdealSpec(RING3, (f,)), p) == rank
+        if tangent is None:
+            with pytest.raises(SingularPointError):
+                tangent_line(f, p)
+        else:
+            assert tangent_line(f, p).normalized() == tangent
 
 
 class TestDecompositionWitness:
