@@ -110,10 +110,10 @@ def gruson_peskine_bound(d: int) -> Fraction:
 
 def quadric_genera(d: int) -> set[int]:
     """Genera of smooth bidegree-(a, b) curves on a smooth quadric with
-    a + b = d: the set {(a-1)(b-1)}."""
+    a + b = d: the set {(a-1)(b-1)}, with a line of type (1, 0) at d = 1."""
     if d < 1:
         raise ValueError("degree must be positive")
-    return {(a - 1) * (d - a - 1) for a in range(1, d // 2 + 1)}
+    return {(a - 1) * (d - a - 1) for a in range(1, (d + 1) // 2 + 1)}
 
 
 def classify(d: int, g: int) -> Verdict:
@@ -146,7 +146,7 @@ def _flags(d: int, g: int, plane: int, gp_floor: int) -> tuple[bool, bool, bool,
     # g = (a-1)(b-1) with a + b = d iff a-1 and b-1 are the integer roots of
     # t^2 - (d-2)t + g, i.e. iff the discriminant is a perfect square
     disc = (d - 2) ** 2 - 4 * g
-    on_quadric = d >= 2 and disc >= 0 and isqrt(disc) ** 2 == disc
+    on_quadric = disc >= 0 and isqrt(disc) ** 2 == disc
     return _FLAGS[g == plane, on_quadric, g <= gp_floor]
 
 

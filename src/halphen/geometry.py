@@ -7,7 +7,6 @@ first nonzero coefficient equal to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,17 +18,16 @@ class SingularPointError(ValueError):
     """Tangent requested at a point where the gradient vanishes."""
 
 
-@dataclass(frozen=True)
 class ProjectivePoint:
     """Homogeneous rational coordinates, compared up to global scaling."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence[Rational]):
         coords = tuple(Fraction(c) for c in coords)
         if not coords or all(c == 0 for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        object.__setattr__(self, "coords", coords)
+        self.coords = coords
 
     def normalized(self) -> tuple[Fraction, ...]:
         pivot = next(c for c in self.coords if c != 0)

@@ -5,13 +5,12 @@ Monomials are plain exponent tuples, one slot per ring variable.  All
 coefficient arithmetic is done with `fractions.Fraction`; there is no
 floating point anywhere in this module.  A `Polynomial` is kept in one
 normal form, like terms summed and no zero stored, made by `_like_terms`.
-An `IdealSpec` refuses a zero, inhomogeneous or foreign generator when it
-is made, so neither oracle checks its input again.
+An `IdealSpec` refuses a zero, inhomogeneous or foreign generator in its
+`__init__`, so neither oracle checks its input again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -262,28 +261,24 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(pieces)
 
 
-@dataclass(frozen=True)
 class IdealSpec:
-    """A homogeneous ideal presented by its generators, checked by
-    `validate_ideal` when it is made: both oracles take it as it is."""
+    """A homogeneous ideal presented by its generators, which `__init__`
+    checks before it stores them: both oracles take the ideal as it is."""
 
-    ring_vars: tuple[str, ...]
-    generators: tuple[Polynomial, ...]
-    label: str | None = None
+    __slots__ = ("ring_vars", "generators", "label")
 
-    def __post_init__(self):
-        validate_ideal(self)
+    def __init__(self, ring_vars: tuple[str, ...], generators: tuple[Polynomial, ...], label: str | None = None):
+        for g in generators:
+            if g.is_zero:
+                raise ValueError("zero generator in ideal")
+            if not g.is_homogeneous():
+                raise ValueError("inhomogeneous generator in ideal")
+            if g.ring != ring_vars:
+                raise ValueError("generator ring does not match ideal ring")
+        self.ring_vars = ring_vars
+        self.generators = generators
+        self.label = label
 
     @property
     def n_vars(self) -> int:
         return len(self.ring_vars)
-
-
-def validate_ideal(ideal: IdealSpec) -> None:
-    for g in ideal.generators:
-        if g.is_zero:
-            raise ValueError("zero generator in ideal")
-        if not g.is_homogeneous():
-            raise ValueError("inhomogeneous generator in ideal")
-        if g.ring != ideal.ring_vars:
-            raise ValueError("generator ring does not match ideal ring")

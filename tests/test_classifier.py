@@ -51,7 +51,7 @@ class TestBounds:
         assert gruson_peskine_bound(d) == b
 
     def test_quadric_maximum_is_castelnuovo(self):
-        for d in range(2, 51):
+        for d in range(1, 51):
             assert max(quadric_genera(d)) == castelnuovo_bound(d)
 
     def test_nested_parabolas(self):
@@ -76,9 +76,8 @@ class TestHalphenBound:
     def test_first_three_cases(self):
         for d in range(1, 5001):
             assert halphen_bound(d, 1) == plane_genus(d), d
-            assert halphen_bound(d, 3) == floor(gruson_peskine_bound(d)), d
-        for d in range(2, 5001):
             assert halphen_bound(d, 2) == max(quadric_genera(d)), d
+            assert halphen_bound(d, 3) == floor(gruson_peskine_bound(d)), d
 
     @staticmethod
     def _correction(d, s):
@@ -120,7 +119,7 @@ class TestHalphenBound:
 
 
 class TestQuadricGenera:
-    @pytest.mark.parametrize("d,genera", [(2, {0}), (3, {0}), (4, {0, 1})])
+    @pytest.mark.parametrize("d,genera", [(1, {0}), (2, {0}), (3, {0}), (4, {0, 1})])
     def test_small_degrees(self, d, genera):
         assert quadric_genera(d) == genera
 
@@ -414,38 +413,41 @@ class TestEmitters:
     # sha256 of (region_csv, region_svg), recorded at commit ec85413, when
     # every row was classified by classify(d, g) and every SVG coordinate
     # was formatted per circle; the table and its renderings must not move.
+    # Every CSV digest was re-recorded, the SVGs unchanged, when the line
+    # joined the quadric regime: its row 1,0,true,false,true,true,gp-region
+    # became 1,0,true,true,true,true,gp-region.
     GOLDEN_SHA256 = {
         1: (
-            "97c3ead01c702e383938ca25564d5dc26b4b5f8b1d7e7e720dba99a883b9f702",
+            "9f8d2c4c0cddd95491ec398698a384f6475218e25602872c5069ad2cdd708275",
             "3a896bd9b8ee8a715dbefab9e864a8b2f5ab30db215ca41897dd68b626581dea",
         ),
         2: (
-            "76aa85a24731623eb03051a0cd65ca8da2c894b56360b65eb0851bda419d03b3",
+            "7dab0096bbf77a2518a7102e1aef9f1170bca671e59392fb779cd5a29970a3af",
             "f343d3d1eb30b9c57ac7688d4ccbf86c92ece7890fc6881e031964d597c891fa",
         ),
         3: (
-            "a56d9f7e56d5c901eb2a6510e0cb1c03fbe88f404d3cd7ac194f2c27f0ed4003",
+            "8654b88ea592f4953bc76c797f2944ae94ac2990c19219ac234032c05a34b8d1",
             "1226033755d71879fbaef6632e24333d06ce97aa50964c4050d49dffd3f552ee",
         ),
         12: (
-            "161ed76f944bbf56b8e66be3c977a0f95f013a4117ddc9576444e5622bfc22d4",
+            "d27c2970b8b8bf1f3099eab78e40f910527c3558541802a102f08000281ee6d3",
             "ee14133a53208860413bca81a42e14124f2b8a5fcd171e20a0d542659fe80415",
         ),
         30: (
-            "8f789598bfdc5ec9ef703aab82b5250b3e74cebc6f19a631e6ce25ef5ac24fe1",
+            "cdfbae09dbb6e1b486ef9f3c98a82169783a41db23827df5d6cdb4baffebef7d",
             "496dc1634cc53d68101fae18607e7741f7ca25d74a43424ea4d688a237df13ad",
         ),
         # recorded at commit 528f27e, before the renderers were made to work
         # one degree at a time; 80 is the benchmark's largest table
         80: (
-            "1a5c865d17a153da459fa53920a779e3f26a549085770984c9f37808a9f6c7b2",
+            "c7a7e82e420eba93dde385c2622b73b4edf76d33e6050a8db127be55046076a7",
             "6c62b6dc891817a5a384e021f0e5b58c78c8228b9a3df0cb50d5a90325021e7f",
         ),
         # recorded at commit 531401f, before the runs held shared flag tuples
         # and the circle centres were written from integers; 145 is the
         # largest d_max the budget admits
         145: (
-            "e9c2081fbd06ac78a97670e25aeb1f9f7cecc623a75dd990a4a979797712b06e",
+            "6a3b004fad677426468643679da3449742d001d7d33b8927eaa969cedc80df4d",
             "e19182a1e08623801cc894e64f0fa6ab2c1ddc9d039930c9a0a97f1726932bb6",
         ),
     }

@@ -37,6 +37,9 @@ class TestProjectivePoint:
         assert pt(1, 0, 0, 0) == pt(7, 0, 0, 0)
         assert pt(1, 2, 3) == pt(Fraction(1, 2), 1, Fraction(3, 2))
         assert pt(1, 0, 0) != pt(0, 1, 0)
+        # equal points hash alike, so a set holds one of them
+        assert hash(pt(1, 2, 3)) == hash(pt(Fraction(1, 2), 1, Fraction(3, 2)))
+        assert len({pt(1, 0, 0, 0), pt(7, 0, 0, 0)}) == 1
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

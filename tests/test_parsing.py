@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from halphen import parsing
+from halphen.cli import main
 from halphen.graded import hilbert_function_table
 from halphen.groebner import buchberger
 from halphen.parsing import (
@@ -388,6 +389,27 @@ class TestParseIdealFile:
         with pytest.raises(ParseError, match="duplicate"):
             parse_ideal_file("ring x y x\nx^2\n")
 
+    # a file with two faulty generators is refused for the first one, by the
+    # file reader and by the command alike
+    TWO_FAULTS = [
+        ("x^2 + y", "x + + y", "line 2, col 1: inhomogeneous generator: terms of degrees 1 to 2"),
+        ("x - x", "x $ y", "line 2, col 1: zero generator"),
+        ("x + + y", "x - x", "line 2, col 5: unexpected '+'"),
+    ]
+
+    @pytest.mark.parametrize("first,second,message", TWO_FAULTS)
+    def test_first_of_two_faults(self, first, second, message):
+        with pytest.raises(ParseError) as err:
+            parse_ideal_file(f"ring x y z\n{first}\n{second}\n")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("first,second,message", TWO_FAULTS)
+    def test_first_of_two_faults_through_the_command(self, capsys, tmp_path, first, second, message):
+        path = tmp_path / "two_faults.ideal"
+        path.write_text(f"ring x y z\n{first}\n{second}\n")
+        assert main(["invariants", "--ideal", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"halphen: error: {message}\n")
+
 
 class TestParsePoint:
     def test_parse(self):
@@ -469,9 +491,7 @@ class TestValidateIdeal:
             oracle(IdealSpec(RING3, (parse_polynomial("x", RING3), generator)))
         assert str(err.value) == message
         # raised while the spec was made, before the oracle was called
-        assert [entry.name for entry in err.traceback[1:]] == [
-            "__init__", "__post_init__", "validate_ideal"
-        ]
+        assert [entry.name for entry in err.traceback[1:]] == ["__init__"]
 
 
 class TestFormatPolynomial:
